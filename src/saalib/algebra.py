@@ -13,8 +13,8 @@ carries the minus.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import wraps
 
 import numpy as np
 
@@ -263,8 +263,12 @@ class StructureTensor:
 class Algebra:
     """An algebra: symplectic space, structure tensor and product table.
 
-    table[i, j] holds the coordinates of e_i . e_j.  Instances are immutable
-    after construction and safe to share across threads.
+    table[i, j] holds the coordinates of e_i . e_j.  The lower central
+    series, the centre Z_1 and the upper central series are each computed at
+    most once per instance, on first use, and held in _series.  Instances
+    are immutable after construction and safe to share across threads:
+    every held value is deterministic and immutable, so a race can at worst
+    compute the same value twice.
     """
 
     n: int
@@ -273,6 +277,7 @@ class Algebra:
     tensor: StructureTensor
     table: np.ndarray
     presentation: Presentation | None = None
+    _series: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -322,15 +327,22 @@ def zero_space(alg: Algebra) -> Subspace:
 
 
 def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
-    """Canonical span of {u . v : u in basis of a, v in basis of b}."""
+    """Canonical span of {u . v : u in basis of a, v in basis of b}.
+
+    Two matmuls, each reduced mod p: the basis of a against the table, then
+    the basis of b against that.  Every entry of either step is a sum of dim
+    products of residues, so the step is exact in int64 while
+    dim * (p - 1)**2 < 2**63.
+    """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("ambient mismatch")
     if a.field != alg.field or b.field != alg.field:
         raise ValueError("field mismatch")
     if a.dim == 0 or b.dim == 0:
         return zero_space(alg)
-    prods = np.einsum("ri,sj,ijk->rsk", a.basis.data, b.basis.data, alg.table)
-    return Subspace.from_vectors(alg.field, alg.dim, prods.reshape(-1, alg.dim) % alg.field.p)
+    p, dim = alg.field.p, alg.dim
+    left = (a.basis.data @ alg.table.reshape(dim, dim * dim) % p).reshape(a.dim, dim, dim)
+    return Subspace.from_vectors(alg.field, dim, b.basis.data @ left % p)
 
 
 @dataclass(frozen=True)
@@ -356,6 +368,22 @@ class SeriesReport:
         return tuple(s.dim for s in self.upper)
 
 
+def _held(compute):
+    """Compute compute(alg) once per algebra and hold the result on alg."""
+    key = compute.__name__
+
+    @wraps(compute)
+    def held(alg: Algebra):
+        try:
+            return alg._series[key]
+        except KeyError:
+            value = alg._series[key] = compute(alg)
+            return value
+
+    return held
+
+
+@_held
 def lower_central_series(alg: Algebra) -> SeriesReport:
     """L^1 = L, L^{i+1} = L^i L, computed until stabilization."""
     terms = [full_space(alg)]
@@ -389,15 +417,19 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
     return Subspace.from_vectors(alg.field, dim, ker.data)
 
 
+@_held
+def _center(alg: Algebra) -> Subspace:
+    """Z_1 = {v : v L = 0}."""
+    return _centralizer_above(alg, zero_space(alg))
+
+
+@_held
 def upper_central_series(alg: Algebra) -> SeriesReport:
     """Z_0 = 0, Z_{i+1} = {v : v L <= Z_i}, computed as iterated kernels."""
-    terms = [zero_space(alg)]
-    while True:
-        nxt = _centralizer_above(alg, terms[-1])
-        if nxt == terms[-1]:
-            break
-        terms.append(nxt)
-    return SeriesReport(upper=tuple(terms))
+    terms = [zero_space(alg), _center(alg)]
+    while terms[-1] != terms[-2]:
+        terms.append(_centralizer_above(alg, terms[-1]))
+    return SeriesReport(upper=tuple(terms[:-1]))
 
 
 def nilpotency_class(alg: Algebra) -> int | None:
@@ -410,14 +442,17 @@ def rank(alg: Algebra) -> int:
     if low.nilpotency_class is None:
         raise NotNilpotentError("rank requires a nilpotent algebra")
     r = alg.dim - (low.lower[1].dim if len(low.lower) > 1 else alg.dim)
-    z1 = _centralizer_above(alg, zero_space(alg))
+    z1 = _center(alg)
     if z1.dim != r:
         raise RuntimeError(f"rank cross-check failed: dim L - dim L^2 = {r}, dim Z_1 = {z1.dim}")
     return r
 
 
 def series_report(alg: Algebra) -> SeriesReport:
-    """Both central series plus class and rank in one report."""
+    """Both central series plus class and rank in one report.
+
+    Every series is held on alg, so repeated reports recompute nothing.
+    """
     low = lower_central_series(alg)
     up = upper_central_series(alg)
     rk = None
@@ -472,7 +507,7 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     n = alg.n
     g = alg.gram
     perm = _priority_permutation(n)
-    center = _centralizer_above(alg, zero_space(alg))
+    center = _center(alg)
     budget = [5000]
 
     def extensions(chain: list[Subspace]) -> list[Subspace]:

@@ -26,14 +26,13 @@ from .algebra import (
     BasisVector,
     Presentation,
     StructureTensor,
-    _centralizer_above,
+    _center,
     build_algebra,
     is_isotropic,
     lower_central_series,
     product_space,
     series_report,
     validate_nilpotent_presentation,
-    zero_space,
 )
 from .linalg import PrimeField
 
@@ -303,7 +302,7 @@ def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Presentatio
         return None
     if alg.dim - low.lower[1].dim != 2:
         return None
-    if _centralizer_above(alg, zero_space(alg)).dim != 2:
+    if _center(alg).dim != 2:
         return None
     return pres
 

@@ -1,8 +1,12 @@
 """Algebra construction, product axioms, central series, structure tests."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from saalib import algebra as algebra_module
 from saalib.algebra import (
     BasisVector,
     ChainError,
@@ -29,8 +33,10 @@ from saalib.algebra import (
     zero_space,
 )
 from saalib.checks import random_nilpotent_presentation
+from saalib.cli import verify_report
 from saalib.construct import catalog, catalog_entry
 from saalib.linalg import PrimeField, Subspace, perp
+from saalib.presfile import emit_presentation, parse_presentation_file
 
 F3 = PrimeField(3)
 
@@ -165,6 +171,74 @@ def test_product_space_examples():
     assert product_space(alg, L, L).dim == 14
     ab = abelian(4)
     assert product_space(ab, full_space(ab), full_space(ab)).is_zero()
+
+
+def reference_product_rows(alg, a, b):
+    """u . v for every pair of basis rows, summed in Python ints."""
+    p, dim = alg.field.p, alg.dim
+    table = alg.table.tolist()
+    rows = []
+    for u in a.basis.data.tolist():
+        for v in b.basis.data.tolist():
+            rows.append([
+                sum(u[i] * v[j] * table[i][j][k] for i in range(dim) for j in range(dim)) % p
+                for k in range(dim)
+            ])
+    return rows
+
+
+# 268435399 is the largest prime below 2**28: dim * (p - 1)**2 < 2**63 up to dim 32
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 268435399])
+def test_product_space_exact_against_python_ints(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        n = int(rng.integers(3, 17))
+        alg = build_algebra(random_nilpotent_presentation(n, field, rng))
+        a, b = (
+            Subspace.from_vectors(field, alg.dim, rng.integers(0, p, size=(int(k), alg.dim)))
+            for k in rng.integers(1, 3, size=2)
+        )
+        expected = Subspace.from_vectors(field, alg.dim, reference_product_rows(alg, a, b))
+        assert product_space(alg, a, b) == expected, (n, a.dim, b.dim)
+
+
+def test_each_series_computed_once_per_algebra(monkeypatch):
+    calls = []
+    original = algebra_module.product_space
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebra_module, "product_space", counted)
+    for name, cls in (("P8-2-1", 5), ("P16-2-1", 7)):
+        pres = catalog_entry(name).presentation(F3)
+        calls.clear()
+        _, ok = verify_report(parse_presentation_file(emit_presentation(pres)))
+        assert ok
+        assert len(calls) == cls + 1, name
+
+        rank_first = build_algebra(pres)
+        r = rank(rank_first)
+        report_first = build_algebra(pres)
+        assert series_report(report_first) == series_report(rank_first)
+        assert rank(report_first) == r == 2
+
+
+def test_held_series_shared_across_threads():
+    pres = catalog_entry("P16-2-1").presentation(F3)
+    expected = series_report(build_algebra(pres))
+    shared = build_algebra(pres)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(series_report, shared) for _ in range(32)]
+            reports = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(rep == expected for rep in reports)
 
 
 def test_p8_series_dims():
