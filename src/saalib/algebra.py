@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     PrimeField,
     Subspace,
+    _dot_mod,
     _rref_array,
     nullspace,
     perp,
@@ -309,7 +310,9 @@ def _check_vectors(alg: Algebra, *vectors) -> list[np.ndarray]:
 def multiply(alg: Algebra, u, v) -> np.ndarray:
     """Bilinear extension of the basis multiplication table."""
     uu, vv = _check_vectors(alg, u, v)
-    return np.einsum("i,j,ijk->k", uu, vv, alg.table) % alg.field.p
+    p, dim = alg.field.p, alg.dim
+    left = _dot_mod(uu[None, :], alg.table.reshape(dim, dim * dim), p).reshape(dim, dim)
+    return _dot_mod(vv[None, :], left, p)[0]
 
 
 def form(alg: Algebra, u, v) -> FieldElement:
@@ -330,9 +333,8 @@ def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     """Canonical span of {u . v : u in basis of a, v in basis of b}.
 
     Two matmuls, each reduced mod p: the basis of a against the table, then
-    the basis of b against that.  Every entry of either step is a sum of dim
-    products of residues, so the step is exact in int64 while
-    dim * (p - 1)**2 < 2**63.
+    the basis of b against that.  Both go through _dot_mod, so they are
+    exact in int64 while p * (p - 1) < 2**63.
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("ambient mismatch")
@@ -341,8 +343,8 @@ def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return zero_space(alg)
     p, dim = alg.field.p, alg.dim
-    left = (a.basis.data @ alg.table.reshape(dim, dim * dim) % p).reshape(a.dim, dim, dim)
-    return Subspace.from_vectors(alg.field, dim, b.basis.data @ left % p)
+    left = _dot_mod(a.basis.data, alg.table.reshape(dim, dim * dim), p).reshape(a.dim, dim, dim)
+    return Subspace.from_vectors(alg.field, dim, _dot_mod(b.basis.data, left, p))
 
 
 @dataclass(frozen=True)
@@ -385,14 +387,29 @@ def _held(compute):
 
 @_held
 def lower_central_series(alg: Algebra) -> SeriesReport:
-    """L^1 = L, L^{i+1} = L^i L, computed until stabilization."""
+    """L^1 = L, L^{i+1} = L^i L, computed until stabilization.
+
+    L^{i+1} lies in L^i, whose RREF basis B has pivot columns P, and a
+    vector v of L^i equals v[P] @ B.  So each step reduces the products of
+    B's rows with the basis vectors on the columns P alone, to an RREF C
+    with pivots c, and L^{i+1} is spanned by C @ B.  That product is
+    already the canonical basis, with pivots P[c]: on the columns P it is C,
+    and a row of C starting at column c_t combines rows of B that vanish
+    before column P[c_t].  The series has stabilized when C has full rank,
+    and ends when no pivots remain.
+    """
+    p, dim = alg.field.p, alg.dim
     terms = [full_space(alg)]
-    L = terms[0]
-    while True:
-        nxt = product_space(alg, terms[-1], L)
-        if nxt == terms[-1]:
+    basis, pivots = terms[0].basis.data, list(range(dim))
+    while pivots:
+        on_pivots = alg.table[:, :, pivots].reshape(dim, dim * len(pivots))
+        rows = _dot_mod(basis, on_pivots, p).reshape(-1, len(pivots))
+        coeffs, coeff_pivots = _rref_array(rows, p)
+        if len(coeff_pivots) == len(pivots):
             break
-        terms.append(nxt)
+        basis = _dot_mod(coeffs[: len(coeff_pivots)], basis, p)
+        pivots = [pivots[c] for c in coeff_pivots]
+        terms.append(Subspace(alg.field, dim, Matrix(alg.field, basis)))
     cls = len(terms) - 1 if terms[-1].is_zero() else None
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
@@ -410,9 +427,8 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
         proj[c, :] = (proj[c, :] - z.basis.data[r]) % p
     nonpivot = [j for j in range(dim) if j not in set(pivots)]
     q = proj[:, nonpivot]
-    # v . e_k = v @ table[:, k, :]; stack the projected conditions over k
-    blocks = [alg.table[:, k, :] @ q % p for k in range(dim)]
-    stacked = np.hstack(blocks)
+    # v . e_k = v @ table[:, k, :]; the projected conditions over all k at once
+    stacked = _dot_mod(alg.table.reshape(dim * dim, dim), q, p).reshape(dim, -1)
     ker = nullspace(Matrix(alg.field, stacked.T % p))
     return Subspace.from_vectors(alg.field, dim, ker.data)
 

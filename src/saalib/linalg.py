@@ -210,14 +210,29 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.data.tolist()})"
 
 
-def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an integer array mod p.
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays, exact in int64 while p * (p - 1) < 2**63.
 
-    Returns (rref, pivot_columns). Rows of zeros sink to the bottom.
+    The inner dimension is split into steps of s terms with
+    s * (p - 1)**2 + (p - 1) < 2**63, and the running sum is reduced after
+    each step, so no partial sum leaves int64.  b may carry leading batch
+    axes, as in numpy's matmul.
     """
-    a = (np.asarray(a, dtype=np.int64) % p).copy()
+    inner = a.shape[-1]
+    step = (2**63 - p) // (p - 1) ** 2
+    if step == 0:
+        raise ValueError(f"no exact int64 products mod {p}: needs p * (p - 1) < 2**63")
+    if inner <= step:
+        return a @ b % p
+    out = a[..., :step] @ b[..., :step, :] % p
+    for start in range(step, inner, step):
+        out = (out + a[..., start : start + step] @ b[..., start : start + step, :]) % p
+    return out
+
+
+def _eliminate(a: np.ndarray, p: int) -> list[int]:
+    """Reduce the residue array a to RREF in place, one pivot at a time."""
     m, ncols = a.shape
-    field = PrimeField(p)
     r = 0
     pivots: list[int] = []
     for c in range(ncols):
@@ -229,14 +244,55 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * field.inv(int(a[r, c])) % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
         a -= np.outer(col, a[r])
         a %= p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots
+
+
+def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of an integer array mod p.
+
+    Returns (rref, pivot_columns). Rows of zeros sink to the bottom.
+
+    Each pivot step of the elimination touches every row, which is waste on
+    the tall, mostly redundant inputs the central series produce.  So only
+    a head block of max(ncols, 2048 // ncols) rows, small enough that one
+    step costs numpy call overhead rather than arithmetic, is eliminated
+    pivot by pivot.  All remaining rows are then cleared against the head's
+    basis in one residual round, rest - rest[:, pivots] @ basis (mod p),
+    and the rows that became zero are dropped.  Rounds repeat on what is
+    left; each new block's pivots are merged into the basis, which is
+    first cleared on the new pivot columns, so the result is the unique
+    RREF.  An input that fits in the head block runs the pivot loop alone.
+    Exact in int64 while p * (p - 1) < 2**63 (see _dot_mod).
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    m, ncols = a.shape
+    head = max(ncols, 2048 // max(ncols, 1))
+    if m <= head:
+        return a, _eliminate(a, p)
+    basis = a[:0]
+    pivots: list[int] = []
+    rest = a
+    while rest.shape[0]:
+        block = rest[:head].copy()
+        new_pivots = _eliminate(block, p)
+        new = block[: len(new_pivots)]
+        basis = (basis - _dot_mod(basis[:, new_pivots], new, p)) % p
+        order = np.argsort(pivots + new_pivots)
+        basis = np.vstack([basis, new])[order]
+        pivots = sorted(pivots + new_pivots)
+        rest = rest[head:]
+        rest = (rest - _dot_mod(rest[:, pivots], basis, p)) % p
+        rest = rest[rest.any(axis=1)]
+    out = np.zeros_like(a)
+    out[: len(pivots)] = basis
+    return out, pivots
 
 
 def rref(m: Matrix) -> Matrix:
@@ -297,18 +353,26 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    def _spans(self, rows: np.ndarray) -> bool:
+        """True iff every residue row lies in the subspace.
+
+        A row v lies in the span of the RREF basis iff v equals its pivot
+        entries times the basis, so the residual v - v[pivots] @ basis
+        vanishes.
+        """
+        basis = self.basis.data
+        pivots = (basis != 0).argmax(axis=1)
+        p = self.field.p
+        return not ((rows - _dot_mod(rows[:, pivots], basis, p)) % p).any()
+
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)
-        stacked = np.vstack([self.basis.data, vec[None, :]])
-        _, pivots = _rref_array(stacked, self.field.p)
-        return len(pivots) == self.dim
+        return self._spans(vec[None, :])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise ValueError("ambient mismatch")
-        stacked = np.vstack([self.basis.data, other.basis.data])
-        _, pivots = _rref_array(stacked, self.field.p)
-        return len(pivots) == self.dim
+        return self._spans(other.basis.data)
 
     def basis_rows(self) -> np.ndarray:
         return self.basis.data

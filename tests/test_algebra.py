@@ -173,13 +173,13 @@ def test_product_space_examples():
     assert product_space(ab, full_space(ab), full_space(ab)).is_zero()
 
 
-def reference_product_rows(alg, a, b):
-    """u . v for every pair of basis rows, summed in Python ints."""
+def reference_product_rows(alg, us, vs):
+    """u . v for every u in us and v in vs, summed in Python ints."""
     p, dim = alg.field.p, alg.dim
     table = alg.table.tolist()
     rows = []
-    for u in a.basis.data.tolist():
-        for v in b.basis.data.tolist():
+    for u in us:
+        for v in vs:
             rows.append([
                 sum(u[i] * v[j] * table[i][j][k] for i in range(dim) for j in range(dim)) % p
                 for k in range(dim)
@@ -187,8 +187,12 @@ def reference_product_rows(alg, a, b):
     return rows
 
 
-# 268435399 is the largest prime below 2**28: dim * (p - 1)**2 < 2**63 up to dim 32
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 268435399])
+# 268435399 is the largest prime below 2**28, 2147483647 is 2**31 - 1, and
+# 3037000493 is the largest prime with p * (p - 1) < 2**63
+EXACT_PRIMES = [2, 3, 5, 7, 268435399, 2147483647, 3037000493]
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
 def test_product_space_exact_against_python_ints(p):
     field = PrimeField(p)
     rng = np.random.default_rng(p)
@@ -199,25 +203,39 @@ def test_product_space_exact_against_python_ints(p):
             Subspace.from_vectors(field, alg.dim, rng.integers(0, p, size=(int(k), alg.dim)))
             for k in rng.integers(1, 3, size=2)
         )
-        expected = Subspace.from_vectors(field, alg.dim, reference_product_rows(alg, a, b))
+        rows = reference_product_rows(alg, a.basis.data.tolist(), b.basis.data.tolist())
+        expected = Subspace.from_vectors(field, alg.dim, rows)
         assert product_space(alg, a, b) == expected, (n, a.dim, b.dim)
 
 
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_multiply_exact_against_python_ints(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        n = int(rng.integers(3, 17))
+        alg = build_algebra(random_nilpotent_presentation(n, field, rng))
+        u, v = rng.integers(0, p, size=(2, alg.dim)).tolist()
+        assert multiply(alg, u, v).tolist() == reference_product_rows(alg, [u], [v])[0], n
+
+
 def test_each_series_computed_once_per_algebra(monkeypatch):
+    # every lower-series step is one elimination, and so is every upper term
+    # above the centre; nothing else in verify_report eliminates in algebra
     calls = []
-    original = algebra_module.product_space
+    original = algebra_module._rref_array
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(algebra_module, "product_space", counted)
+    monkeypatch.setattr(algebra_module, "_rref_array", counted)
     for name, cls in (("P8-2-1", 5), ("P16-2-1", 7)):
         pres = catalog_entry(name).presentation(F3)
         calls.clear()
         _, ok = verify_report(parse_presentation_file(emit_presentation(pres)))
         assert ok
-        assert len(calls) == cls + 1, name
+        assert len(calls) == cls + (cls - 1), name
 
         rank_first = build_algebra(pres)
         r = rank(rank_first)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from saalib import linalg
 from saalib.linalg import (
     GramMatrix,
     Matrix,
@@ -88,6 +89,23 @@ def test_rref_idempotent_and_row_space_preserving(p):
         before = Subspace.from_vectors(field, cols, m.data)
         after = Subspace.from_vectors(field, cols, r.data)
         assert before == after
+
+
+def test_rref_builds_no_field(monkeypatch):
+    field = PrimeField(268435399)
+    rows = np.random.default_rng(5).integers(0, field.p, size=(300, 12))
+    calls = []
+    monkeypatch.setattr(linalg, "is_prime", lambda n: calls.append(n) or True)
+    linalg._rref_array(rows, field.p)
+    Subspace.from_vectors(field, 12, rows)
+    assert calls == []
+
+
+def test_dot_mod_refuses_primes_above_exact_bound():
+    ones = np.ones((1, 2), dtype=np.int64)
+    assert linalg._dot_mod(ones, ones.T, 3037000493).tolist() == [[2]]
+    with pytest.raises(ValueError):
+        linalg._dot_mod(ones, ones.T, 3037000507)
 
 
 def test_nullspace_annihilates():
