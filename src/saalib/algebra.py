@@ -13,6 +13,7 @@ carries the minus.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import wraps
 
@@ -25,8 +26,10 @@ from .linalg import (
     PrimeField,
     Subspace,
     _dot_mod,
+    _free_columns,
+    _kernel_rows,
+    _merge_echelon,
     _rref_array,
-    nullspace,
     perp,
     solve_against_form,
     subspace_intersect,
@@ -316,9 +319,8 @@ def multiply(alg: Algebra, u, v) -> np.ndarray:
 
 
 def form(alg: Algebra, u, v) -> FieldElement:
-    """Value of the alternating form (u, v)."""
-    uu, vv = _check_vectors(alg, u, v)
-    return alg.field.element(int(uu @ alg.gram.data @ vv))
+    """Value of the alternating form (u, v), exact while p * (p - 1) < 2**63."""
+    return alg.gram.pairing(u, v)
 
 
 def full_space(alg: Algebra) -> Subspace:
@@ -329,8 +331,8 @@ def zero_space(alg: Algebra) -> Subspace:
     return Subspace.zero(alg.field, alg.dim)
 
 
-def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
-    """Canonical span of {u . v : u in basis of a, v in basis of b}.
+def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:
+    """The rows u . v for u in the basis of a and v in the basis of b.
 
     Two matmuls, each reduced mod p: the basis of a against the table, then
     the basis of b against that.  Both go through _dot_mod, so they are
@@ -340,11 +342,21 @@ def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     if a.field != alg.field or b.field != alg.field:
         raise ValueError("field mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(alg)
     p, dim = alg.field.p, alg.dim
     left = _dot_mod(a.basis.data, alg.table.reshape(dim, dim * dim), p).reshape(a.dim, dim, dim)
-    return Subspace.from_vectors(alg.field, dim, _dot_mod(b.basis.data, left, p))
+    return _dot_mod(b.basis.data, left, p).reshape(-1, dim)
+
+
+def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
+    """Canonical span of {u . v : u in basis of a, v in basis of b}.
+
+    The product rows (see _product_rows) reduced to RREF.  Callers that only
+    ask whether the product lies in a subspace test the raw rows instead.
+    """
+    rows = _product_rows(alg, a, b)
+    if a.dim == 0 or b.dim == 0:
+        return zero_space(alg)
+    return Subspace.from_vectors(alg.field, alg.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -415,22 +427,39 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
 
 
 def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
-    """{v : v . e_k lies in z for every basis vector e_k}."""
-    p = alg.field.p
-    dim = alg.dim
+    """{v : v . e_k lies in z for every basis vector e_k}, for an ideal z.
+
+    z must be an ideal (z L <= z), as every upper-series term and every term
+    of an isotropic ideal chain is.  Then z lies in the result, and with P
+    the pivot columns of z's RREF basis B and N the others, the result is z
+    plus the vectors u supported on N with every u . e_k in z.  A row x lies
+    in z iff its residual x[N] - x[P] @ B[:, N] vanishes, so only |N|
+    unknowns are solved for: one elimination of the residual conditions
+    over all k, the kernel read off it, and one small elimination of that
+    kernel.  Its rows vanish on P, so they merge into B by one matmul
+    (_merge_echelon) into the canonical basis.  For z = 0 the conditions are
+    the table itself and the kernel's RREF is the result.
+    """
+    p, dim = alg.field.p, alg.dim
     if z.dim == dim:
         return full_space(alg)
-    # linear projection onto a complement of z: kill pivot coordinates
-    _, pivots = _rref_array(z.basis.data, p) if z.dim else (None, [])
-    proj = np.eye(dim, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        proj[c, :] = (proj[c, :] - z.basis.data[r]) % p
-    nonpivot = [j for j in range(dim) if j not in set(pivots)]
-    q = proj[:, nonpivot]
-    # v . e_k = v @ table[:, k, :]; the projected conditions over all k at once
-    stacked = _dot_mod(alg.table.reshape(dim * dim, dim), q, p).reshape(dim, -1)
-    ker = nullspace(Matrix(alg.field, stacked.T % p))
-    return Subspace.from_vectors(alg.field, dim, ker.data)
+    if z.dim == 0:
+        # u . e_k = u @ table[:, k, :]; one condition row per (k, coordinate)
+        conditions = alg.table.reshape(dim, dim * dim).T
+    else:
+        basis, pivots = z.basis.data, z._pivots()
+        free = _free_columns(dim, pivots)
+        on_free = alg.table[free]
+        residual = on_free[:, :, free] - _dot_mod(on_free[:, :, pivots], basis[:, free], p)
+        conditions = residual.reshape(free.size, -1).T
+    coeffs, coeff_pivots = _rref_array(conditions, p)
+    new, new_pivots = _rref_array(_kernel_rows(coeffs, coeff_pivots, p), p)
+    new = new[: len(new_pivots)]
+    if z.dim:
+        rows = np.zeros((len(new_pivots), dim), dtype=np.int64)
+        rows[:, free] = new
+        new, _ = _merge_echelon(basis, pivots, rows, free[new_pivots], p)
+    return Subspace(alg.field, dim, Matrix(alg.field, new))
 
 
 @_held
@@ -480,7 +509,7 @@ def series_report(alg: Algebra) -> SeriesReport:
 
 
 def is_ideal(alg: Algebra, s: Subspace) -> bool:
-    return s.contains_subspace(product_space(alg, s, full_space(alg)))
+    return s._spans(_product_rows(alg, s, full_space(alg)))
 
 
 def is_isotropic(alg: Algebra, s: Subspace) -> bool:
@@ -526,7 +555,7 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     center = _center(alg)
     budget = [5000]
 
-    def extensions(chain: list[Subspace]) -> list[Subspace]:
+    def extensions(chain: list[Subspace]) -> Iterator[Subspace]:
         current = chain[-1]
         depth = len(chain)  # next index to fill
         if depth <= 2:
@@ -534,11 +563,9 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
         else:
             candidates_from = _centralizer_above(alg, current)
         w = subspace_intersect(candidates_from, perp(current, g))
-        out = []
         for row in _candidate_rows(w, perm):
             if not current.contains(row):
-                out.append(subspace_sum(current, Subspace.from_vectors(alg.field, alg.dim, [row])))
-        return out
+                yield subspace_sum(current, Subspace.from_vectors(alg.field, alg.dim, [row]))
 
     def doubled_chain_central(chain: list[Subspace]) -> bool:
         if n < 3:
@@ -547,7 +574,7 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
         terms.append(full_space(alg))
         L = full_space(alg)
         for lower_term, upper_term in zip(terms, terms[1:]):
-            if not lower_term.contains_subspace(product_space(alg, upper_term, L)):
+            if not lower_term._spans(_product_rows(alg, upper_term, L)):
                 return False
         return True
 

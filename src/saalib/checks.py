@@ -28,7 +28,7 @@ from .algebra import (
     series_report,
 )
 from .construct import predict_min_class
-from .linalg import PrimeField, _rref_array, is_prime, perp
+from .linalg import PrimeField, _rref_array, perp
 from .presfile import emit_presentation
 
 __all__ = [
@@ -218,8 +218,7 @@ class ScanConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        PrimeField(self.p)  # refuses composites and primes too large for int64
         if self.n < 1:
             raise ValueError("n must be at least 1")
 

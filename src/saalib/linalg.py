@@ -50,11 +50,20 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The prime field GF(p)."""
+    """The prime field GF(p), for primes with p * (p - 1) < 2**63.
+
+    Residues live in int64, and every contraction (see _dot_mod) is exact
+    only below that bound; the largest such prime is 3037000493.
+    """
 
     p: int = 3
 
     def __post_init__(self):
+        # checked first: trial division on such a p would take hours
+        if self.p * (self.p - 1) >= 2**63:
+            raise ValueError(
+                f"field order {self.p} too large: exact int64 arithmetic needs p * (p - 1) < 2**63"
+            )
         if not is_prime(self.p):
             raise ValueError(f"field order must be prime, got {self.p}")
 
@@ -254,6 +263,21 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
+def _merge_echelon(
+    basis: np.ndarray, pivots: list[int], new: np.ndarray, new_pivots: list[int], p: int
+) -> tuple[np.ndarray, list[int]]:
+    """The RREF basis of span(basis) + span(new), and its pivot columns.
+
+    basis and new are RREF row blocks with pivot columns pivots and
+    new_pivots, and new vanishes on the columns pivots.  Clearing basis on
+    the new pivot columns (one matmul) and interleaving the rows by pivot
+    then gives the unique RREF, without eliminating again.
+    """
+    basis = (basis - _dot_mod(basis[:, new_pivots], new, p)) % p
+    merged = list(pivots) + list(new_pivots)
+    return np.vstack([basis, new])[np.argsort(merged)], sorted(merged)
+
+
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of an integer array mod p.
 
@@ -282,11 +306,7 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     while rest.shape[0]:
         block = rest[:head].copy()
         new_pivots = _eliminate(block, p)
-        new = block[: len(new_pivots)]
-        basis = (basis - _dot_mod(basis[:, new_pivots], new, p)) % p
-        order = np.argsort(pivots + new_pivots)
-        basis = np.vstack([basis, new])[order]
-        pivots = sorted(pivots + new_pivots)
+        basis, pivots = _merge_echelon(basis, pivots, block[: len(new_pivots)], new_pivots, p)
         rest = rest[head:]
         rest = (rest - _dot_mod(rest[:, pivots], basis, p)) % p
         rest = rest[rest.any(axis=1)]
@@ -301,19 +321,34 @@ def rref(m: Matrix) -> Matrix:
     return Matrix(m.field, arr)
 
 
+def _free_columns(ncols: int, pivots) -> np.ndarray:
+    """The columns 0 <= j < ncols that are not pivots, in increasing order."""
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
+
+
+def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
+    """Rows spanning the right kernel of an RREF array with the given pivots.
+
+    One row per free column f, in increasing order: 1 at f, and minus
+    rref[r, f] at the pivot column of row r.
+    """
+    free = _free_columns(rref.shape[1], pivots)
+    ker = np.zeros((free.size, rref.shape[1]), dtype=np.int64)
+    ker[np.arange(free.size), free] = 1
+    ker[:, pivots] = -rref[: len(pivots), free].T % p
+    return ker
+
+
 def nullspace(m: Matrix) -> Matrix:
-    """Rows spanning the right kernel {x : m @ x = 0}."""
-    p = m.field.p
-    a, pivots = _rref_array(m.data, p)
-    ncols = m.cols
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for row_idx, f in enumerate(free):
-        basis[row_idx, f] = 1
-        for r, c in enumerate(pivots):
-            basis[row_idx, c] = -a[r, f] % p
-    return Matrix(m.field, basis)
+    """Rows spanning the right kernel {x : m @ x = 0}.
+
+    One elimination, then the free-variable basis read off the RREF
+    (_kernel_rows).
+    """
+    a, pivots = _rref_array(m.data, m.field.p)
+    return Matrix(m.field, _kernel_rows(a, pivots, m.field.p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,9 +396,13 @@ class Subspace:
         vanishes.
         """
         basis = self.basis.data
-        pivots = (basis != 0).argmax(axis=1)
+        pivots = self._pivots()
         p = self.field.p
         return not ((rows - _dot_mod(rows[:, pivots], basis, p)) % p).any()
+
+    def _pivots(self) -> np.ndarray:
+        """Pivot columns of the RREF basis, read off without eliminating."""
+        return (self.basis.data != 0).argmax(axis=1)
 
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)
@@ -418,7 +457,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if ker.rows == 0:
         return Subspace.zero(a.field, a.ambient_dim)
     coeffs = ker.data[:, : a.dim]
-    vectors = coeffs @ a.basis.data % a.field.p
+    vectors = _dot_mod(coeffs, a.basis.data, a.field.p)
     return Subspace.from_vectors(a.field, a.ambient_dim, vectors)
 
 
@@ -446,9 +485,12 @@ class GramMatrix:
         return 2 * self.n
 
     def pairing(self, u, v) -> FieldElement:
+        """(u, v) = u @ G @ v, reduced after each contraction (see _dot_mod)."""
+        p = self.field.p
         uu = self.field.vector(u, self.dim)
         vv = self.field.vector(v, self.dim)
-        return self.field.element(int(uu @ self.data @ vv))
+        value = _dot_mod(_dot_mod(uu[None, :], self.data, p), vv[:, None], p)
+        return self.field.element(int(value[0, 0]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GramMatrix) and self.field == other.field and self.n == other.n
@@ -464,15 +506,19 @@ def perp(s: Subspace, g: GramMatrix) -> Subspace:
     """The orthogonal complement {v : (u, v) = 0 for all u in s}.
 
     dim s + dim perp(s) = 2n and perp(perp(s)) = s since the form is
-    non-degenerate.
+    non-degenerate.  With B the RREF basis of s and G the standard form,
+    G^-1 = -G = G^T, so v lies in perp(s) iff v = w G with B w = 0.  The
+    kernel rows w are read off B itself, and one elimination of w G gives
+    the canonical basis.  G is a signed permutation, so each entry of w G
+    is one product and stays exact in int64.
     """
     if s.ambient_dim != g.dim or s.field != g.field:
         raise ValueError("ambient mismatch")
     if s.dim == 0:
         return Subspace.full(s.field, s.ambient_dim)
-    constraints = s.basis.data @ g.data % s.field.p
-    ker = nullspace(Matrix(s.field, constraints))
-    return Subspace.from_vectors(s.field, s.ambient_dim, ker.data)
+    p = s.field.p
+    ker = _kernel_rows(s.basis.data, s._pivots(), p)
+    return Subspace.from_vectors(s.field, s.ambient_dim, ker @ g.data % p)
 
 
 def solve_against_form(g: GramMatrix, rhs) -> np.ndarray:

@@ -24,7 +24,7 @@ from .algebra import (
     PresentationTriple,
     validate_nilpotent_presentation,
 )
-from .linalg import PrimeField, is_prime
+from .linalg import PrimeField
 
 __all__ = ["ParseError", "PresentationFile", "parse_presentation_file",
            "parse_presentation", "emit_presentation"]
@@ -88,9 +88,10 @@ def parse_presentation_file(text: str) -> PresentationFile:
     if len(parts) != 2 or not parts[1].isdigit():
         raise ParseError(number, "p must be an integer")
     p = int(parts[1])
-    if not is_prime(p):
-        raise ParseError(number, f"p must be prime, got {p}")
-    field = PrimeField(p)
+    try:
+        field = PrimeField(p)
+    except ValueError as exc:
+        raise ParseError(number, str(exc)) from None
 
     number, parts = expect("kind")
     if len(parts) != 2 or parts[1] not in KINDS:

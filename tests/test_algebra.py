@@ -219,23 +219,53 @@ def test_multiply_exact_against_python_ints(p):
         assert multiply(alg, u, v).tolist() == reference_product_rows(alg, [u], [v])[0], n
 
 
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_form_exact_against_python_ints(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        n = int(rng.integers(3, 17))
+        alg = build_algebra(random_nilpotent_presentation(n, field, rng))
+        u, v = rng.integers(0, p, size=(2, alg.dim)).tolist()
+        gram = alg.gram.data.tolist()
+        expected = sum(u[i] * gram[i][j] * v[j] for i in range(alg.dim) for j in range(alg.dim))
+        assert form(alg, u, v).residue == expected % p, n
+        assert alg.gram.pairing(u, v).residue == expected % p, n
+
+
 def test_each_series_computed_once_per_algebra(monkeypatch):
-    # every lower-series step is one elimination, and so is every upper term
-    # above the centre; nothing else in verify_report eliminates in algebra
-    calls = []
-    original = algebra_module._rref_array
+    # the upper series takes one centralizer per term, on Z_0, ..., Z_cls = L,
+    # and the lower series one elimination per step; no other elimination in
+    # algebra happens outside the centralizer during verify_report
+    centralized, lower_steps, inside = [], [], []
+    centralizer, eliminate = algebra_module._centralizer_above, algebra_module._rref_array
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted_centralizer(alg, z):
+        centralized.append(z.dim)
+        inside.append(z)
+        try:
+            return centralizer(alg, z)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(algebra_module, "_rref_array", counted)
-    for name, cls in (("P8-2-1", 5), ("P16-2-1", 7)):
+    def counted_eliminate(*args):
+        if not inside:
+            lower_steps.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(algebra_module, "_centralizer_above", counted_centralizer)
+    monkeypatch.setattr(algebra_module, "_rref_array", counted_eliminate)
+    for name, upper_dims in (
+        ("P8-2-1", [0, 2, 3, 5, 6, 8]),
+        ("P16-2-1", [0, 2, 3, 5, 11, 13, 14, 16]),
+    ):
         pres = catalog_entry(name).presentation(F3)
-        calls.clear()
+        centralized.clear()
+        lower_steps.clear()
         _, ok = verify_report(parse_presentation_file(emit_presentation(pres)))
         assert ok
-        assert len(calls) == cls + (cls - 1), name
+        assert centralized == upper_dims, name
+        assert len(lower_steps) == catalog_entry(name).expected_class, name
 
         rank_first = build_algebra(pres)
         r = rank(rank_first)

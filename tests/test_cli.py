@@ -101,6 +101,31 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_primes_above_int64_bound_exit_2(tmp_path, capsys):
+    too_large = "3037000507"
+    assert main(["scan", "--n", "6", "--p", too_large, "--samples", "3", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    out = str(tmp_path / "c.saa")
+    assert main(["construct", "--n", "4", "--p", too_large, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    # 10**18 + 3 is refused at once, before any primality test
+    for p in (too_large, "1000000000000000003"):
+        path = tmp_path / f"p{p}.saa"
+        path.write_text(f"saa-presentation v1\nn 4\np {p}\nkind nilpotent\n", encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_largest_exact_prime_accepted(tmp_path, capsys):
+    largest = "3037000493"
+    path = write_catalog_file(tmp_path, "P8-2-1", p=largest)
+    capsys.readouterr()
+    code, out = run(capsys, "verify", str(path))
+    assert code == 0 and "class: 5\n" in out and out.endswith("checks: pass\n")
+    code, out = run(capsys, "scan", "--n", "4", "--p", largest, "--samples", "3", "--seed", "1")
+    assert code == 0 and "classified: 3\n" in out
+
+
 def test_predict_output(capsys):
     code, out = run(capsys, "predict", "--n", "8")
     assert code == 0

@@ -2,9 +2,16 @@
 
 tests/golden/ holds the stdout of `saa verify` on every catalog entry over
 GF(3) (r = 1 and 2 for the parameterized ones), the stdout and written file
-of `saa construct --n N --p 3` for N = 4..12, and the stdout of one seeded
-scan.  Construct writes to a relative path, so each case runs in an empty
-working directory.  To record the files again after an intended output
+of `saa construct --n N --p 3` for N = 4..12, the stdout of one seeded
+scan, the stdout of `saa verify` on seeded random nilpotent presentations
+for n = 5..8, and the canonical bases of `isotropic_ideal_chain` on the
+minimal constructions over GF(3) for n = 8..12.  The random presentations
+are samples 0..3 of seed 2023 over GF(3), where every n has samples of
+maximal class and, below n = 8, samples of lower class; all four at n = 8
+are of maximal class, so every `perp` of the maximal-class structure check
+is pinned.  Samples 0 and 1 at n = 8 over GF(2**31 - 1) are added.
+Construct writes to a relative path, so each case runs in an empty working
+directory.  To record the files again after an intended output
 change, run `PYTHONPATH=src python tests/test_golden.py`.
 """
 
@@ -19,10 +26,15 @@ from pathlib import Path
 
 import pytest
 
+from saalib.algebra import build_algebra, isotropic_ideal_chain
+from saalib.checks import ScanConfig, sample_presentation
 from saalib.cli import main
-from saalib.construct import catalog
+from saalib.construct import catalog, construct_minimal
+from saalib.linalg import PrimeField
+from saalib.presfile import emit_presentation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+RANDOM_SEED = 2023
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -60,11 +72,31 @@ def _scan() -> dict[str, str]:
     return {"scan-n6-p3-samples40-seed42-rank2.txt": out}
 
 
+def _verify_random(n: int, p: int, index: int) -> dict[str, str]:
+    cfg = ScanConfig(n=n, p=p, samples=1, seed=RANDOM_SEED)
+    Path("in.saa").write_text(emit_presentation(sample_presentation(cfg, index)), encoding="utf-8")
+    code, out = _run(["verify", "in.saa"])
+    assert code == 0
+    return {f"verify-random-n{n}-p{p}-i{index}.txt": out}
+
+
+def _chain(n: int) -> dict[str, str]:
+    _, pres = construct_minimal(n, PrimeField(3))
+    lines = []
+    for i, term in enumerate(isotropic_ideal_chain(build_algebra(pres))):
+        rows = ("".join(map(str, row)) for row in term.basis.data.tolist())
+        lines.append(f"I_{i}: " + " ".join(rows) + "\n")
+    return {f"chain-construct-n{n}-p3.txt": "".join(lines)}
+
+
+RANDOM = [(n, 3, i) for n in range(5, 9) for i in range(4)] + [(8, 2147483647, i) for i in (0, 1)]
 VERIFY = [(e.name, r) for e in catalog() for r in ((1, 2) if e.parameterized else (None,))]
 CASES = {
     **{_verify_case(name, r): partial(_verify, name, r) for name, r in VERIFY},
     **{f"construct-n{n}": partial(_construct, n) for n in range(4, 13)},
     "scan": _scan,
+    **{f"verify-random-n{n}-p{p}-i{i}": partial(_verify_random, n, p, i) for n, p, i in RANDOM},
+    **{f"chain-construct-n{n}": partial(_chain, n) for n in range(8, 13)},
 }
 
 

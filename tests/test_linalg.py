@@ -101,6 +101,17 @@ def test_rref_builds_no_field(monkeypatch):
     assert calls == []
 
 
+def test_prime_field_refuses_primes_above_int64_bound(monkeypatch):
+    assert PrimeField(3037000493).p == 3037000493
+    tested = []
+    monkeypatch.setattr(linalg, "is_prime", lambda n: tested.append(n) or True)
+    for p in (3037000507, 10**18 + 3):
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(p)
+    # refused before trial division, which would run for hours at 10**18 + 3
+    assert tested == []
+
+
 def test_dot_mod_refuses_primes_above_exact_bound():
     ones = np.ones((1, 2), dtype=np.int64)
     assert linalg._dot_mod(ones, ones.T, 3037000493).tolist() == [[2]]

@@ -6,13 +6,17 @@ from hypothesis import strategies as st
 
 from saalib.algebra import (
     Presentation,
+    _centralizer_above,
     build_algebra,
     full_space,
+    isotropic_ideal_chain,
     lower_central_series,
     product_space,
+    upper_central_series,
+    zero_space,
 )
 from saalib.checks import random_nilpotent_presentation
-from saalib.linalg import PrimeField, Subspace, _rref_array
+from saalib.linalg import GramMatrix, Matrix, PrimeField, Subspace, _rref_array, nullspace, perp
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
 # prime with p * (p - 1) < 2**63
@@ -150,3 +154,99 @@ def test_lower_series_matches_product_space_recurrence(p, n, seed, nilpotent):
     low = lower_central_series(alg)
     assert low.lower == terms
     assert low.nilpotency_class == (len(terms) - 1 if terms[-1].is_zero() else None)
+
+
+def reference_kernel(rows, ncols, p):
+    """Free-variable basis of {x : rows @ x = 0}, from the Python-int RREF."""
+    a, pivots = reference_rref(rows, ncols, p)
+    kernel = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        row = [0] * ncols
+        row[f] = 1
+        for r, c in enumerate(pivots):
+            row[c] = -a[r][f] % p
+        kernel.append(row)
+    return kernel
+
+
+def reference_span(field, ambient, rows):
+    """The canonical subspace of rows, reduced by the Python-int reference."""
+    a, pivots = reference_rref(rows, ambient, field.p)
+    data = np.array(a[: len(pivots)], dtype=np.int64).reshape(-1, ambient)
+    return Subspace(field, ambient, Matrix(field, data))
+
+
+@given(
+    p=primes,
+    ncols=st.integers(1, 24),
+    seed=seeds,
+    bands=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), min_size=1, max_size=3),
+)
+def test_nullspace_matches_python_int_kernel(p, ncols, seed, bands):
+    bands = [(m, min(k, ncols)) for m, k in sorted(bands, key=lambda band: band[1])]
+    rows = banded_rows(p, ncols, seed, bands)
+    ker = nullspace(Matrix(PrimeField(p), np.array(rows, dtype=np.int64).reshape(-1, ncols)))
+    assert ker.data.tolist() == reference_kernel(rows, ncols, p)
+
+
+@given(p=primes, n=st.integers(1, 8), seed=seeds, span=st.integers(0, 16))
+def test_perp_matches_two_elimination_reference(p, n, seed, span):
+    # the reference solves (u, v) = 0 against the basis times the form, then
+    # reduces the kernel again: the two eliminations perp used to run
+    field = PrimeField(p)
+    g = GramMatrix(field, n)
+    rng = np.random.default_rng(seed)
+    s = Subspace.from_vectors(field, 2 * n, rng.integers(0, p, size=(span, 2 * n)))
+    gram = g.data.tolist()
+    constraints = [
+        [sum(u[i] * gram[i][j] for i in range(2 * n)) % p for j in range(2 * n)]
+        for u in s.basis.data.tolist()
+    ]
+    expected = reference_span(field, 2 * n, reference_kernel(constraints, 2 * n, p))
+    assert perp(s, g) == expected
+    assert perp(expected, g) == s
+
+
+def reference_centralizer(alg, z):
+    """{v : v . e_k in z for all k}, solved for all dim coordinates of v.
+
+    Every v . e_k must leave no residual against z's RREF basis, which gives
+    one condition per (k, coordinate); the Python-int kernel of those
+    conditions is reduced once more to the canonical basis.
+    """
+    p, dim = alg.field.p, alg.dim
+    table = alg.table.tolist()
+    basis = z.basis.data.tolist()
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+
+    def residual(x):
+        out = list(x)
+        for row, c in zip(basis, pivots):
+            out = [(o - x[c] * b) % p for o, b in zip(out, row)]
+        return out
+
+    conditions = [[0] * dim for _ in range(dim * dim)]
+    for i in range(dim):
+        for k in range(dim):
+            for j, value in enumerate(residual(table[i][k])):
+                conditions[k * dim + j][i] = value
+    return reference_span(alg.field, dim, reference_kernel(conditions, dim, p))
+
+
+@settings(max_examples=40)
+@given(p=primes, n=st.integers(2, 6), seed=seeds, nilpotent=st.booleans())
+def test_centralizer_matches_full_coordinate_reference(p, n, seed, nilpotent):
+    # ideals: every upper- and lower-series term, and every chain term
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    make = random_nilpotent_presentation if nilpotent else random_presentation
+    alg = build_algebra(make(n, field, rng))
+    terms = [zero_space(alg), reference_centralizer(alg, zero_space(alg))]
+    while terms[-1] != terms[-2]:
+        terms.append(reference_centralizer(alg, terms[-1]))
+    assert upper_central_series(alg).upper == tuple(terms[:-1])
+    ideals = list(lower_central_series(alg).lower)
+    if nilpotent:
+        ideals += isotropic_ideal_chain(alg)
+    for z in ideals:
+        assert _centralizer_above(alg, z) == reference_centralizer(alg, z)
