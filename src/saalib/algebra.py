@@ -33,7 +33,6 @@ from .linalg import (
     perp,
     solve_against_form,
     subspace_intersect,
-    subspace_sum,
 )
 
 __all__ = [
@@ -565,7 +564,8 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
         w = subspace_intersect(candidates_from, perp(current, g))
         for row in _candidate_rows(w, perm):
             if not current.contains(row):
-                yield subspace_sum(current, Subspace.from_vectors(alg.field, alg.dim, [row]))
+                rows = np.vstack([current.basis.data, row])
+                yield Subspace.from_vectors(alg.field, alg.dim, rows)
 
     def doubled_chain_central(chain: list[Subspace]) -> bool:
         if n < 3:

@@ -3,14 +3,13 @@
 Each check returns a CheckResult carrying a pass flag and, on failure, a
 reproducible witness.  The scanner draws nilpotent presentations with
 independent uniform values on every admissible triple; each sample's
-stream is derived from (seed, sample index) alone, so results are
-identical no matter how samples are distributed over workers.
+stream is derived from (seed, sample index) alone, so any sample a report
+names can be drawn again from its index.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -206,7 +205,8 @@ class ScanConfig:
 
     Sample index i draws from numpy's PCG64 seeded with
     SeedSequence(entropy=seed, spawn_key=(i,)), so per-sample streams
-    depend only on (seed, i) and parallel execution cannot change results.
+    depend only on (seed, i), not on the number of samples or on which
+    samples were drawn before.
     """
 
     n: int
@@ -287,7 +287,17 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _classify_sample(cfg: ScanConfig, index: int):
+@dataclass(frozen=True)
+class _SampleRecord:
+    """What one sample contributes to a scan report."""
+
+    rank: int
+    nilpotency_class: int | None
+    criterion_mismatch: bool
+    discovery: Discovery | None
+
+
+def _classify_sample(cfg: ScanConfig, index: int) -> _SampleRecord:
     pres = sample_presentation(cfg, index)
     alg = build_algebra(pres)
     cls = lower_central_series(alg).nilpotency_class
@@ -301,75 +311,32 @@ def _classify_sample(cfg: ScanConfig, index: int):
             reason = "class below predicted minimum"
         elif alg.dim >= 8 and cls is not None and not (5 <= cls <= alg.dim - 3):
             reason = "class outside [5, 2n-3]"
-    return index, pres, rk, cls, mismatch, reason
+    discovery = None
+    if reason is not None:
+        discovery = Discovery(index, rk, cls, reason, emit_presentation(pres))
+    return _SampleRecord(rk, cls, mismatch, discovery)
 
 
-def _scan_chunk(cfg: ScanConfig, indices) -> ScanReport:
-    report = ScanReport(cfg)
-    counts: dict = {}
-    classified = 0
-    min_rank2: int | None = None
-    mismatches = 0 if 2 * cfg.n >= 8 else None
-    discoveries = []
-    for index in indices:
-        _, pres, rk, cls, mismatch, reason = _classify_sample(cfg, index)
-        if rk == 2 and cls is not None:
-            min_rank2 = cls if min_rank2 is None else min(min_rank2, cls)
-        if mismatches is not None and mismatch:
-            mismatches += 1
-        if reason is not None:
-            discoveries.append(Discovery(index, rk, cls, reason, emit_presentation(pres)))
-        if cfg.rank_filter is not None and rk != cfg.rank_filter:
-            continue
-        classified += 1
-        counts[(rk, cls)] = counts.get((rk, cls), 0) + 1
-    report.classified = classified
-    report.counts = counts
-    report.min_class_rank2 = min_rank2
-    report.criterion_mismatches = mismatches
-    report.discoveries = tuple(discoveries)
-    return report
-
-
-def _merge_reports(cfg: ScanConfig, parts: list[ScanReport]) -> ScanReport:
-    merged = ScanReport(cfg)
-    counts: dict = {}
-    classified = 0
-    min_rank2 = None
-    mismatches = 0 if 2 * cfg.n >= 8 else None
-    discoveries: list[Discovery] = []
-    for part in parts:
-        classified += part.classified
-        for key, value in part.counts.items():
-            counts[key] = counts.get(key, 0) + value
-        if part.min_class_rank2 is not None:
-            min_rank2 = (
-                part.min_class_rank2
-                if min_rank2 is None
-                else min(min_rank2, part.min_class_rank2)
-            )
-        if mismatches is not None and part.criterion_mismatches:
-            mismatches += part.criterion_mismatches
-        discoveries.extend(part.discoveries)
-    merged.classified = classified
-    merged.counts = counts
-    merged.min_class_rank2 = min_rank2
-    merged.criterion_mismatches = mismatches
-    merged.discoveries = tuple(sorted(discoveries, key=lambda d: d.index))
-    return merged
-
-
-def scan(cfg: ScanConfig, workers: int = 1) -> ScanReport:
+def scan(cfg: ScanConfig) -> ScanReport:
     """Classify random nilpotent presentations by (rank, class).
 
-    Aggregation is order-independent, so any worker count yields the same
-    report for the same config.
+    Samples are folded in index order, so discoveries come out sorted by
+    index.  The minimal rank-2 class, the criterion mismatches and the
+    discoveries cover every sample; the rank filter only limits which
+    samples are counted by (rank, class).
     """
-    indices = range(cfg.samples)
-    if workers <= 1:
-        return _merge_reports(cfg, [_scan_chunk(cfg, indices)])
-    chunks = [list(indices[k :: workers]) for k in range(workers)]
-    chunks = [c for c in chunks if c]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: _scan_chunk(cfg, c), chunks))
-    return _merge_reports(cfg, parts)
+    report = ScanReport(cfg, criterion_mismatches=0 if 2 * cfg.n >= 8 else None)
+    for index in range(cfg.samples):
+        record = _classify_sample(cfg, index)
+        rk, cls = record.rank, record.nilpotency_class
+        if rk == 2 and cls is not None:
+            if report.min_class_rank2 is None or cls < report.min_class_rank2:
+                report.min_class_rank2 = cls
+        if record.criterion_mismatch:
+            report.criterion_mismatches += 1
+        if record.discovery is not None:
+            report.discoveries += (record.discovery,)
+        if cfg.rank_filter is None or rk == cfg.rank_filter:
+            report.classified += 1
+            report.counts[(rk, cls)] = report.counts.get((rk, cls), 0) + 1
+    return report

@@ -207,7 +207,7 @@ def _cmd_scan(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = scan(cfg, workers=args.workers)
+    report = scan(cfg)
     print(report.render(), end="")
     return 0 if not report.discoveries else 1
 
@@ -248,7 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--samples", type=int, required=True)
     p_scan.add_argument("--seed", type=int, required=True)
     p_scan.add_argument("--rank", type=int, default=None)
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument(
+        "--workers", type=int, default=1,
+        help="ignored; kept so that existing command lines still run",
+    )
     p_scan.set_defaults(handler=_cmd_scan)
 
     return parser

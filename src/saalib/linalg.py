@@ -80,16 +80,11 @@ class PrimeField:
         return FieldElement(1 % self.p, self)
 
     def inv(self, a: int) -> int:
-        """Inverse of a unit mod p, by the extended Euclidean algorithm."""
+        """Inverse of a unit mod p."""
         a = int(a) % self.p
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
-        r0, r1, s0, s1 = self.p, a, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
+        return pow(a, -1, self.p)
 
     def units(self) -> range:
         return range(1, self.p)

@@ -1,6 +1,7 @@
 """Verification suites and the seeded scanner."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from saalib.checks import (
     sample_presentation,
     scan,
 )
-from saalib.construct import catalog, catalog_entry
+from saalib.cli import main
+from saalib.construct import catalog, catalog_entry, predict_min_class
 from saalib.linalg import PrimeField
+from saalib.presfile import parse_presentation
 
 F3 = PrimeField(3)
 
@@ -146,13 +149,9 @@ def test_scan_single_sample():
     assert sum(report.counts.values()) == 1
 
 
-def test_scan_deterministic_across_runs_and_workers():
+def test_scan_deterministic_across_runs():
     cfg = ScanConfig(n=4, p=3, samples=60, seed=123, rank_filter=2)
-    r1 = scan(cfg, workers=1).render()
-    r2 = scan(cfg, workers=1).render()
-    r4 = scan(cfg, workers=4).render()
-    r3 = scan(cfg, workers=3).render()
-    assert r1 == r2 == r4 == r3
+    assert scan(cfg).render() == scan(cfg).render()
 
 
 def test_scan_rank2_bounds_small():
@@ -177,3 +176,23 @@ def test_scan_counts_match_direct_classification():
         direct[key] = direct.get(key, 0) + 1
     assert report.counts == direct
     assert report.classified == 30
+
+
+def test_scan_reports_discoveries_in_index_order_with_parseable_dumps(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "saalib.checks.predict_min_class",
+        lambda n: dataclasses.replace(predict_min_class(n), predicted_class=99),
+    )
+    code = main(["scan", "--n", "4", "--p", "3", "--samples", "20", "--seed", "11", "--rank", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status: COUNTEREXAMPLE CANDIDATE FOUND (inspect dumps below)" in out
+    # each violation line is followed by its dump, prefixed "  | "
+    blocks = re.findall(r"^violation: index=(\d+) .*\n((?:  \| .*\n)+)", out, re.MULTILINE)
+    assert len(blocks) == out.count("violation: index=") > 1
+    indices = [int(index) for index, _ in blocks]
+    assert indices == sorted(set(indices))
+    cfg = ScanConfig(n=4, p=3, samples=20, seed=11, rank_filter=2)
+    for index, (_, dump) in zip(indices, blocks):
+        text = "".join(line[len("  | "):] + "\n" for line in dump.splitlines())
+        assert parse_presentation(text) == sample_presentation(cfg, index)

@@ -2,14 +2,19 @@
 
 tests/golden/ holds the stdout of `saa verify` on every catalog entry over
 GF(3) (r = 1 and 2 for the parameterized ones), the stdout and written file
-of `saa construct --n N --p 3` for N = 4..12, the stdout of one seeded
-scan, the stdout of `saa verify` on seeded random nilpotent presentations
+of `saa construct --n N --p 3` for N = 4..12, the stdout of four seeded
+scans, the stdout of `saa verify` on seeded random nilpotent presentations
 for n = 5..8, and the canonical bases of `isotropic_ideal_chain` on the
 minimal constructions over GF(3) for n = 8..12.  The random presentations
 are samples 0..3 of seed 2023 over GF(3), where every n has samples of
 maximal class and, below n = 8, samples of lower class; all four at n = 8
 are of maximal class, so every `perp` of the maximal-class structure check
 is pinned.  Samples 0 and 1 at n = 8 over GF(2**31 - 1) are added.
+The scans cover a rank-2 filter at n = 6; n = 3, where the predicted
+class, min-class-rank2 and the criterion mismatches read n/a; n = 4 over
+GF(2) with three rank rows; and a rank-3 filter at n = 5, whose
+min-class-rank2 and criterion mismatches count every sample, not only
+those the filter keeps.
 Construct writes to a relative path, so each case runs in an empty working
 directory.  To record the files again after an intended output
 change, run `PYTHONPATH=src python tests/test_golden.py`.
@@ -65,11 +70,17 @@ def _construct(n: int) -> dict[str, str]:
     return {f"construct-n{n}.txt": out, out_name: Path(out_name).read_text(encoding="utf-8")}
 
 
-def _scan() -> dict[str, str]:
-    argv = ["scan", "--n", "6", "--p", "3", "--samples", "40", "--seed", "42", "--rank", "2"]
+def _scan_case(n: int, p: int, samples: int, seed: int, rank: int | None) -> str:
+    return f"scan-n{n}-p{p}-samples{samples}-seed{seed}" + ("" if rank is None else f"-rank{rank}")
+
+
+def _scan(n: int, p: int, samples: int, seed: int, rank: int | None) -> dict[str, str]:
+    argv = ["scan", "--n", str(n), "--p", str(p), "--samples", str(samples), "--seed", str(seed)]
+    if rank is not None:
+        argv += ["--rank", str(rank)]
     code, out = _run(argv)
     assert code == 0
-    return {"scan-n6-p3-samples40-seed42-rank2.txt": out}
+    return {f"{_scan_case(n, p, samples, seed, rank)}.txt": out}
 
 
 def _verify_random(n: int, p: int, index: int) -> dict[str, str]:
@@ -90,11 +101,13 @@ def _chain(n: int) -> dict[str, str]:
 
 
 RANDOM = [(n, 3, i) for n in range(5, 9) for i in range(4)] + [(8, 2147483647, i) for i in (0, 1)]
+SCANS = [(3, 3, 40, 5, None), (4, 2, 60, 5, None), (5, 3, 60, 5, 3)]
 VERIFY = [(e.name, r) for e in catalog() for r in ((1, 2) if e.parameterized else (None,))]
 CASES = {
     **{_verify_case(name, r): partial(_verify, name, r) for name, r in VERIFY},
     **{f"construct-n{n}": partial(_construct, n) for n in range(4, 13)},
-    "scan": _scan,
+    "scan": partial(_scan, 6, 3, 40, 42, 2),
+    **{_scan_case(*args): partial(_scan, *args) for args in SCANS},
     **{f"verify-random-n{n}-p{p}-i{i}": partial(_verify_random, n, p, i) for n, p, i in RANDOM},
     **{f"chain-construct-n{n}": partial(_chain, n) for n in range(8, 13)},
 }
