@@ -20,9 +20,7 @@ from functools import wraps
 import numpy as np
 
 from .linalg import (
-    FieldElement,
     GramMatrix,
-    Matrix,
     PrimeField,
     Subspace,
     _dot_mod,
@@ -112,14 +110,14 @@ class PresentationTriple:
     a: BasisVector
     b: BasisVector
     c: BasisVector
-    value: FieldElement
+    value: int
 
     @property
     def vectors(self) -> tuple[BasisVector, BasisVector, BasisVector]:
         return (self.a, self.b, self.c)
 
     def __str__(self) -> str:
-        return f"({self.a} {self.b}, {self.c}) = {self.value.residue}"
+        return f"({self.a} {self.b}, {self.c}) = {self.value}"
 
 
 def _triple_sort_key(t: PresentationTriple):
@@ -148,25 +146,24 @@ class Presentation:
             if key in seen:
                 raise ValueError(f"duplicate triple on basis set {sorted(map(str, t.vectors))}")
             seen.add(key)
-            if t.value.field != self.field:
-                raise ValueError("triple value from a different field")
-            if t.value.residue == 0:
-                raise ValueError(f"zero value in triple {t}; omit zero triples")
+            if not 0 < t.value < self.field.p:
+                raise ValueError(
+                    f"value of triple {t} not in [1, {self.field.p}); omit zero triples"
+                )
 
     @classmethod
     def build(cls, n: int, field: PrimeField, items) -> "Presentation":
         """Convenience constructor from (a, b, c, value) tuples.
 
-        Entries may be BasisVector instances or tokens like "x2"; values may
-        be ints or FieldElements.
+        Entries may be BasisVector instances or tokens like "x2"; values are
+        ints, reduced mod p.
         """
         triples = []
         for a, b, c, value in items:
             va = a if isinstance(a, BasisVector) else BasisVector.parse(a)
             vb = b if isinstance(b, BasisVector) else BasisVector.parse(b)
             vc = c if isinstance(c, BasisVector) else BasisVector.parse(c)
-            fv = value if isinstance(value, FieldElement) else field.element(value)
-            triples.append(PresentationTriple(va, vb, vc, fv))
+            triples.append(PresentationTriple(va, vb, vc, int(value) % field.p))
         return cls(n, field, tuple(triples))
 
     @property
@@ -180,7 +177,7 @@ class Presentation:
             vecs = list(t.vectors)
             order = sorted(range(3), key=lambda i: vecs[i].coordinate)
             sign = _permutation_sign(order)
-            value = t.value if sign == 1 else -t.value
+            value = t.value if sign == 1 else -t.value % self.field.p
             a, b, c = (vecs[i] for i in order)
             out.append(PresentationTriple(a, b, c, value))
         return tuple(sorted(out, key=_triple_sort_key))
@@ -222,7 +219,7 @@ class StructureTensor:
             order = sorted(range(3), key=lambda i: coords[i])
             sign = _permutation_sign(order)
             key = tuple(coords[i] for i in order)
-            values[key] = sign * t.value.residue % pres.field.p
+            values[key] = sign * t.value % pres.field.p
         return cls(pres.n, pres.field, values)
 
     def value_at(self, c1: int, c2: int, c3: int) -> int:
@@ -317,7 +314,7 @@ def multiply(alg: Algebra, u, v) -> np.ndarray:
     return _dot_mod(vv[None, :], left, p)[0]
 
 
-def form(alg: Algebra, u, v) -> FieldElement:
+def form(alg: Algebra, u, v) -> int:
     """Value of the alternating form (u, v), exact while p * (p - 1) < 2**63."""
     return alg.gram.pairing(u, v)
 
@@ -342,8 +339,8 @@ def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:
     if a.field != alg.field or b.field != alg.field:
         raise ValueError("field mismatch")
     p, dim = alg.field.p, alg.dim
-    left = _dot_mod(a.basis.data, alg.table.reshape(dim, dim * dim), p).reshape(a.dim, dim, dim)
-    return _dot_mod(b.basis.data, left, p).reshape(-1, dim)
+    left = _dot_mod(a.basis, alg.table.reshape(dim, dim * dim), p).reshape(a.dim, dim, dim)
+    return _dot_mod(b.basis, left, p).reshape(-1, dim)
 
 
 def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
@@ -411,7 +408,7 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
     """
     p, dim = alg.field.p, alg.dim
     terms = [full_space(alg)]
-    basis, pivots = terms[0].basis.data, list(range(dim))
+    basis, pivots = terms[0].basis, list(range(dim))
     while pivots:
         on_pivots = alg.table[:, :, pivots].reshape(dim, dim * len(pivots))
         rows = _dot_mod(basis, on_pivots, p).reshape(-1, len(pivots))
@@ -420,7 +417,7 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
             break
         basis = _dot_mod(coeffs[: len(coeff_pivots)], basis, p)
         pivots = [pivots[c] for c in coeff_pivots]
-        terms.append(Subspace(alg.field, dim, Matrix(alg.field, basis)))
+        terms.append(Subspace(alg.field, dim, basis))
     cls = len(terms) - 1 if terms[-1].is_zero() else None
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
@@ -446,7 +443,7 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
         # u . e_k = u @ table[:, k, :]; one condition row per (k, coordinate)
         conditions = alg.table.reshape(dim, dim * dim).T
     else:
-        basis, pivots = z.basis.data, z._pivots()
+        basis, pivots = z.basis, z._pivots()
         free = _free_columns(dim, pivots)
         on_free = alg.table[free]
         residual = on_free[:, :, free] - _dot_mod(on_free[:, :, pivots], basis[:, free], p)
@@ -458,7 +455,7 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
         rows = np.zeros((len(new_pivots), dim), dtype=np.int64)
         rows[:, free] = new
         new, _ = _merge_echelon(basis, pivots, rows, free[new_pivots], p)
-    return Subspace(alg.field, dim, Matrix(alg.field, new))
+    return Subspace(alg.field, dim, new)
 
 
 @_held
@@ -529,7 +526,7 @@ def _candidate_rows(w: Subspace, perm: list[int]) -> list[np.ndarray]:
     if w.dim == 0:
         return []
     p = w.field.p
-    permuted = w.basis.data[:, perm]
+    permuted = w.basis[:, perm]
     arr, pivots = _rref_array(permuted, p)
     inverse = np.argsort(perm)
     return [row[inverse] for row in arr[: len(pivots)]]
@@ -546,13 +543,19 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
         I_0 < I_2 < ... < I_{n-1} < perp(I_{n-1}) < ... < perp(I_2) < L
 
     comes out central; this is verified before returning, and the search
-    backtracks over later candidates if the greedy choice ever fails.
+    backtracks over later candidates if the greedy choice ever fails.  The
+    perp of each term is computed once and held for both uses.
     """
     n = alg.n
-    g = alg.gram
     perm = _priority_permutation(n)
     center = _center(alg)
     budget = [5000]
+    perps: dict[Subspace, Subspace] = {}
+
+    def perp_of(s: Subspace) -> Subspace:
+        if s not in perps:
+            perps[s] = perp(s, alg.gram)
+        return perps[s]
 
     def extensions(chain: list[Subspace]) -> Iterator[Subspace]:
         current = chain[-1]
@@ -561,16 +564,16 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
             candidates_from = center
         else:
             candidates_from = _centralizer_above(alg, current)
-        w = subspace_intersect(candidates_from, perp(current, g))
+        w = subspace_intersect(candidates_from, perp_of(current))
         for row in _candidate_rows(w, perm):
             if not current.contains(row):
-                rows = np.vstack([current.basis.data, row])
+                rows = np.vstack([current.basis, row])
                 yield Subspace.from_vectors(alg.field, alg.dim, rows)
 
     def doubled_chain_central(chain: list[Subspace]) -> bool:
         if n < 3:
             return True
-        terms = [chain[0]] + chain[2:n] + [perp(chain[r], g) for r in range(n - 1, 1, -1)]
+        terms = [chain[0]] + chain[2:n] + [perp_of(chain[r]) for r in range(n - 1, 1, -1)]
         terms.append(full_space(alg))
         L = full_space(alg)
         for lower_term, upper_term in zip(terms, terms[1:]):

@@ -192,7 +192,7 @@ def random_nilpotent_presentation(
     universe = _triple_universe(n)
     values = rng.integers(0, field.p, size=len(universe))
     triples = tuple(
-        PresentationTriple(a, b, c, field.element(int(v)))
+        PresentationTriple(a, b, c, int(v))
         for (a, b, c), v in zip(universe, values)
         if v
     )

@@ -27,7 +27,13 @@ from .checks import (
     check_series_step_bounds,
     scan,
 )
-from .construct import catalog, catalog_entry, construct_minimal, predict_min_class
+from .construct import (
+    ConstructionError,
+    catalog,
+    catalog_entry,
+    construct_minimal,
+    predict_min_class,
+)
 from .linalg import PrimeField
 from .presfile import ParseError, PresentationFile, emit_presentation, parse_presentation_file
 
@@ -143,7 +149,11 @@ def _cmd_construct(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    tset, pres = construct_minimal(args.n, field)
+    try:
+        tset, pres = construct_minimal(args.n, field)
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     alg = build_algebra(pres)
     rep = series_report(alg)
     text = emit_presentation(pres)

@@ -1,7 +1,9 @@
 """Generative constructions: the omega threshold recursion, the minimal
-class prediction, rank-2 algebras of predicted minimal class for any
-half-dimension n >= 4, the catalog of known minimal presentations up to
-dimension 16, and a diagonal scaling-isomorphism search.
+class prediction, rank-2 algebras of predicted minimal class for
+half-dimensions n >= 4 (n = 13 is a known gap: the search runs out of
+candidates and raises ConstructionError), the catalog of known minimal
+presentations up to dimension 16, and a diagonal scaling-isomorphism
+search.
 
 The builders work with shells of the standard basis.  Writing W(r) for
 omega(r), the top W(r) x-vectors form the r-th generator shell and the
@@ -26,11 +28,11 @@ from .algebra import (
     BasisVector,
     Presentation,
     StructureTensor,
-    _center,
     build_algebra,
     is_isotropic,
-    lower_central_series,
+    nilpotency_class,
     product_space,
+    rank,
     series_report,
     validate_nilpotent_presentation,
 )
@@ -55,7 +57,11 @@ __all__ = [
 
 
 class ConstructionError(RuntimeError):
-    """Raised when no admissible triple assignment survives verification."""
+    """Raised when no admissible triple assignment survives verification.
+
+    The message says which ran out: the candidate space or the budget of
+    verifications.
+    """
 
 
 @lru_cache(maxsize=None)
@@ -297,12 +303,7 @@ def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Presentatio
     if not validate_nilpotent_presentation(pres):
         return None
     alg = build_algebra(pres)
-    low = lower_central_series(alg)
-    if low.nilpotency_class != predicted:
-        return None
-    if alg.dim - low.lower[1].dim != 2:
-        return None
-    if _center(alg).dim != 2:
+    if nilpotency_class(alg) != predicted or rank(alg) != 2:
         return None
     return pres
 
@@ -312,6 +313,8 @@ def construct_minimal(n: int, field: PrimeField) -> tuple[TripleSet, Presentatio
 
     Deterministic: the first assignment in the pinned enumeration order that
     satisfies the triple-set properties and self-verifies is returned.
+    Raises ConstructionError when the candidates run out, as they do at
+    n = 13 for every p, or when 5000 candidates have failed verification.
     """
     pred = predict_min_class(n)
     m = pred.m
@@ -354,14 +357,18 @@ def construct_minimal(n: int, field: PrimeField) -> tuple[TripleSet, Presentatio
         tset = TripleSet(n, m, pred.case, _as_triples(raw))
         if not tset.satisfies_properties():
             continue
+        if verifications == max_verifications:
+            raise ConstructionError(
+                f"no minimal construction found for n={n} over {field!r}: "
+                f"the budget of {max_verifications} verifications is exhausted"
+            )
         verifications += 1
-        if verifications > max_verifications:
-            break
         pres = _verified(tset, field, pred.predicted_class)
         if pres is not None:
             return tset, pres
     raise ConstructionError(
-        f"no verified minimal construction found for n={n} over {field!r}"
+        f"no minimal construction found for n={n} over {field!r}: the candidate "
+        f"space is exhausted after {verifications} verifications"
     )
 
 

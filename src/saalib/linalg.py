@@ -1,7 +1,7 @@
 """Exact linear algebra over prime fields GF(p).
 
-Matrices carry fully reduced numpy int64 residues together with their
-field, and every subspace is stored in reduced row echelon form, so
+Vectors and matrices are numpy int64 arrays of residues reduced mod p,
+and every subspace holds its read-only reduced row echelon basis, so
 equality, hashing and chain comparisons are exact and deterministic.
 The fixed coordinate convention everywhere in this package is
 
@@ -19,9 +19,6 @@ import numpy as np
 __all__ = [
     "is_prime",
     "PrimeField",
-    "FieldElement",
-    "Matrix",
-    "rref",
     "nullspace",
     "Subspace",
     "subspace_sum",
@@ -70,15 +67,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
-    def element(self, value) -> "FieldElement":
-        return FieldElement(int(value) % self.p, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1 % self.p, self)
-
     def inv(self, a: int) -> int:
         """Inverse of a unit mod p."""
         a = int(a) % self.p
@@ -96,122 +84,13 @@ class PrimeField:
         return arr
 
     def vector(self, values, length: int | None = None) -> np.ndarray:
-        """Coerce a sequence of ints or FieldElements to a residue vector."""
-        vals = [v.residue if isinstance(v, FieldElement) else int(v) for v in values]
-        vec = self.reduce(vals)
+        """Coerce a sequence of ints to a residue vector."""
+        vec = self.reduce([int(v) for v in values])
         if vec.ndim != 1:
             raise ValueError("expected a one-dimensional vector")
         if length is not None and vec.shape[0] != length:
             raise ValueError(f"expected vector of length {length}, got {vec.shape[0]}")
         return vec
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A fully reduced residue in a prime field."""
-
-    residue: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.field.p:
-            raise ValueError(f"residue {self.residue} not reduced mod {self.field.p}")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.residue
-        return int(other)
-
-    def __add__(self, other):
-        return FieldElement((self.residue + self._coerce(other)) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement((self.residue - self._coerce(other)) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        return FieldElement((self._coerce(other) - self.residue) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        return FieldElement((self.residue * self._coerce(other)) % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.residue % self.field.p, self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.residue), self.field)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.residue * self.field.inv(o) % self.field.p, self.field)
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __int__(self) -> int:
-        return self.residue
-
-    def __repr__(self) -> str:
-        return f"{self.residue} (mod {self.field.p})"
-
-
-@dataclass(frozen=True, eq=False)
-class Matrix:
-    """A dense matrix of residues over one prime field."""
-
-    field: PrimeField
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = self.field.reduce(self.data)
-        if arr.ndim != 2:
-            raise ValueError("matrix data must be two-dimensional")
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows) -> "Matrix":
-        arr = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
-        if arr.ndim != 2:
-            arr = arr.reshape(len(rows), -1)
-        return cls(field, arr)
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(int(self.data[i, j]), self.field)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.data.shape == other.data.shape
-            and np.array_equal(self.data, other.data)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.data.shape, self.data.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.field!r}, {self.data.tolist()})"
 
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -310,12 +189,6 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return out, pivots
 
 
-def rref(m: Matrix) -> Matrix:
-    """The unique reduced row echelon form; row space is preserved."""
-    arr, _ = _rref_array(m.data, m.field.p)
-    return Matrix(m.field, arr)
-
-
 def _free_columns(ncols: int, pivots) -> np.ndarray:
     """The columns 0 <= j < ncols that are not pivots, in increasing order."""
     free = np.ones(ncols, dtype=bool)
@@ -336,49 +209,56 @@ def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
     return ker
 
 
-def nullspace(m: Matrix) -> Matrix:
-    """Rows spanning the right kernel {x : m @ x = 0}.
+def nullspace(rows: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning the right kernel {x : rows @ x = 0 (mod p)}.
 
     One elimination, then the free-variable basis read off the RREF
     (_kernel_rows).
     """
-    a, pivots = _rref_array(m.data, m.field.p)
-    return Matrix(m.field, _kernel_rows(a, pivots, m.field.p))
+    a, pivots = _rref_array(rows, p)
+    return _kernel_rows(a, pivots, p)
 
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of F^ambient_dim, stored as a canonical RREF basis.
+    """A subspace of F^ambient_dim, held as its canonical RREF basis.
 
-    Two subspaces are equal iff their canonical bases agree entrywise,
-    which makes them usable as dict keys and in chain comparisons.
+    basis is a read-only int64 array of residues, one row per dimension
+    and no zero rows; callers that build a Subspace directly must pass the
+    RREF, and from_vectors computes it.  Two subspaces are equal iff their
+    canonical bases agree entrywise, which makes them usable as dict keys
+    and in chain comparisons.
     """
 
     field: PrimeField
     ambient_dim: int
-    basis: Matrix
+    basis: np.ndarray
 
     def __post_init__(self):
-        if self.basis.cols != self.ambient_dim:
-            raise ValueError("basis width does not match ambient dimension")
+        basis = self.field.reduce(self.basis)
+        if basis.ndim != 2 or basis.shape[1] != self.ambient_dim:
+            raise ValueError(
+                f"basis must be two-dimensional of width {self.ambient_dim}, got {basis.shape}"
+            )
+        object.__setattr__(self, "basis", basis)
 
     @classmethod
     def from_vectors(cls, field: PrimeField, ambient_dim: int, vectors) -> "Subspace":
         rows = np.asarray(vectors, dtype=np.int64).reshape(-1, ambient_dim)
         arr, pivots = _rref_array(rows, field.p)
-        return cls(field, ambient_dim, Matrix(field, arr[: len(pivots)]))
+        return cls(field, ambient_dim, arr[: len(pivots)])
 
     @classmethod
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim))
+        return cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64))
 
     @classmethod
     def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
+        return cls(field, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return self.basis.shape[0]
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -390,14 +270,12 @@ class Subspace:
         entries times the basis, so the residual v - v[pivots] @ basis
         vanishes.
         """
-        basis = self.basis.data
-        pivots = self._pivots()
         p = self.field.p
-        return not ((rows - _dot_mod(rows[:, pivots], basis, p)) % p).any()
+        return not ((rows - _dot_mod(rows[:, self._pivots()], self.basis, p)) % p).any()
 
     def _pivots(self) -> np.ndarray:
         """Pivot columns of the RREF basis, read off without eliminating."""
-        return (self.basis.data != 0).argmax(axis=1)
+        return (self.basis != 0).argmax(axis=1)
 
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)
@@ -406,21 +284,18 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise ValueError("ambient mismatch")
-        return self._spans(other.basis.data)
-
-    def basis_rows(self) -> np.ndarray:
-        return self.basis.data
+        return self._spans(other.basis)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and np.array_equal(self.basis, other.basis)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.ambient_dim, self.basis))
+        return hash((self.field.p, self.ambient_dim, self.basis.shape, self.basis.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, {self.field!r})"
@@ -434,7 +309,7 @@ def _require_same_ambient(a: Subspace, b: Subspace) -> None:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Canonical span of the union of the two bases."""
     _require_same_ambient(a, b)
-    stacked = np.vstack([a.basis.data, b.basis.data])
+    stacked = np.vstack([a.basis, b.basis])
     return Subspace.from_vectors(a.field, a.ambient_dim, stacked)
 
 
@@ -447,12 +322,11 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     _require_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.field, a.ambient_dim)
-    stacked = np.hstack([a.basis.data.T, -b.basis.data.T % a.field.p])
-    ker = nullspace(Matrix(a.field, stacked))
-    if ker.rows == 0:
+    p = a.field.p
+    ker = nullspace(np.hstack([a.basis.T, -b.basis.T % p]), p)
+    if ker.shape[0] == 0:
         return Subspace.zero(a.field, a.ambient_dim)
-    coeffs = ker.data[:, : a.dim]
-    vectors = _dot_mod(coeffs, a.basis.data, a.field.p)
+    vectors = _dot_mod(ker[:, : a.dim], a.basis, p)
     return Subspace.from_vectors(a.field, a.ambient_dim, vectors)
 
 
@@ -479,13 +353,13 @@ class GramMatrix:
     def dim(self) -> int:
         return 2 * self.n
 
-    def pairing(self, u, v) -> FieldElement:
+    def pairing(self, u, v) -> int:
         """(u, v) = u @ G @ v, reduced after each contraction (see _dot_mod)."""
         p = self.field.p
         uu = self.field.vector(u, self.dim)
         vv = self.field.vector(v, self.dim)
         value = _dot_mod(_dot_mod(uu[None, :], self.data, p), vv[:, None], p)
-        return self.field.element(int(value[0, 0]))
+        return int(value[0, 0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GramMatrix) and self.field == other.field and self.n == other.n
@@ -512,7 +386,7 @@ def perp(s: Subspace, g: GramMatrix) -> Subspace:
     if s.dim == 0:
         return Subspace.full(s.field, s.ambient_dim)
     p = s.field.p
-    ker = _kernel_rows(s.basis.data, s._pivots(), p)
+    ker = _kernel_rows(s.basis, s._pivots(), p)
     return Subspace.from_vectors(s.field, s.ambient_dim, ker @ g.data % p)
 
 

@@ -135,7 +135,7 @@ def parse_presentation_file(text: str) -> PresentationFile:
                     "nilpotent presentations allow only (x_i y_j, y_k) or "
                     "(y_i y_j, y_k) with i < j < k",
                 )
-        triples.append(PresentationTriple(a, b, c, field.element(value)))
+        triples.append(PresentationTriple(a, b, c, value))
 
     pres = Presentation(n, field, tuple(triples))
     return PresentationFile(MAGIC, n, p, kind, pres)
@@ -153,5 +153,5 @@ def emit_presentation(pres: Presentation, kind: str | None = None) -> str:
         raise ValueError(f"kind must be one of {KINDS}")
     lines = [MAGIC, f"n {pres.n}", f"p {pres.field.p}", f"kind {kind}"]
     for t in pres.canonical_triples():
-        lines.append(f"triple {t.a} {t.b} {t.c} {t.value.residue}")
+        lines.append(f"triple {t.a} {t.b} {t.c} {t.value}")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from saalib.algebra import (
     ChainError,
     NotNilpotentError,
     Presentation,
+    PresentationTriple,
     StructureTensor,
     build_algebra,
     form,
@@ -34,7 +35,7 @@ from saalib.algebra import (
 )
 from saalib.checks import random_nilpotent_presentation
 from saalib.cli import verify_report
-from saalib.construct import catalog, catalog_entry
+from saalib.construct import catalog, catalog_entry, construct_minimal
 from saalib.linalg import PrimeField, Subspace, perp
 from saalib.presfile import emit_presentation, parse_presentation_file
 
@@ -78,6 +79,12 @@ def test_presentation_validation():
         Presentation.build(2, F3, [("x1", "y2", "y3", 1)])
     with pytest.raises(ValueError):
         Presentation.build(4, F3, [("x1", "y2", "y3", 0)])
+    # build reduces values mod p; a directly built triple must already lie in [1, p)
+    assert Presentation.build(4, F3, [("x1", "y2", "y3", 4)]).triples[0].value == 1
+    x1, y2, y3 = (BasisVector.parse(t) for t in ("x1", "y2", "y3"))
+    for value in (0, 3, -1):
+        with pytest.raises(ValueError, match=r"not in \[1, 3\)"):
+            Presentation(4, F3, (PresentationTriple(x1, y2, y3, value),))
 
 
 def test_tensor_is_alternating():
@@ -115,7 +122,7 @@ def test_build_p10_product_example():
 def test_build_p8_pairing_example():
     alg = build_algebra(catalog_entry("P8-2-1").presentation(F3, r=1))
     x2y3 = multiply(alg, basis_vec(8, coord("x2")), basis_vec(8, coord("y3")))
-    assert form(alg, x2y3, basis_vec(8, coord("y4"))) == F3.one()
+    assert form(alg, x2y3, basis_vec(8, coord("y4"))) == 1
 
 
 def test_multiply_alternating_on_random_vectors():
@@ -143,9 +150,9 @@ def test_x_span_is_abelian_in_nilpotent_presentations():
 def test_form_examples():
     alg = abelian(2)
     x1, y1, x2 = basis_vec(4, 0), basis_vec(4, 1), basis_vec(4, 2)
-    assert form(alg, x1, y1) == F3.one()
-    assert form(alg, y1, x1) == -F3.one()
-    assert form(alg, x1, x2) == F3.zero()
+    assert form(alg, x1, y1) == 1
+    assert form(alg, y1, x1) == 2
+    assert form(alg, x1, x2) == 0
 
 
 def test_cyclic_and_self_adjoint_on_random_triples():
@@ -203,7 +210,7 @@ def test_product_space_exact_against_python_ints(p):
             Subspace.from_vectors(field, alg.dim, rng.integers(0, p, size=(int(k), alg.dim)))
             for k in rng.integers(1, 3, size=2)
         )
-        rows = reference_product_rows(alg, a.basis.data.tolist(), b.basis.data.tolist())
+        rows = reference_product_rows(alg, a.basis.tolist(), b.basis.tolist())
         expected = Subspace.from_vectors(field, alg.dim, rows)
         assert product_space(alg, a, b) == expected, (n, a.dim, b.dim)
 
@@ -229,8 +236,8 @@ def test_form_exact_against_python_ints(p):
         u, v = rng.integers(0, p, size=(2, alg.dim)).tolist()
         gram = alg.gram.data.tolist()
         expected = sum(u[i] * gram[i][j] * v[j] for i in range(alg.dim) for j in range(alg.dim))
-        assert form(alg, u, v).residue == expected % p, n
-        assert alg.gram.pairing(u, v).residue == expected % p, n
+        assert form(alg, u, v) == expected % p, n
+        assert alg.gram.pairing(u, v) == expected % p, n
 
 
 def test_each_series_computed_once_per_algebra(monkeypatch):
@@ -402,6 +409,24 @@ def test_isotropic_ideal_chain_on_catalog():
         for s in chain:
             assert is_ideal(alg, s)
             assert is_isotropic(alg, s)
+
+
+def test_chain_search_takes_each_perp_once(monkeypatch):
+    # the doubled chain reuses the perps that the extension step computed
+    seen = []
+
+    def counted(s, g):
+        seen.append(s)
+        return perp(s, g)
+
+    monkeypatch.setattr(algebra_module, "perp", counted)
+    algebras = [build_algebra(e.presentation(F3, r=1)) for e in catalog()]
+    algebras.append(build_algebra(construct_minimal(16, F3)[1]))
+    for alg in algebras:
+        seen.clear()
+        chain = isotropic_ideal_chain(alg)
+        assert len(seen) == len(set(seen)), alg.n
+        assert set(seen) == set(chain[:-1]), alg.n
 
 
 def test_chain_witness_from_nilpotent_presentation():

@@ -1,10 +1,17 @@
 """Black-box CLI behavior: reports, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from saalib.cli import main
 from saalib.construct import catalog
 from saalib.presfile import parse_presentation_file
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN_P8_REPORT = """\
 n: 4
@@ -156,6 +163,20 @@ def test_construct_deterministic(tmp_path, capsys):
 def test_construct_rejects_small_n(capsys):
     assert main(["construct", "--n", "3", "--p", "3", "--out", "/dev/null"]) == 2
     capsys.readouterr()
+
+
+def test_construct_without_candidates_exits_1(tmp_path):
+    # n = 13 is the known gap of the construction: its candidates run out
+    out = tmp_path / "c13.saa"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "saalib.cli", "construct", "--n", "13", "--p", "3"]
+    proc = subprocess.run(argv + ["--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "candidate space is exhausted" in proc.stderr
+    assert not out.exists()
 
 
 def test_catalog_listing(capsys):

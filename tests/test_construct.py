@@ -11,7 +11,9 @@ from saalib.algebra import (
     upper_central_series,
     validate_nilpotent_presentation,
 )
+from saalib import construct
 from saalib.construct import (
+    ConstructionError,
     ScalingWitness,
     catalog,
     catalog_entry,
@@ -86,6 +88,19 @@ def test_construct_minimal_reproduces_smallest_catalog_entry():
 def test_construct_minimal_rejects_small_n():
     with pytest.raises(ValueError):
         construct_minimal(3, F3)
+
+
+def test_construction_error_names_what_ran_out(monkeypatch):
+    verified = []
+    monkeypatch.setattr(construct, "_verified", lambda *args: verified.append(args) and None)
+    with pytest.raises(ConstructionError, match="candidate space is exhausted after 60 "):
+        construct_minimal(6, F3)
+    with pytest.raises(ConstructionError, match="candidate space is exhausted after 0 "):
+        construct_minimal(13, F3)
+    verified.clear()
+    with pytest.raises(ConstructionError, match="budget of 5000 verifications is exhausted"):
+        construct_minimal(8, F3)
+    assert len(verified) == 5000
 
 
 def test_construct_triple_set_shapes():

@@ -96,7 +96,7 @@ def _chain(n: int) -> dict[str, str]:
     _, pres = construct_minimal(n, PrimeField(3))
     lines = []
     for i, term in enumerate(isotropic_ideal_chain(build_algebra(pres))):
-        rows = ("".join(map(str, row)) for row in term.basis.data.tolist())
+        rows = ("".join(map(str, row)) for row in term.basis.tolist())
         lines.append(f"I_{i}: " + " ".join(rows) + "\n")
     return {f"chain-construct-n{n}-p3.txt": "".join(lines)}
 

@@ -16,7 +16,7 @@ from saalib.algebra import (
     zero_space,
 )
 from saalib.checks import random_nilpotent_presentation
-from saalib.linalg import GramMatrix, Matrix, PrimeField, Subspace, _rref_array, nullspace, perp
+from saalib.linalg import GramMatrix, PrimeField, Subspace, _rref_array, nullspace, perp
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
 # prime with p * (p - 1) < 2**63
@@ -109,13 +109,13 @@ def test_membership_matches_stacked_rank_test(p, ambient, seed, span, count, ins
         if inside and gens
         else rng.integers(0, p, size=(count, ambient), dtype=np.uint64).tolist()
     )
-    basis_rows = s.basis.data.tolist()
+    basis_rows = s.basis.tolist()
     assert s.contains(candidates[0]) == reference_contains(
         basis_rows, candidates[:1], ambient, p
     )
     t = Subspace.from_vectors(field, ambient, candidates)
     assert s.contains_subspace(t) == reference_contains(
-        basis_rows, t.basis.data.tolist(), ambient, p
+        basis_rows, t.basis.tolist(), ambient, p
     )
 
 
@@ -173,7 +173,7 @@ def reference_span(field, ambient, rows):
     """The canonical subspace of rows, reduced by the Python-int reference."""
     a, pivots = reference_rref(rows, ambient, field.p)
     data = np.array(a[: len(pivots)], dtype=np.int64).reshape(-1, ambient)
-    return Subspace(field, ambient, Matrix(field, data))
+    return Subspace(field, ambient, data)
 
 
 @given(
@@ -185,8 +185,8 @@ def reference_span(field, ambient, rows):
 def test_nullspace_matches_python_int_kernel(p, ncols, seed, bands):
     bands = [(m, min(k, ncols)) for m, k in sorted(bands, key=lambda band: band[1])]
     rows = banded_rows(p, ncols, seed, bands)
-    ker = nullspace(Matrix(PrimeField(p), np.array(rows, dtype=np.int64).reshape(-1, ncols)))
-    assert ker.data.tolist() == reference_kernel(rows, ncols, p)
+    ker = nullspace(np.array(rows, dtype=np.int64).reshape(-1, ncols), p)
+    assert ker.tolist() == reference_kernel(rows, ncols, p)
 
 
 @given(p=primes, n=st.integers(1, 8), seed=seeds, span=st.integers(0, 16))
@@ -200,7 +200,7 @@ def test_perp_matches_two_elimination_reference(p, n, seed, span):
     gram = g.data.tolist()
     constraints = [
         [sum(u[i] * gram[i][j] for i in range(2 * n)) % p for j in range(2 * n)]
-        for u in s.basis.data.tolist()
+        for u in s.basis.tolist()
     ]
     expected = reference_span(field, 2 * n, reference_kernel(constraints, 2 * n, p))
     assert perp(s, g) == expected
@@ -216,7 +216,7 @@ def reference_centralizer(alg, z):
     """
     p, dim = alg.field.p, alg.dim
     table = alg.table.tolist()
-    basis = z.basis.data.tolist()
+    basis = z.basis.tolist()
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
 
     def residual(x):
