@@ -13,6 +13,7 @@ carries the minus.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import wraps
@@ -146,6 +147,10 @@ class Presentation:
             if key in seen:
                 raise ValueError(f"duplicate triple on basis set {sorted(map(str, t.vectors))}")
             seen.add(key)
+            try:
+                operator.index(t.value)
+            except TypeError:
+                raise ValueError(f"value of triple {t} is not an integer") from None
             if not 0 < t.value < self.field.p:
                 raise ValueError(
                     f"value of triple {t} not in [1, {self.field.p}); omit zero triples"
@@ -156,14 +161,14 @@ class Presentation:
         """Convenience constructor from (a, b, c, value) tuples.
 
         Entries may be BasisVector instances or tokens like "x2"; values are
-        ints, reduced mod p.
+        integers, reduced mod p, and anything else is refused.
         """
         triples = []
         for a, b, c, value in items:
             va = a if isinstance(a, BasisVector) else BasisVector.parse(a)
             vb = b if isinstance(b, BasisVector) else BasisVector.parse(b)
             vc = c if isinstance(c, BasisVector) else BasisVector.parse(c)
-            triples.append(PresentationTriple(va, vb, vc, int(value) % field.p))
+            triples.append(PresentationTriple(va, vb, vc, value % field.p))
         return cls(n, field, tuple(triples))
 
     @property
@@ -263,12 +268,13 @@ class StructureTensor:
 class Algebra:
     """An algebra: symplectic space, structure tensor and product table.
 
-    table[i, j] holds the coordinates of e_i . e_j.  The lower central
-    series, the centre Z_1 and the upper central series are each computed at
-    most once per instance, on first use, and held in _series.  Instances
-    are immutable after construction and safe to share across threads:
-    every held value is deterministic and immutable, so a race can at worst
-    compute the same value twice.
+    table[i, j] holds the coordinates of e_i . e_j.  The table's nonzero
+    entries, the lower central series, the centre Z_1, the upper central
+    series and the series report are each computed at most once per
+    instance, on first use, and held in _series.  Instances are immutable
+    after construction and safe to share across threads: every held value
+    is deterministic and immutable, so a race can at worst compute the same
+    value twice.
     """
 
     n: int
@@ -282,6 +288,21 @@ class Algebra:
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+
+def _held(compute):
+    """Compute compute(alg) once per algebra and hold the result on alg."""
+    key = compute.__name__
+
+    @wraps(compute)
+    def held(alg: Algebra):
+        try:
+            return alg._series[key]
+        except KeyError:
+            value = alg._series[key] = compute(alg)
+            return value
+
+    return held
 
 
 def build_algebra(pres: Presentation) -> Algebra:
@@ -309,9 +330,8 @@ def _check_vectors(alg: Algebra, *vectors) -> list[np.ndarray]:
 def multiply(alg: Algebra, u, v) -> np.ndarray:
     """Bilinear extension of the basis multiplication table."""
     uu, vv = _check_vectors(alg, u, v)
-    p, dim = alg.field.p, alg.dim
-    left = _dot_mod(uu[None, :], alg.table.reshape(dim, dim * dim), p).reshape(dim, dim)
-    return _dot_mod(vv[None, :], left, p)[0]
+    rows = _products(alg, uu[None, :], np.arange(alg.dim), right=vv[None, :])
+    return rows[0] if len(rows) else np.zeros(alg.dim, dtype=np.int64)
 
 
 def form(alg: Algebra, u, v) -> int:
@@ -327,20 +347,79 @@ def zero_space(alg: Algebra) -> Subspace:
     return Subspace.zero(alg.field, alg.dim)
 
 
-def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:
-    """The rows u . v for u in the basis of a and v in the basis of b.
+# Below this share of nonzero table entries the products are scattered from
+# the nonzeros.  Constructions (0.3-3.5 % nonzero at dim 8-32) ran faster
+# scattered, the scan's random samples (about 10 % at dim 12) on the matmul.
+_SPARSE_SHARE = 1 / 16
 
-    Two matmuls, each reduced mod p: the basis of a against the table, then
-    the basis of b against that.  Both go through _dot_mod, so they are
-    exact in int64 while p * (p - 1) < 2**63.
+
+@_held
+def _table_nonzeros(alg: Algebra) -> tuple[np.ndarray, ...]:
+    """The table's nonzero entries as (i, j, k, value) arrays, in C order."""
+    i, j, k = np.nonzero(alg.table)
+    return i, j, k, alg.table[i, j, k]
+
+
+def _dense_products(alg: Algebra, left: np.ndarray, cols) -> np.ndarray:
+    """(u . e_j)[cols] for the rows u of left and every j: one _dot_mod matmul.
+
+    Shape (len(left), dim, len(cols)).
+    """
+    p, dim = alg.field.p, alg.dim
+    on_cols = alg.table[:, :, cols].reshape(dim, -1)
+    return _dot_mod(left, on_cols, p).reshape(len(left), dim, len(cols))
+
+
+def _sparse_products(alg: Algebra, left: np.ndarray, cols) -> np.ndarray:
+    """The same array as _dense_products, scattered from the table's nonzeros.
+
+    Entry (i, j, k, value) with k among cols adds left[:, i] * value to slot
+    (j, k) of every row.  Each product is reduced mod p before the scatter,
+    and a slot receives at most one entry per i, so it sums at most dim
+    residues and stays exact in int64 while p * (p - 1) < 2**63.
+    """
+    p, dim, ncols = alg.field.p, alg.dim, len(cols)
+    i, j, k, value = _table_nonzeros(alg)
+    position = np.full(dim, -1)
+    position[cols] = np.arange(ncols)
+    keep = position[k] >= 0
+    slots = j[keep] * ncols + position[k[keep]]
+    out = np.zeros((len(left), dim * ncols), dtype=np.int64)
+    np.add.at(out, (slice(None), slots), left[:, i[keep]] * value[keep] % p)
+    return (out % p).reshape(len(left), dim, ncols)
+
+
+def _products(alg: Algebra, left: np.ndarray, cols, right: np.ndarray | None = None) -> np.ndarray:
+    """The nonzero rows among the products (u . v)[cols].
+
+    u runs over the rows of left and v over the rows of right, or over
+    every basis vector e_j when right is None.  The products u . e_j come
+    from _sparse_products when fewer than _SPARSE_SHARE of the dim**3 table
+    entries are nonzero, as in every minimal construction, and from
+    _dense_products otherwise; a right factor is then contracted by one
+    _dot_mod.  Zero rows are dropped, so callers that want a span never
+    eliminate them.
+    """
+    sparse = len(_table_nonzeros(alg)[3]) < _SPARSE_SHARE * alg.dim**3
+    prods = (_sparse_products if sparse else _dense_products)(alg, left, cols)
+    if right is not None:
+        prods = _dot_mod(right, prods, alg.field.p)
+    rows = prods.reshape(-1, prods.shape[-1])
+    return rows[rows.any(axis=1)]
+
+
+def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:
+    """Nonzero rows spanning a . b: the products u . v over the two bases.
+
+    The full space's canonical basis is the identity, so for b = L the
+    products u . e_j are taken as they are (see _products).
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("ambient mismatch")
     if a.field != alg.field or b.field != alg.field:
         raise ValueError("field mismatch")
-    p, dim = alg.field.p, alg.dim
-    left = _dot_mod(a.basis, alg.table.reshape(dim, dim * dim), p).reshape(a.dim, dim, dim)
-    return _dot_mod(b.basis, left, p).reshape(-1, dim)
+    right = None if b.dim == alg.dim else b.basis
+    return _products(alg, a.basis, np.arange(alg.dim), right)
 
 
 def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
@@ -349,10 +428,7 @@ def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     The product rows (see _product_rows) reduced to RREF.  Callers that only
     ask whether the product lies in a subspace test the raw rows instead.
     """
-    rows = _product_rows(alg, a, b)
-    if a.dim == 0 or b.dim == 0:
-        return zero_space(alg)
-    return Subspace.from_vectors(alg.field, alg.dim, rows)
+    return Subspace.from_vectors(alg.field, alg.dim, _product_rows(alg, a, b))
 
 
 @dataclass(frozen=True)
@@ -378,41 +454,25 @@ class SeriesReport:
         return tuple(s.dim for s in self.upper)
 
 
-def _held(compute):
-    """Compute compute(alg) once per algebra and hold the result on alg."""
-    key = compute.__name__
-
-    @wraps(compute)
-    def held(alg: Algebra):
-        try:
-            return alg._series[key]
-        except KeyError:
-            value = alg._series[key] = compute(alg)
-            return value
-
-    return held
-
-
 @_held
 def lower_central_series(alg: Algebra) -> SeriesReport:
     """L^1 = L, L^{i+1} = L^i L, computed until stabilization.
 
     L^{i+1} lies in L^i, whose RREF basis B has pivot columns P, and a
-    vector v of L^i equals v[P] @ B.  So each step reduces the products of
-    B's rows with the basis vectors on the columns P alone, to an RREF C
-    with pivots c, and L^{i+1} is spanned by C @ B.  That product is
-    already the canonical basis, with pivots P[c]: on the columns P it is C,
-    and a row of C starting at column c_t combines rows of B that vanish
-    before column P[c_t].  The series has stabilized when C has full rank,
-    and ends when no pivots remain.
+    vector v of L^i equals v[P] @ B.  So each step reduces the nonzero
+    products of B's rows with the basis vectors on the columns P alone
+    (_products, sparse for sparse tables), to an RREF C with pivots c, and
+    L^{i+1} is spanned by C @ B.  That product is already the canonical
+    basis, with pivots P[c]: on the columns P it is C, and a row of C
+    starting at column c_t combines rows of B that vanish before column
+    P[c_t].  The series has stabilized when C has full rank, and ends when
+    no pivots remain.
     """
     p, dim = alg.field.p, alg.dim
     terms = [full_space(alg)]
     basis, pivots = terms[0].basis, list(range(dim))
     while pivots:
-        on_pivots = alg.table[:, :, pivots].reshape(dim, dim * len(pivots))
-        rows = _dot_mod(basis, on_pivots, p).reshape(-1, len(pivots))
-        coeffs, coeff_pivots = _rref_array(rows, p)
+        coeffs, coeff_pivots = _rref_array(_products(alg, basis, pivots), p)
         if len(coeff_pivots) == len(pivots):
             break
         basis = _dot_mod(coeffs[: len(coeff_pivots)], basis, p)
@@ -425,37 +485,34 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
 def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
     """{v : v . e_k lies in z for every basis vector e_k}, for an ideal z.
 
-    z must be an ideal (z L <= z), as every upper-series term and every term
-    of an isotropic ideal chain is.  Then z lies in the result, and with P
-    the pivot columns of z's RREF basis B and N the others, the result is z
-    plus the vectors u supported on N with every u . e_k in z.  A row x lies
-    in z iff its residual x[N] - x[P] @ B[:, N] vanishes, so only |N|
-    unknowns are solved for: one elimination of the residual conditions
-    over all k, the kernel read off it, and one small elimination of that
-    kernel.  Its rows vanish on P, so they merge into B by one matmul
-    (_merge_echelon) into the canonical basis.  For z = 0 the conditions are
-    the table itself and the kernel's RREF is the result.
+    The form is invariant, (v e_k, w) = (e_k w, v) = (v, w e_k), and
+    z = perp(perp(z)), so v . e_k lies in z for every k iff v is orthogonal
+    to every product w . e_k with w in perp(z).  The kernel rows of z's RREF
+    basis B, times the form, span perp(z) (see perp).  z must be an ideal
+    (z L <= z), as every upper-series term and every term of an isotropic
+    ideal chain is.  Then z lies in the result, and with P the pivot
+    columns of B and N the others, the result is z plus the vectors u
+    supported on N orthogonal to every w . e_k.  The form pairs coordinate
+    i with i ^ 1, with sign -1 for odd i, so the conditions on u are the
+    nonzero products w . e_k on the columns N ^ 1 (_products, sparse for
+    sparse tables), signed: one elimination of them, the kernel read off
+    it, and one small elimination of that kernel.  Its rows vanish on P, so
+    they merge into B by one matmul (_merge_echelon) into the canonical
+    basis.
     """
     p, dim = alg.field.p, alg.dim
     if z.dim == dim:
         return full_space(alg)
-    if z.dim == 0:
-        # u . e_k = u @ table[:, k, :]; one condition row per (k, coordinate)
-        conditions = alg.table.reshape(dim, dim * dim).T
-    else:
-        basis, pivots = z.basis, z._pivots()
-        free = _free_columns(dim, pivots)
-        on_free = alg.table[free]
-        residual = on_free[:, :, free] - _dot_mod(on_free[:, :, pivots], basis[:, free], p)
-        conditions = residual.reshape(free.size, -1).T
+    basis, pivots = z.basis, z._pivots()
+    free = _free_columns(dim, pivots)
+    spanning = _dot_mod(_kernel_rows(basis, pivots, p), alg.gram.data, p)
+    conditions = _products(alg, spanning, free ^ 1) * np.where(free % 2, p - 1, 1) % p
     coeffs, coeff_pivots = _rref_array(conditions, p)
     new, new_pivots = _rref_array(_kernel_rows(coeffs, coeff_pivots, p), p)
-    new = new[: len(new_pivots)]
-    if z.dim:
-        rows = np.zeros((len(new_pivots), dim), dtype=np.int64)
-        rows[:, free] = new
-        new, _ = _merge_echelon(basis, pivots, rows, free[new_pivots], p)
-    return Subspace(alg.field, dim, new)
+    rows = np.zeros((len(new_pivots), dim), dtype=np.int64)
+    rows[:, free] = new[: len(new_pivots)]
+    merged, _ = _merge_echelon(basis, pivots, rows, free[new_pivots], p)
+    return Subspace(alg.field, dim, merged)
 
 
 @_held
@@ -489,10 +546,12 @@ def rank(alg: Algebra) -> int:
     return r
 
 
+@_held
 def series_report(alg: Algebra) -> SeriesReport:
     """Both central series plus class and rank in one report.
 
-    Every series is held on alg, so repeated reports recompute nothing.
+    The report and every series are held on alg, so repeated reports
+    recompute nothing.
     """
     low = lower_central_series(alg)
     up = upper_central_series(alg)

@@ -31,7 +31,7 @@ from .construct import (
     ConstructionError,
     catalog,
     catalog_entry,
-    construct_minimal,
+    minimal_algebra,
     predict_min_class,
 )
 from .linalg import PrimeField
@@ -150,13 +150,12 @@ def _cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        tset, pres = construct_minimal(args.n, field)
+        tset, alg = minimal_algebra(args.n, field)
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    alg = build_algebra(pres)
     rep = series_report(alg)
-    text = emit_presentation(pres)
+    text = emit_presentation(alg.presentation)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

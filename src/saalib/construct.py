@@ -30,9 +30,7 @@ from .algebra import (
     StructureTensor,
     build_algebra,
     is_isotropic,
-    nilpotency_class,
     product_space,
-    rank,
     series_report,
     validate_nilpotent_presentation,
 )
@@ -46,6 +44,7 @@ __all__ = [
     "predict_min_class",
     "TripleSet",
     "construct_minimal",
+    "minimal_algebra",
     "CatalogEntry",
     "catalog",
     "catalog_entry",
@@ -243,7 +242,10 @@ def _base_assignments(n: int, m: int):
     """Shell-by-shell bijections below the outermost level.
 
     The first yield pairs descending generators with pairs in lexicographic
-    order; later yields permute the pair order per shell.
+    order; later yields permute the pair order per shell, the outermost
+    shell fastest.  Each level's permutations are drawn lazily, so the
+    first yield costs memory linear in the shells even where a shell has
+    dozens of pairs.
     """
     levels = []
     for r in range(1, m):
@@ -252,14 +254,18 @@ def _base_assignments(n: int, m: int):
         if len(gens) != len(pairs):
             raise ConstructionError(f"shell size mismatch at level {r}")
         levels.append((gens, pairs))
-    if not levels:
-        yield []
-        return
-    for combo in itertools.product(*[itertools.permutations(pairs) for _, pairs in levels]):
-        assignment = []
-        for (gens, _), perm in zip(levels, combo):
-            assignment.extend((("x", g), i, j) for g, (i, j) in zip(gens, perm))
-        yield assignment
+
+    def rec(depth: int, acc: list):
+        if depth == len(levels):
+            yield list(acc)
+            return
+        gens, pairs = levels[depth]
+        for perm in itertools.permutations(pairs):
+            acc.extend((("x", g), i, j) for g, (i, j) in zip(gens, perm))
+            yield from rec(depth + 1, acc)
+            del acc[len(acc) - len(gens):]
+
+    yield from rec(0, [])
 
 
 def _w_completions(existing_sets: list[frozenset], lows: list[int], n: int):
@@ -298,23 +304,34 @@ def _w_completions(existing_sets: list[frozenset], lows: list[int], n: int):
     yield from rec([], [], set(lows))
 
 
-def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Presentation | None:
+def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Algebra | None:
+    """The algebra of tset if it is nilpotent of rank 2 and the predicted class.
+
+    The returned algebra holds its series report, so analysing it again
+    recomputes nothing.
+    """
     pres = tset.presentation(field)
     if not validate_nilpotent_presentation(pres):
         return None
     alg = build_algebra(pres)
-    if nilpotency_class(alg) != predicted or rank(alg) != 2:
+    report = series_report(alg)
+    if report.nilpotency_class != predicted or report.rank != 2:
         return None
-    return pres
+    return alg
 
 
-def construct_minimal(n: int, field: PrimeField) -> tuple[TripleSet, Presentation]:
-    """Build a rank-2 algebra of the predicted minimal class for dimension 2n.
+def minimal_algebra(n: int, field: PrimeField) -> tuple[TripleSet, Algebra]:
+    """A rank-2 algebra of the predicted minimal class for dimension 2n.
 
     Deterministic: the first assignment in the pinned enumeration order that
-    satisfies the triple-set properties and self-verifies is returned.
-    Raises ConstructionError when the candidates run out, as they do at
-    n = 13 for every p, or when 5000 candidates have failed verification.
+    satisfies the triple-set properties and self-verifies is returned, with
+    its triple set.  The algebra holds the series report its verification
+    computed.  Raises ConstructionError when the candidates run out, as they
+    do at n = 13 for every p, or when 5000 candidates have failed
+    verification.  Where the generators injected into the outer pair shell
+    cover at most two new indices each, too few to cover the shell, no
+    injection exists for any base assignment, and the candidates run out
+    before a base assignment is drawn.
     """
     pred = predict_min_class(n)
     m = pred.m
@@ -332,6 +349,9 @@ def construct_minimal(n: int, field: PrimeField) -> tuple[TripleSet, Presentatio
         u_gens = [("x", k) for k in range(k_low, 0, -1)]
 
     def candidates():
+        # _injections' first feasibility test, which no base assignment changes
+        if 2 * len(u_gens) < len(cover):
+            return
         for base in _base_assignments(n, m):
             for inj in _injections(u_gens, pair_shell_m, cover):
                 psi_triples = base + [(g, i, j) for g, (i, j) in inj]
@@ -363,13 +383,23 @@ def construct_minimal(n: int, field: PrimeField) -> tuple[TripleSet, Presentatio
                 f"the budget of {max_verifications} verifications is exhausted"
             )
         verifications += 1
-        pres = _verified(tset, field, pred.predicted_class)
-        if pres is not None:
-            return tset, pres
+        alg = _verified(tset, field, pred.predicted_class)
+        if alg is not None:
+            return tset, alg
     raise ConstructionError(
         f"no minimal construction found for n={n} over {field!r}: the candidate "
         f"space is exhausted after {verifications} verifications"
     )
+
+
+def construct_minimal(n: int, field: PrimeField) -> tuple[TripleSet, Presentation]:
+    """Build a rank-2 algebra of the predicted minimal class for dimension 2n.
+
+    Returns the triple set and the presentation that minimal_algebra finds,
+    and raises ConstructionError where it does.
+    """
+    tset, alg = minimal_algebra(n, field)
+    return tset, alg.presentation
 
 
 # ---------------------------------------------------------------------------

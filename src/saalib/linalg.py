@@ -155,35 +155,44 @@ def _merge_echelon(
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of an integer array mod p.
 
-    Returns (rref, pivot_columns). Rows of zeros sink to the bottom.
+    Returns (rref, pivot_columns), rref of the input's shape.  Rows of zeros
+    sink to the bottom.
 
-    Each pivot step of the elimination touches every row, which is waste on
-    the tall, mostly redundant inputs the central series produce.  So only
-    a head block of max(ncols, 2048 // ncols) rows, small enough that one
-    step costs numpy call overhead rather than arithmetic, is eliminated
-    pivot by pivot.  All remaining rows are then cleared against the head's
-    basis in one residual round, rest - rest[:, pivots] @ basis (mod p),
-    and the rows that became zero are dropped.  Rounds repeat on what is
-    left; each new block's pivots are merged into the basis, which is
-    first cleared on the new pivot columns, so the result is the unique
-    RREF.  An input that fits in the head block runs the pivot loop alone.
-    Exact in int64 while p * (p - 1) < 2**63 (see _dot_mod).
+    All-zero rows are dropped before eliminating: the central series and
+    the kernels feed in many of them, and each would cost a row of every
+    pivot step.  Each pivot step of the elimination touches every row,
+    which is waste on the tall, mostly redundant inputs the central series
+    produce.  So only a head block of max(ncols, 2048 // ncols) rows, small
+    enough that one step costs numpy call overhead rather than arithmetic,
+    is eliminated pivot by pivot.  All remaining rows are then cleared
+    against the head's basis in one residual round,
+    rest - rest[:, pivots] @ basis (mod p), and the rows that became zero
+    are dropped.  Rounds repeat on what is left; each new block's pivots are
+    merged into the basis, which is first cleared on the new pivot columns,
+    so the result is the unique RREF.  An input that fits in the head block
+    runs the pivot loop alone, in place when it has no zero rows.  Exact in
+    int64 while p * (p - 1) < 2**63 (see _dot_mod).
     """
     a = np.asarray(a, dtype=np.int64) % p
-    m, ncols = a.shape
+    nonzero = a.any(axis=1)
+    rest = a if nonzero.all() else a[nonzero]
+    ncols = a.shape[1]
     head = max(ncols, 2048 // max(ncols, 1))
-    if m <= head:
+    if rest is a and len(a) <= head:
         return a, _eliminate(a, p)
-    basis = a[:0]
+    basis = rest[:0]
     pivots: list[int] = []
-    rest = a
     while rest.shape[0]:
-        block = rest[:head].copy()
+        block = rest[:head]
         new_pivots = _eliminate(block, p)
-        basis, pivots = _merge_echelon(basis, pivots, block[: len(new_pivots)], new_pivots, p)
+        if not pivots:
+            basis, pivots = block[: len(new_pivots)], new_pivots
+        else:
+            basis, pivots = _merge_echelon(basis, pivots, block[: len(new_pivots)], new_pivots, p)
         rest = rest[head:]
-        rest = (rest - _dot_mod(rest[:, pivots], basis, p)) % p
-        rest = rest[rest.any(axis=1)]
+        if rest.shape[0]:
+            rest = (rest - _dot_mod(rest[:, pivots], basis, p)) % p
+            rest = rest[rest.any(axis=1)]
     out = np.zeros_like(a)
     out[: len(pivots)] = basis
     return out, pivots

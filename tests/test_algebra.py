@@ -85,6 +85,14 @@ def test_presentation_validation():
     for value in (0, 3, -1):
         with pytest.raises(ValueError, match=r"not in \[1, 3\)"):
             Presentation(4, F3, (PresentationTriple(x1, y2, y3, value),))
+    # a value that is not an integer would be written to a file the parser refuses
+    for value in (1.5, np.float64(1.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            Presentation(4, F3, (PresentationTriple(x1, y2, y3, value),))
+        with pytest.raises(ValueError, match="not an integer"):
+            Presentation.build(4, F3, [("x1", "y2", "y3", value)])
+    numpy_int = Presentation(4, F3, (PresentationTriple(x1, y2, y3, np.int64(2)),))
+    assert numpy_int.triples[0].value == 2
 
 
 def test_tensor_is_alternating():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from saalib import cli, construct
 from saalib.cli import main
 from saalib.construct import catalog
 from saalib.presfile import parse_presentation_file
@@ -158,6 +159,22 @@ def test_construct_deterministic(tmp_path, capsys):
     run(capsys, "construct", "--n", "6", "--p", "5", "--out", str(a))
     run(capsys, "construct", "--n", "6", "--p", "5", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_construct_analyses_the_verified_algebra(tmp_path, monkeypatch, capsys):
+    # the report is read off the algebra the construction verified, not a rebuilt one
+    built = []
+    build = construct.build_algebra
+
+    def counted(pres):
+        built.append(pres)
+        return build(pres)
+
+    monkeypatch.setattr(construct, "build_algebra", counted)
+    monkeypatch.setattr(cli, "build_algebra", counted)
+    code, out = run(capsys, "construct", "--n", "16", "--p", "3", "--out", str(tmp_path / "c.saa"))
+    assert code == 0 and "class: 9\nrank: 2\n" in out
+    assert len(built) == 1
 
 
 def test_construct_rejects_small_n(capsys):

@@ -1,6 +1,9 @@
 """Omega recursion, class prediction, minimal constructions, catalog,
 scaling isomorphisms and fingerprints."""
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from saalib.algebra import (
@@ -19,6 +22,7 @@ from saalib.construct import (
     catalog_entry,
     construct_minimal,
     fingerprint,
+    minimal_algebra,
     omega,
     omega_table,
     predict_min_class,
@@ -101,6 +105,67 @@ def test_construction_error_names_what_ran_out(monkeypatch):
     with pytest.raises(ConstructionError, match="budget of 5000 verifications is exhausted"):
         construct_minimal(8, F3)
     assert len(verified) == 5000
+
+
+def test_futile_injection_is_refused_before_any_base_assignment(monkeypatch):
+    # at n = 13 the low generators cover at most 4 of the 7 new outer-shell
+    # indices, for every base assignment, so none is drawn
+    drawn = []
+    base_assignments = construct._base_assignments
+
+    def counted(n, m):
+        for assignment in base_assignments(n, m):
+            drawn.append(assignment)
+            yield assignment
+
+    monkeypatch.setattr(construct, "_base_assignments", counted)
+    with pytest.raises(ConstructionError, match="candidate space is exhausted after 0 "):
+        construct_minimal(13, F3)
+    assert drawn == []
+    construct_minimal(12, F3)
+    assert len(drawn) == 1
+
+
+def test_base_assignments_keep_the_product_order():
+    # the lazy generator yields what itertools.product over the per-shell
+    # permutations yielded, so every construction stays where it was
+    for n, m in ((8, 3), (12, 3), (16, 4)):
+        levels = [(construct._x_shell(n, r), construct._pair_shell(n, r)) for r in range(1, m)]
+        expected = [
+            [(("x", g), i, j) for (gens, _), perm in zip(levels, combo)
+             for g, (i, j) in zip(gens, perm)]
+            for combo in itertools.product(*[itertools.permutations(p) for _, p in levels])
+        ]
+        assert list(construct._base_assignments(n, m)) == expected, n
+
+
+def test_base_assignments_first_yield_is_lazy():
+    # from n = 69 the fourth pair shell has 56 pairs; materialising its
+    # permutations ran out of memory before the first yield
+    tracemalloc.start()
+    try:
+        first = next(construct._base_assignments(69, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert len(first) == 1 + 2 + 7 + 56
+
+
+def test_construct_sweep_self_verifies():
+    for n in range(4, 41):
+        predicted = predict_min_class(n).predicted_class
+        for p in (2, 3, 5, 7):
+            field = PrimeField(p)
+            if n == 13:
+                with pytest.raises(ConstructionError, match="candidate space is exhausted"):
+                    minimal_algebra(n, field)
+                continue
+            tset, alg = minimal_algebra(n, field)
+            report = series_report(alg)
+            assert (report.nilpotency_class, report.rank) == (predicted, 2), (n, p)
+            assert validate_nilpotent_presentation(alg.presentation), (n, p)
+            assert tset.satisfies_properties(), (n, p)
 
 
 def test_construct_triple_set_shapes():

@@ -1,12 +1,17 @@
 """Property tests of the exact kernels against pure Python-int references."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saalib.algebra import (
+    _SPARSE_SHARE,
     Presentation,
     _centralizer_above,
+    _dense_products,
+    _sparse_products,
+    _table_nonzeros,
     build_algebra,
     full_space,
     isotropic_ideal_chain,
@@ -134,6 +139,29 @@ def random_presentation(n, field, rng):
     return Presentation.build(n, field, items)
 
 
+def sparse_nilpotent_presentation(n, field, rng):
+    """Random unit values on 1..n-1 random nilpotent-shape triples.
+
+    Less than _SPARSE_SHARE of the table is then nonzero, as in a minimal
+    construction, so its products take the sparse path.
+    """
+    items = {}
+    for _ in range(int(rng.integers(1, n)) if n >= 3 else 0):
+        i, j, k = sorted(int(c) for c in rng.choice(np.arange(1, n + 1), size=3, replace=False))
+        items[(str(rng.choice(["x", "y"])), i, j, k)] = int(rng.integers(1, field.p))
+    triples = [(f"{kind}{i}", f"y{j}", f"y{k}", v) for (kind, i, j, k), v in items.items()]
+    return Presentation.build(n, field, triples)
+
+
+# dense nilpotent (the scan's draw), general, and sparse nilpotent presentations
+MAKERS = {
+    "dense": random_nilpotent_presentation,
+    "general": random_presentation,
+    "sparse": sparse_nilpotent_presentation,
+}
+shapes = st.sampled_from(sorted(MAKERS))
+
+
 def reference_lower_series(alg):
     """L^{i+1} = product_space(L^i, L) until a term repeats."""
     terms = [full_space(alg)]
@@ -144,12 +172,11 @@ def reference_lower_series(alg):
         terms.append(nxt)
 
 
-@given(p=primes, n=st.integers(2, 6), seed=seeds, nilpotent=st.booleans())
-def test_lower_series_matches_product_space_recurrence(p, n, seed, nilpotent):
+@given(p=primes, n=st.integers(2, 6), seed=seeds, shape=shapes)
+def test_lower_series_matches_product_space_recurrence(p, n, seed, shape):
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
-    make = random_nilpotent_presentation if nilpotent else random_presentation
-    alg = build_algebra(make(n, field, rng))
+    alg = build_algebra(MAKERS[shape](n, field, rng))
     terms = reference_lower_series(alg)
     low = lower_central_series(alg)
     assert low.lower == terms
@@ -234,19 +261,38 @@ def reference_centralizer(alg, z):
 
 
 @settings(max_examples=40)
-@given(p=primes, n=st.integers(2, 6), seed=seeds, nilpotent=st.booleans())
-def test_centralizer_matches_full_coordinate_reference(p, n, seed, nilpotent):
+@given(p=primes, n=st.integers(2, 6), seed=seeds, shape=shapes)
+def test_centralizer_matches_full_coordinate_reference(p, n, seed, shape):
     # ideals: every upper- and lower-series term, and every chain term
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
-    make = random_nilpotent_presentation if nilpotent else random_presentation
-    alg = build_algebra(make(n, field, rng))
+    alg = build_algebra(MAKERS[shape](n, field, rng))
     terms = [zero_space(alg), reference_centralizer(alg, zero_space(alg))]
     while terms[-1] != terms[-2]:
         terms.append(reference_centralizer(alg, terms[-1]))
     assert upper_central_series(alg).upper == tuple(terms[:-1])
     ideals = list(lower_central_series(alg).lower)
-    if nilpotent:
+    if shape != "general":
         ideals += isotropic_ideal_chain(alg)
     for z in ideals:
         assert _centralizer_above(alg, z) == reference_centralizer(alg, z)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=25)
+@given(n=st.integers(2, 6), seed=seeds, sparse=st.booleans(), nrows=st.integers(0, 6))
+def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
+    # left holds a row of p - 1 and random residues; the columns come in any
+    # order, as the centralizer's paired columns do
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    make = sparse_nilpotent_presentation if sparse else random_nilpotent_presentation
+    alg = build_algebra(make(n, field, rng))
+    dim = alg.dim
+    if sparse:
+        assert len(_table_nonzeros(alg)[3]) < _SPARSE_SHARE * dim**3
+    left = np.vstack([np.full(dim, p - 1), rng.integers(0, p, size=(nrows, dim))])
+    cols = rng.permutation(dim)[: int(rng.integers(1, dim + 1))]
+    expected = _dense_products(alg, left, cols)
+    assert expected.shape == (nrows + 1, dim, len(cols))
+    assert np.array_equal(_sparse_products(alg, left, cols), expected)
