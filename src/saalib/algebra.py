@@ -69,7 +69,15 @@ class NotNilpotentError(ValueError):
 
 
 class ChainError(RuntimeError):
-    """Raised when no isotropic ideal chain extension exists."""
+    """Raised when the isotropic ideal chain search runs out.
+
+    The message names what ran out: the candidate space, so that no chain
+    of the greedy shape exists, or the budget of extensions.
+    """
+
+
+# extensions the isotropic ideal chain search may try before giving up
+_CHAIN_BUDGET = 5000
 
 
 @dataclass(frozen=True, order=True)
@@ -603,12 +611,14 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
 
     comes out central; this is verified before returning, and the search
     backtracks over later candidates if the greedy choice ever fails.  The
-    perp of each term is computed once and held for both uses.
+    perp of each term is computed once and held for both uses.  Raises
+    ChainError when the candidates run out, as they do when the centre is
+    zero, or when _CHAIN_BUDGET extensions have been tried.
     """
     n = alg.n
     perm = _priority_permutation(n)
     center = _center(alg)
-    budget = [5000]
+    extended = 0
     perps: dict[Subspace, Subspace] = {}
 
     def perp_of(s: Subspace) -> Subspace:
@@ -641,12 +651,16 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
         return True
 
     def search(chain: list[Subspace]) -> list[Subspace] | None:
+        nonlocal extended
         if len(chain) == n + 1:
             return chain if doubled_chain_central(chain) else None
-        if budget[0] <= 0:
-            return None
         for ext in extensions(chain):
-            budget[0] -= 1
+            if extended == _CHAIN_BUDGET:
+                raise ChainError(
+                    f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
+                    f"the budget of {_CHAIN_BUDGET} extensions is exhausted"
+                )
+            extended += 1
             result = search(chain + [ext])
             if result is not None:
                 return result
@@ -655,7 +669,8 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     result = search([zero_space(alg)])
     if result is None:
         raise ChainError(
-            "failed to build an isotropic ideal chain; the algebra may not be nilpotent"
+            f"no isotropic ideal chain found for n={n} over {alg.field!r}: the candidate "
+            f"space is exhausted after {extended} extensions"
         )
     return result
 

@@ -16,6 +16,8 @@ from .algebra import (
     is_isotropic,
     is_maximal_class_criterion,
     maximal_class_structure_check,
+    nilpotency_class,
+    rank,
     series_report,
     validate_nilpotent_presentation,
     zero_space,
@@ -154,7 +156,6 @@ def _cmd_construct(args) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rep = series_report(alg)
     text = emit_presentation(alg.presentation)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -163,8 +164,8 @@ def _cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"predicted-class: {predict_min_class(args.n).predicted_class}")
-    print(f"class: {rep.nilpotency_class}")
-    print(f"rank: {rep.rank}")
+    print(f"class: {nilpotency_class(alg)}")
+    print(f"rank: {rank(alg)}")
     print(f"triples: {len(tset.triples)}")
     print(f"wrote: {args.out}")
     return 0

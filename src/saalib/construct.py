@@ -30,7 +30,9 @@ from .algebra import (
     StructureTensor,
     build_algebra,
     is_isotropic,
+    nilpotency_class,
     product_space,
+    rank,
     series_report,
     validate_nilpotent_presentation,
 )
@@ -307,15 +309,15 @@ def _w_completions(existing_sets: list[frozenset], lows: list[int], n: int):
 def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Algebra | None:
     """The algebra of tset if it is nilpotent of rank 2 and the predicted class.
 
-    The returned algebra holds its series report, so analysing it again
+    Only the lower series and the centre are computed, and the returned
+    algebra holds both, so asking it for its class and rank again
     recomputes nothing.
     """
     pres = tset.presentation(field)
     if not validate_nilpotent_presentation(pres):
         return None
     alg = build_algebra(pres)
-    report = series_report(alg)
-    if report.nilpotency_class != predicted or report.rank != 2:
+    if nilpotency_class(alg) != predicted or rank(alg) != 2:
         return None
     return alg
 
@@ -325,10 +327,10 @@ def minimal_algebra(n: int, field: PrimeField) -> tuple[TripleSet, Algebra]:
 
     Deterministic: the first assignment in the pinned enumeration order that
     satisfies the triple-set properties and self-verifies is returned, with
-    its triple set.  The algebra holds the series report its verification
-    computed.  Raises ConstructionError when the candidates run out, as they
-    do at n = 13 for every p, or when 5000 candidates have failed
-    verification.  Where the generators injected into the outer pair shell
+    its triple set.  The algebra holds the lower series and the centre its
+    verification computed.  Raises ConstructionError when the candidates run
+    out, as they do at n = 13 for every p, or when 5000 candidates have
+    failed verification.  Where the generators injected into the outer pair shell
     cover at most two new indices each, too few to cover the shell, no
     injection exists for any base assignment, and the candidates run out
     before a base assignment is drawn.

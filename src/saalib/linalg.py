@@ -12,7 +12,9 @@ The fixed coordinate convention everywhere in this package is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from dataclasses import field as dc_field
 
 import numpy as np
 
@@ -113,27 +115,62 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _clear(row: dict[int, int], c: int, pivot_row: dict[int, int], p: int) -> None:
+    """row -= row[c] * pivot_row (mod p) on sparse rows, dropping zeros."""
+    f = row[c]
+    for j, v in pivot_row.items():
+        x = (row.get(j, 0) - f * v) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
 def _eliminate(a: np.ndarray, p: int) -> list[int]:
-    """Reduce the residue array a to RREF in place, one pivot at a time."""
-    m, ncols = a.shape
-    r = 0
+    """Reduce the residue array a to RREF in place; returns the pivot columns.
+
+    The inputs are small and sparse (tens of rows, a few nonzeros each), so
+    per-call numpy overhead would outweigh the arithmetic.  The nonzeros are
+    read once into one {column: residue} dict of Python ints per row, which
+    keeps every step exact for any p.  At each column the rows not yet used
+    as pivots that have a nonzero there are found; the first becomes the
+    pivot row, is scaled to 1 at the pivot, and is subtracted from every
+    other row, pivot rows included, that has a nonzero in that column.
+    Rows that become zero are dropped.  RREF is unique, so the choice of
+    pivot row does not change the result, which is written back into a by
+    one fancy-index assignment.
+    """
+    ri, ci = np.nonzero(a)
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
+        rows.setdefault(i, {})[j] = v
+    rest = list(rows.values())
+    basis: list[dict[int, int]] = []
     pivots: list[int] = []
-    for c in range(ncols):
-        if r == m:
+    for c in range(a.shape[1]):
+        if not rest:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        hits = [row for row in rest if c in row]
+        if not hits:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= np.outer(col, a[r])
-        a %= p
+        pivot_row = hits[0]
+        inv = pow(pivot_row[c], -1, p)
+        if inv != 1:
+            for j, v in pivot_row.items():
+                pivot_row[j] = v * inv % p
+        for row in hits[1:]:
+            _clear(row, c, pivot_row, p)
+        for row in basis:
+            if c in row:
+                _clear(row, c, pivot_row, p)
+        rest = [row for row in rest if row and row is not pivot_row]
+        basis.append(pivot_row)
         pivots.append(c)
-        r += 1
+    a[:] = 0
+    a[
+        [i for i, row in enumerate(basis) for _ in row],
+        [j for row in basis for j in row],
+    ] = [v for row in basis for v in row.values()]
     return pivots
 
 
@@ -158,28 +195,28 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Returns (rref, pivot_columns), rref of the input's shape.  Rows of zeros
     sink to the bottom.
 
-    All-zero rows are dropped before eliminating: the central series and
-    the kernels feed in many of them, and each would cost a row of every
-    pivot step.  Each pivot step of the elimination touches every row,
-    which is waste on the tall, mostly redundant inputs the central series
-    produce.  So only a head block of max(ncols, 2048 // ncols) rows, small
-    enough that one step costs numpy call overhead rather than arithmetic,
-    is eliminated pivot by pivot.  All remaining rows are then cleared
-    against the head's basis in one residual round,
-    rest - rest[:, pivots] @ basis (mod p), and the rows that became zero
-    are dropped.  Rounds repeat on what is left; each new block's pivots are
-    merged into the basis, which is first cleared on the new pivot columns,
-    so the result is the unique RREF.  An input that fits in the head block
-    runs the pivot loop alone, in place when it has no zero rows.  Exact in
-    int64 while p * (p - 1) < 2**63 (see _dot_mod).
+    Inputs with at most max(ncols, 2048 // ncols) nonzero rows, which is
+    nearly every input the central series, the centralizer and the chain
+    search produce, are eliminated by the sparse kernel (_eliminate) in
+    one call, in place; their zero rows cost it nothing.  Each pivot step of
+    that kernel touches every row with a nonzero in the pivot column, which
+    on tall dense inputs is every row.  So a taller input loses its zero
+    rows, and only a head block of that many rows is eliminated by the
+    kernel.  All remaining rows are then cleared against the head's basis
+    in one residual round, rest - rest[:, pivots] @ basis (mod p), and the
+    rows that became zero are dropped.  Rounds repeat on what is left; each
+    new block's pivots are merged into the basis, which is first cleared on
+    the new pivot columns, so the result is the unique RREF.  Exact while
+    p * (p - 1) < 2**63: the kernel computes in Python ints, and the
+    residual rounds in int64 (see _dot_mod).
     """
     a = np.asarray(a, dtype=np.int64) % p
     nonzero = a.any(axis=1)
-    rest = a if nonzero.all() else a[nonzero]
     ncols = a.shape[1]
     head = max(ncols, 2048 // max(ncols, 1))
-    if rest is a and len(a) <= head:
+    if np.count_nonzero(nonzero) <= head:
         return a, _eliminate(a, p)
+    rest = a[nonzero]
     basis = rest[:0]
     pivots: list[int] = []
     while rest.shape[0]:
@@ -233,15 +270,16 @@ class Subspace:
     """A subspace of F^ambient_dim, held as its canonical RREF basis.
 
     basis is a read-only int64 array of residues, one row per dimension
-    and no zero rows; callers that build a Subspace directly must pass the
-    RREF, and from_vectors computes it.  Two subspaces are equal iff their
-    canonical bases agree entrywise, which makes them usable as dict keys
-    and in chain comparisons.
+    and no zero rows.  A basis passed directly must already be the RREF,
+    and one that is not is refused; from_vectors computes it.  Two
+    subspaces are equal iff their canonical bases agree entrywise, which
+    makes them usable as dict keys and in chain comparisons.
     """
 
     field: PrimeField
     ambient_dim: int
     basis: np.ndarray
+    _pivot_columns: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         basis = self.field.reduce(self.basis)
@@ -249,7 +287,23 @@ class Subspace:
             raise ValueError(
                 f"basis must be two-dimensional of width {self.ambient_dim}, got {basis.shape}"
             )
+        # argmax reads the first nonzero column of each row.  With increasing
+        # pivots, basis[:, pivots] is upper triangular, and it is the identity
+        # iff its diagonal is 1 and it has no other nonzero.  A zero row reads
+        # column 0 and puts a zero on the diagonal (a zero-width basis reads
+        # no pivots, so any row of it fails the count).
+        pivots = (basis != 0).argmax(axis=1) if basis.size else np.zeros(0, dtype=np.intp)
+        order = pivots.tolist()
+        block = basis[:, pivots]
+        if not (
+            all(map(operator.lt, order, order[1:]))
+            and np.count_nonzero(block) == len(basis)
+            and (block.diagonal() == 1).all()
+        ):
+            raise ValueError("basis must be in reduced row echelon form, without zero rows")
+        pivots.flags.writeable = False
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_pivot_columns", pivots)
 
     @classmethod
     def from_vectors(cls, field: PrimeField, ambient_dim: int, vectors) -> "Subspace":
@@ -283,8 +337,8 @@ class Subspace:
         return not ((rows - _dot_mod(rows[:, self._pivots()], self.basis, p)) % p).any()
 
     def _pivots(self) -> np.ndarray:
-        """Pivot columns of the RREF basis, read off without eliminating."""
-        return (self.basis != 0).argmax(axis=1)
+        """Pivot columns of the RREF basis, read off when it was checked."""
+        return self._pivot_columns
 
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)

@@ -464,8 +464,18 @@ def test_chain_fails_on_non_nilpotent():
     )
     alg = build_algebra(pres)
     assert upper_central_series(alg).upper[-1].dim == 0
-    with pytest.raises(ChainError):
+    with pytest.raises(ChainError, match="candidate space is exhausted after 0 extensions"):
         isotropic_ideal_chain(alg)
+
+
+def test_chain_budget_exhaustion_names_the_budget(monkeypatch):
+    # the greedy chain of P8-2-1 takes n = 4 extensions and no backtracking
+    pres = catalog_entry("P8-2-1").presentation(F3, r=1)
+    monkeypatch.setattr(algebra_module, "_CHAIN_BUDGET", 3)
+    with pytest.raises(ChainError, match="the budget of 3 extensions is exhausted"):
+        isotropic_ideal_chain(build_algebra(pres))
+    monkeypatch.setattr(algebra_module, "_CHAIN_BUDGET", 4)
+    assert len(isotropic_ideal_chain(build_algebra(pres))) == 5
 
 
 def test_validate_nilpotent_presentation():

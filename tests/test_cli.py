@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from saalib import cli, construct
+from saalib import algebra, cli, construct
+from saalib.algebra import nilpotency_class
 from saalib.cli import main
 from saalib.construct import catalog
+from saalib.linalg import PrimeField
 from saalib.presfile import parse_presentation_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -175,6 +177,23 @@ def test_construct_analyses_the_verified_algebra(tmp_path, monkeypatch, capsys):
     code, out = run(capsys, "construct", "--n", "16", "--p", "3", "--out", str(tmp_path / "c.saa"))
     assert code == 0 and "class: 9\nrank: 2\n" in out
     assert len(built) == 1
+
+
+def test_construct_computes_no_upper_series(tmp_path, monkeypatch, capsys):
+    # class and rank need the lower series and the centre, never the upper series
+    calls = []
+    upper = algebra.upper_central_series
+
+    def counted(alg):
+        calls.append(alg)
+        return upper(alg)
+
+    monkeypatch.setattr(algebra, "upper_central_series", counted)
+    code, out = run(capsys, "construct", "--n", "16", "--p", "3", "--out", str(tmp_path / "c.saa"))
+    assert code == 0 and "class: 9\nrank: 2\n" in out
+    _, alg = construct.minimal_algebra(16, PrimeField(3))
+    assert nilpotency_class(alg) == 9
+    assert calls == []
 
 
 def test_construct_rejects_small_n(capsys):

@@ -248,3 +248,16 @@ def test_subspace_basis_validation():
         Subspace(field, 3, np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="width 3"):
         Subspace(field, 3, np.zeros((1, 4), dtype=np.int64))
+    # a basis passed directly must be the RREF: a pivot of 2, a pivot column
+    # not cleared, pivots out of order and a zero row, last or first, are
+    # each refused
+    for rows in (
+        [[2, 0]],
+        [[1, 1], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[1, 0], [0, 0]],
+        [[0, 0, 0], [0, 1, 1], [0, 0, 1]],
+    ):
+        with pytest.raises(ValueError, match="reduced row echelon form"):
+            Subspace(PrimeField(3), len(rows[0]), rows)
+    assert Subspace.from_vectors(PrimeField(3), 2, [[2, 0]]).basis.tolist() == [[1, 0]]

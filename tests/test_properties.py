@@ -96,6 +96,44 @@ def test_rref_matches_python_int_reference(p, ncols, seed, bands):
     assert arr.tolist() == expected
 
 
+def sparse_rows(p, nrows, ncols, seed, density, zero_rows, zero_cols):
+    """Rows with about density nonzeros, most of them 1 or p - 1, as constructions produce.
+
+    A share zero_rows of the rows and zero_cols of the columns is cleared.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.choice(
+        [1, p - 1, int(rng.integers(1, p))], size=(nrows, ncols), p=[0.45, 0.45, 0.1]
+    )
+    a = np.where(rng.random((nrows, ncols)) < density, values, 0).astype(np.int64)
+    a[rng.random(nrows) < zero_rows] = 0
+    a[:, rng.random(ncols) < zero_cols] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=25)
+@given(
+    shape=st.tuples(st.integers(0, 150), st.integers(0, 40)),
+    seed=seeds,
+    density=st.floats(0.01, 0.1),
+    zero_rows=st.sampled_from([0.0, 0.2, 0.6]),
+    zero_cols=st.sampled_from([0.0, 0.2, 0.6]),
+)
+@example(shape=(0, 12), seed=1, density=0.1, zero_rows=0.0, zero_cols=0.0)
+@example(shape=(12, 0), seed=1, density=0.1, zero_rows=0.0, zero_cols=0.0)
+@example(shape=(1, 32), seed=1, density=0.1, zero_rows=0.0, zero_cols=0.0)
+@example(shape=(150, 12), seed=3, density=0.1, zero_rows=0.2, zero_cols=0.2)
+def test_rref_of_sparse_rows_matches_python_int_reference(
+    p, shape, seed, density, zero_rows, zero_cols
+):
+    a = sparse_rows(p, *shape, seed, density, zero_rows, zero_cols)
+    expected, expected_pivots = reference_rref(a.tolist(), shape[1], p)
+    arr, pivots = _rref_array(a, p)
+    assert pivots == expected_pivots
+    assert arr.shape == shape and arr.tolist() == expected
+
+
 @given(
     p=primes,
     ambient=st.integers(1, 16),
