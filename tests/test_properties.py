@@ -112,7 +112,7 @@ def sparse_rows(p, nrows, ncols, seed, density, zero_rows, zero_cols):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@settings(max_examples=25)
+@settings(max_examples=50)
 @given(
     shape=st.tuples(st.integers(0, 150), st.integers(0, 40)),
     seed=seeds,
