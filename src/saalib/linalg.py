@@ -132,45 +132,41 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     The inputs are small and sparse (tens of rows, a few nonzeros each), so
     per-call numpy overhead would outweigh the arithmetic.  The nonzeros are
     read once into one {column: residue} dict of Python ints per row, which
-    keeps every step exact for any p.  At each column the rows not yet used
-    as pivots that have a nonzero there are found; the first becomes the
-    pivot row, is scaled to 1 at the pivot, and is subtracted from every
-    other row, pivot rows included, that has a nonzero in that column.
-    Rows that become zero are dropped.  RREF is unique, so the choice of
-    pivot row does not change the result, which is written back into a by
-    one fancy-index assignment.
+    keeps every step exact for any p.  The rows are then taken one at a
+    time.  The basis found so far is in RREF, so clearing a row on the
+    pivot columns where it has a nonzero leaves it zero on every pivot
+    column.  A row that is not then zero brings a new pivot, its first
+    nonzero: it is scaled to 1 there and cleared from the basis rows that
+    have a nonzero in that column.  Each step thus touches only rows with a
+    nonzero where it works.  RREF is unique, so the row order does not
+    change the result, which is written back into a by one fancy-index
+    assignment.
     """
     ri, ci = np.nonzero(a)
     rows: dict[int, dict[int, int]] = {}
     for i, j, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
         rows.setdefault(i, {})[j] = v
-    rest = list(rows.values())
-    basis: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c in range(a.shape[1]):
-        if not rest:
-            break
-        hits = [row for row in rest if c in row]
-        if not hits:
+    basis: dict[int, dict[int, int]] = {}  # pivot column -> its row
+    for row in rows.values():
+        for c in [c for c in row if c in basis]:
+            _clear(row, c, basis[c], p)
+        if not row:
             continue
-        pivot_row = hits[0]
-        inv = pow(pivot_row[c], -1, p)
+        c = min(row)
+        inv = pow(row[c], -1, p)
         if inv != 1:
-            for j, v in pivot_row.items():
-                pivot_row[j] = v * inv % p
-        for row in hits[1:]:
-            _clear(row, c, pivot_row, p)
-        for row in basis:
-            if c in row:
-                _clear(row, c, pivot_row, p)
-        rest = [row for row in rest if row and row is not pivot_row]
-        basis.append(pivot_row)
-        pivots.append(c)
+            for j, v in row.items():
+                row[j] = v * inv % p
+        for other in basis.values():
+            if c in other:
+                _clear(other, c, row, p)
+        basis[c] = row
+    pivots = sorted(basis)
     a[:] = 0
     a[
-        [i for i, row in enumerate(basis) for _ in row],
-        [j for row in basis for j in row],
-    ] = [v for row in basis for v in row.values()]
+        [i for i, c in enumerate(pivots) for _ in basis[c]],
+        [j for c in pivots for j in basis[c]],
+    ] = [v for c in pivots for v in basis[c].values()]
     return pivots
 
 
@@ -198,11 +194,10 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Inputs with at most max(ncols, 2048 // ncols) nonzero rows, which is
     nearly every input the central series, the centralizer and the chain
     search produce, are eliminated by the sparse kernel (_eliminate) in
-    one call, in place; their zero rows cost it nothing.  Each pivot step of
-    that kernel touches every row with a nonzero in the pivot column, which
-    on tall dense inputs is every row.  So a taller input loses its zero
-    rows, and only a head block of that many rows is eliminated by the
-    kernel.  All remaining rows are then cleared against the head's basis
+    one call, in place; their zero rows cost it nothing.  The kernel clears
+    each redundant row pivot by pivot in Python, which on tall dense inputs
+    costs more than one matmul.  So a taller input loses its zero rows, and
+    only a head block of that many rows is eliminated by the kernel.  All remaining rows are then cleared against the head's basis
     in one residual round, rest - rest[:, pivots] @ basis (mod p), and the
     rows that became zero are dropped.  Rounds repeat on what is left; each
     new block's pivots are merged into the basis, which is first cleared on
