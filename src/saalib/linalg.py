@@ -133,9 +133,9 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     per-call numpy overhead would outweigh the arithmetic.  The nonzeros are
     read once into one {column: residue} dict of Python ints per row, which
     keeps every step exact for any p.  The rows are then taken one at a
-    time.  The basis found so far is in RREF, so clearing a row on the
-    pivot columns where it has a nonzero leaves it zero on every pivot
-    column.  A row that is not then zero brings a new pivot, its first
+    time.  The basis found so far is in RREF, each of its rows zero on the
+    other pivot columns, so clearing a row on the pivot columns where it
+    has a nonzero leaves it zero on every pivot column.  A row that is not then zero brings a new pivot, its first
     nonzero: it is scaled to 1 there and cleared from the basis rows that
     have a nonzero in that column.  Each step thus touches only rows with a
     nonzero where it works.  RREF is unique, so the row order does not
