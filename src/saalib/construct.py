@@ -2,8 +2,8 @@
 class prediction, rank-2 algebras of predicted minimal class for
 half-dimensions n >= 4 (n = 13 is a known gap: the search runs out of
 candidates and raises ConstructionError), the catalog of known minimal
-presentations up to dimension 16, and a diagonal scaling-isomorphism
-search.
+presentations up to dimension 16, and an exact diagonal
+scaling-isomorphism solve.
 
 The builders work with shells of the standard basis.  Writing W(r) for
 omega(r), the top W(r) x-vectors form the r-th generator shell and the
@@ -20,6 +20,7 @@ admissible assignment.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -516,17 +517,108 @@ def verify_scaling_witness(a: Presentation, b: Presentation, witness: ScalingWit
     return _transform_values(ta, witness) == dict(tb.items())
 
 
-def try_scaling_isomorphism(
-    a: Presentation, b: Presentation, budget: int | None = None
-) -> ScalingWitness | None:
-    """Exhaustive search over diagonal symplectic scalings taking a to b.
+def _unit_group_generator(p: int) -> int:
+    """The smallest generator g of the cyclic group GF(p)^x.
+
+    g generates iff g^((p-1)/q) != 1 for every prime q dividing p - 1; the
+    primes come from trial division.
+    """
+    m = p - 1
+    primes, rest, q = [], m, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(g for g in range(1, p) if all(pow(g, m // q, p) != 1 for q in primes))
+
+
+def _discrete_logs(g: int, targets, p: int) -> dict[int, int]:
+    """log_g of each target unit, in [0, p - 1), by baby-step giant-step.
+
+    One table of k baby steps, k * k >= p - 1, serves every target.
+    """
+    k = math.isqrt(p - 2) + 1
+    table: dict[int, int] = {}
+    power = 1
+    for j in range(k):
+        table.setdefault(power, j)
+        power = power * g % p
+    giant = pow(g, -k, p)
+    logs = {}
+    for target in set(targets):
+        y = target
+        for i in range(k):
+            j = table.get(y)
+            if j is not None:
+                logs[target] = i * k + j
+                break
+            y = y * giant % p
+    return logs
+
+
+def _solve_mod(rows: list[list[int]], rhs: list[int], ncols: int, m: int) -> list[int] | None:
+    """One solution e of rows . e = rhs (mod m), or None if none exists.
+
+    Row and column operations over Z bring the rows to a diagonal form
+    U . rows . V = D with U and V unimodular.  With z = V^-1 e the system
+    splits into d_t z_t = c_t (mod m), c = U . rhs, each solvable iff
+    gcd(d_t, m) divides c_t, and the zero rows of D need c_t = 0 (mod m).
+    Every free component of z is taken as 0, so rhs = 0 gives e = 0.
+    """
+    a = [list(row) for row in rows]
+    c = [x % m for x in rhs]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    t = 0
+    while True:
+        entries = [(abs(x), i, j) for i in range(t, len(a)) for j, x in enumerate(a[i][t:], t) if x]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[t], a[i] = a[i], a[t]
+        c[t], c[i] = c[i], c[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        d = a[t][t]
+        for i in range(t + 1, len(a)):
+            q = a[i][t] // d
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                c[i] = (c[i] - q * c[t]) % m
+        for j in range(t + 1, ncols):
+            q = a[t][j] // d
+            if q:
+                for row in a[t:] + v:
+                    row[j] -= q * row[t]
+        # a remainder smaller than d is moved to the pivot on the next pass
+        if not any(a[i][t] for i in range(t + 1, len(a))) and not any(a[t][t + 1:]):
+            t += 1
+    if any(c[t:]):
+        return None
+    z = [0] * ncols
+    for i in range(t):
+        d, g = a[i][i], math.gcd(a[i][i], m)
+        if c[i] % g:
+            return None
+        z[i] = c[i] // g * pow(d // g, -1, m // g) % (m // g)
+    return [sum(x * y for x, y in zip(row, z)) % m for row in v]
+
+
+def try_scaling_isomorphism(a: Presentation, b: Presentation) -> ScalingWitness | None:
+    """A diagonal symplectic scaling taking a to b, or None if none exists.
 
     A scaling multiplies the tensor value at (c1, c2, c3) by the product of
     the three coordinate scales, so the support is preserved; if the two
-    supports differ no diagonal witness exists.  budget caps the number of
-    candidate tuples examined.  A returned witness is always re-verified on
-    the full tensor.  Absence of a witness does not prove the algebras
-    non-isomorphic.
+    supports differ no diagonal witness exists.  Otherwise GF(p)^x is
+    cyclic with a generator g, and writing s_i = g^e_i turns each support
+    triple into one linear congruence mod p - 1 in the exponents e_i, which
+    is solved exactly.  A tensor mapped to itself gives the witness
+    (1, ..., 1).  A returned witness is always re-verified on the full
+    tensor.  None proves that no diagonal symplectic scaling takes a to b;
+    it does not prove the algebras non-isomorphic.
     """
     if a.n != b.n or a.field != b.field:
         raise ValueError("presentations must share n and field")
@@ -534,23 +626,24 @@ def try_scaling_isomorphism(
     tb = StructureTensor.from_presentation(b)
     if ta.support() != tb.support():
         return None
-    items_a = ta.items()
     target = dict(tb.items())
-    field = a.field
-    p = field.p
-    tried = 0
-    for scales in itertools.product(field.units(), repeat=a.n):
-        if budget is not None and tried >= budget:
-            return None
-        tried += 1
-        witness = ScalingWitness(field, scales)
-        cs = witness.coordinate_scales()
-        if all(
-            value * cs[k[0]] * cs[k[1]] * cs[k[2]] % p == target[k] for k, value in items_a
-        ):
-            if verify_scaling_witness(a, b, witness):
-                return witness
-    return None
+    p = a.field.p
+    rows, ratios = [], []
+    for key, value in ta.items():
+        row = [0] * a.n
+        for c in key:  # coordinate 2i is x_i, scaled by s_i; 2i + 1 is y_i, by 1/s_i
+            row[c // 2] += 1 if c % 2 == 0 else -1
+        rows.append(row)
+        ratios.append(target[key] * pow(value, -1, p) % p)
+    g = _unit_group_generator(p)
+    logs = _discrete_logs(g, ratios, p)
+    exponents = _solve_mod(rows, [logs[r] for r in ratios], a.n, p - 1)
+    if exponents is None:
+        return None
+    witness = ScalingWitness(a.field, tuple(pow(g, e, p) for e in exponents))
+    if not verify_scaling_witness(a, b, witness):
+        raise RuntimeError("the solved scaling fails verification on the full tensor")
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,12 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
     keeps every step exact for any p.  The rows are then taken one at a
     time.  The basis found so far is in RREF, each of its rows zero on the
     other pivot columns, so clearing a row on the pivot columns where it
-    has a nonzero leaves it zero on every pivot column.  A row that is not then zero brings a new pivot, its first
-    nonzero: it is scaled to 1 there and cleared from the basis rows that
-    have a nonzero in that column.  Each step thus touches only rows with a
-    nonzero where it works.  RREF is unique, so the row order does not
-    change the result, which is written back into a by one fancy-index
-    assignment.
+    has a nonzero leaves it zero on every pivot column.  A row that is not
+    then zero brings a new pivot, its first nonzero: it is scaled to 1
+    there and cleared from the basis rows that have a nonzero in that
+    column.  Each step thus touches only rows with a nonzero where it
+    works.  RREF is unique, so the row order does not change the result,
+    which is written back into a by one fancy-index assignment.
     """
     ri, ci = np.nonzero(a)
     rows: dict[int, dict[int, int]] = {}
@@ -197,9 +197,10 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     one call, in place; their zero rows cost it nothing.  The kernel clears
     each redundant row pivot by pivot in Python, which on tall dense inputs
     costs more than one matmul.  So a taller input loses its zero rows, and
-    only a head block of that many rows is eliminated by the kernel.  All remaining rows are then cleared against the head's basis
-    in one residual round, rest - rest[:, pivots] @ basis (mod p), and the
-    rows that became zero are dropped.  Rounds repeat on what is left; each
+    only a head block of that many rows is eliminated by the kernel.  All
+    remaining rows are then cleared against the head's basis in one
+    residual round, rest - rest[:, pivots] @ basis (mod p), and the rows
+    that became zero are dropped.  Rounds repeat on what is left; each
     new block's pivots are merged into the basis, which is first cleared on
     the new pivot columns, so the result is the unique RREF.  Exact while
     p * (p - 1) < 2**63: the kernel computes in Python ints, and the

@@ -2,6 +2,7 @@
 scaling isomorphisms and fingerprints."""
 
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -271,13 +272,46 @@ def test_scaling_witness_roundtrip_random_targets():
         assert verify_scaling_witness(src, target, found)
 
 
-def test_scaling_budget_and_mismatch():
+def test_scaling_no_witness_and_mismatch():
+    # 3 is not a cube mod 7, so no diagonal scaling takes r = 1 to r = 3
     p1 = catalog_entry("P8-2-1").presentation(F7, r=1)
-    p6 = catalog_entry("P8-2-1").presentation(F7, r=6)
-    assert try_scaling_isomorphism(p1, p6, budget=1) is None
+    p3 = catalog_entry("P8-2-1").presentation(F7, r=3)
+    assert try_scaling_isomorphism(p1, p3) is None
     other = catalog_entry("P10-2-1").presentation(F7)
     with pytest.raises(ValueError):
         try_scaling_isomorphism(p1, other)
+
+
+def test_scaling_over_gf2_is_the_identity():
+    # GF(2)^x is trivial, so the only diagonal scaling is (1, ..., 1)
+    for entry in catalog():
+        a = entry.presentation(PrimeField(2))
+        w = try_scaling_isomorphism(a, a)
+        assert w is not None and w.scales == (1,) * entry.n, entry.name
+
+
+def test_scaling_solve_at_the_largest_prime():
+    # p - 1 = 4 * 1543 * 492061: a scaling multiplies the r-triple of
+    # P10-2-2 by a fourth power and that of P8-2-1 by a cube, and every unit
+    # is a cube since 3 does not divide p - 1
+    p = 3037000493
+    field = PrimeField(p)
+    assert pow(2, (p - 1) // 4, p) != 1  # 2 is not a fourth power
+    p10 = catalog_entry("P10-2-2")
+    p8 = catalog_entry("P8-2-1")
+    cases = [
+        (p10.presentation(field, r=1), p10.presentation(field, r=pow(12345, 4, p)), True),
+        (p10.presentation(field, r=1), p10.presentation(field, r=2), False),
+        (p8.presentation(field, r=1), p8.presentation(field, r=2), True),
+    ]
+    for a, b, exists in cases:
+        start = time.perf_counter()
+        w = try_scaling_isomorphism(a, b)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"scaling solve took {elapsed:.3f}s"
+        assert (w is not None) == exists
+        if exists:
+            assert verify_scaling_witness(a, b, w)
 
 
 def test_fingerprint_distinguishes_and_matches():

@@ -1,5 +1,7 @@
 """Property tests of the exact kernels against pure Python-int references."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from saalib.algebra import (
     _SPARSE_SHARE,
+    BasisVector,
     Presentation,
+    StructureTensor,
     _centralizer_above,
     _dense_products,
     _sparse_products,
@@ -21,6 +25,13 @@ from saalib.algebra import (
     zero_space,
 )
 from saalib.checks import random_nilpotent_presentation
+from saalib.construct import (
+    ScalingWitness,
+    _transform_values,
+    catalog,
+    try_scaling_isomorphism,
+    verify_scaling_witness,
+)
 from saalib.linalg import GramMatrix, PrimeField, Subspace, _rref_array, nullspace, perp
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
@@ -334,3 +345,81 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     expected = _dense_products(alg, left, cols)
     assert expected.shape == (nrows + 1, dim, len(cols))
     assert np.array_equal(_sparse_products(alg, left, cols), expected)
+
+
+def reference_scaling_search(a, b):
+    """Try all (p - 1)^n unit tuples: the first scaling taking a to b, or None."""
+    source = StructureTensor.from_presentation(a)
+    target = dict(StructureTensor.from_presentation(b).items())
+    for scales in itertools.product(range(1, a.field.p), repeat=a.n):
+        witness = ScalingWitness(a.field, scales)
+        if _transform_values(source, witness) == target:
+            return witness
+    return None
+
+
+def presentation_with_values(pres, values):
+    """A presentation with pres's n and field, and these values on increasing triples."""
+    items = [
+        tuple(BasisVector.from_coordinate(c) for c in key) + (value,)
+        for key, value in sorted(values.items())
+    ]
+    return Presentation.build(pres.n, pres.field, items)
+
+
+# the catalog entries small enough for the (p - 1)^n enumeration
+small_entries = st.sampled_from([entry for entry in catalog() if entry.n <= 5])
+small_primes = st.sampled_from((2, 3, 5, 7))
+
+
+@settings(max_examples=40)
+@given(p=small_primes, entry=small_entries, data=st.data())
+def test_scaling_solve_finds_every_rescaling(p, entry, data):
+    field = PrimeField(p)
+    units = st.integers(1, p - 1)
+    source = entry.presentation(field, r=data.draw(units))
+    scales = tuple(data.draw(st.lists(units, min_size=entry.n, max_size=entry.n)))
+    tensor = StructureTensor.from_presentation(source)
+    values = _transform_values(tensor, ScalingWitness(field, scales))
+    target = presentation_with_values(source, values)
+    witness = try_scaling_isomorphism(source, target)
+    assert witness is not None
+    assert verify_scaling_witness(source, target, witness)
+
+
+@settings(max_examples=40)
+@given(p=small_primes, entry=small_entries, data=st.data())
+def test_scaling_solve_agrees_with_enumeration(p, entry, data):
+    # random nonzero values on the same support: a witness exists only for
+    # some of them
+    field = PrimeField(p)
+    source = entry.presentation(field, r=1)
+    keys = sorted(StructureTensor.from_presentation(source).support())
+    drawn = data.draw(st.lists(st.integers(1, p - 1), min_size=len(keys), max_size=len(keys)))
+    target = presentation_with_values(source, dict(zip(keys, drawn)))
+    witness = try_scaling_isomorphism(source, target)
+    assert (witness is None) == (reference_scaling_search(source, target) is None)
+    if witness is not None:
+        assert verify_scaling_witness(source, target, witness)
+
+
+@settings(max_examples=40)
+@given(p=small_primes, n=st.integers(2, 4), seed=seeds, perturb=st.booleans())
+def test_scaling_solve_agrees_on_random_supports(p, n, seed, perturb):
+    # random nilpotent supports hold more triples than scales, so their
+    # congruences are dependent: a rescaled target is consistent, and one
+    # value changed afterwards can make it inconsistent
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    source = random_nilpotent_presentation(n, field, rng)
+    scales = tuple(int(s) for s in rng.integers(1, p, size=n))
+    tensor = StructureTensor.from_presentation(source)
+    values = _transform_values(tensor, ScalingWitness(field, scales))
+    if perturb and values and p > 2:
+        key = sorted(values)[int(rng.integers(len(values)))]
+        values[key] = values[key] % (p - 1) + 1
+    target = presentation_with_values(source, values)
+    witness = try_scaling_isomorphism(source, target)
+    assert (witness is None) == (reference_scaling_search(source, target) is None)
+    if witness is not None:
+        assert verify_scaling_witness(source, target, witness)
