@@ -25,10 +25,9 @@ from .linalg import (
     PrimeField,
     Subspace,
     _dot_mod,
-    _free_columns,
     _kernel_rows,
-    _merge_echelon,
     _rref_array,
+    nullspace,
     perp,
     solve_against_form,
     subspace_intersect,
@@ -331,13 +330,9 @@ def build_algebra(pres: Presentation) -> Algebra:
     return Algebra(pres.n, field, gram, tensor, table, pres)
 
 
-def _check_vectors(alg: Algebra, *vectors) -> list[np.ndarray]:
-    return [alg.field.vector(v, alg.dim) for v in vectors]
-
-
 def multiply(alg: Algebra, u, v) -> np.ndarray:
     """Bilinear extension of the basis multiplication table."""
-    uu, vv = _check_vectors(alg, u, v)
+    uu, vv = (alg.field.vector(x, alg.dim) for x in (u, v))
     rows = _products(alg, uu[None, :], np.arange(alg.dim), right=vv[None, :])
     return rows[0] if len(rows) else np.zeros(alg.dim, dtype=np.int64)
 
@@ -491,36 +486,28 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
 
 
 def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
-    """{v : v . e_k lies in z for every basis vector e_k}, for an ideal z.
+    """{v : v . e_k lies in z for every basis vector e_k}, solved as one kernel.
 
-    The form is invariant, (v e_k, w) = (e_k w, v) = (v, w e_k), and
-    z = perp(perp(z)), so v . e_k lies in z for every k iff v is orthogonal
-    to every product w . e_k with w in perp(z).  The kernel rows of z's RREF
-    basis B, times the form, span perp(z) (see perp).  z must be an ideal
-    (z L <= z), as every upper-series term and every term of an isotropic
-    ideal chain is.  Then z lies in the result, and with P the pivot
-    columns of B and N the others, the result is z plus the vectors u
-    supported on N orthogonal to every w . e_k.  The form pairs coordinate
-    i with i ^ 1, with sign -1 for odd i, so the conditions on u are the
-    nonzero products w . e_k on the columns N ^ 1 (_products, sparse for
-    sparse tables), signed: one elimination of them, the kernel read off
-    it, and one small elimination of that kernel.  Its rows vanish on P, so
-    they merge into B by one matmul (_merge_echelon) into the canonical
-    basis.
+    The form is non-degenerate, so z = perp(perp(z)), and it is invariant,
+    (v e_k, w) = (v, e_k w).  So v . e_k lies in z for every k iff v is
+    orthogonal to every product w . e_k with w in perp(z).  The kernel rows
+    of z's RREF basis, times the form, span perp(z) (see perp); their
+    nonzero products with the basis vectors (_products, sparse for sparse
+    tables), times the form, are the conditions on v, and the result is
+    their kernel.  G is a signed permutation, so each entry of either
+    product with G is one product of residues and stays exact in int64 for
+    every accepted p.  The identity holds for every subspace z, but every
+    caller passes an ideal (z L <= z): each upper-series term and each term
+    of an isotropic ideal chain is one.  An ideal z lies in the result, so
+    the upper series ascends.
     """
     p, dim = alg.field.p, alg.dim
     if z.dim == dim:
         return full_space(alg)
-    basis, pivots = z.basis, z._pivots()
-    free = _free_columns(dim, pivots)
-    spanning = _dot_mod(_kernel_rows(basis, pivots, p), alg.gram.data, p)
-    conditions = _products(alg, spanning, free ^ 1) * np.where(free % 2, p - 1, 1) % p
-    coeffs, coeff_pivots = _rref_array(conditions, p)
-    new, new_pivots = _rref_array(_kernel_rows(coeffs, coeff_pivots, p), p)
-    rows = np.zeros((len(new_pivots), dim), dtype=np.int64)
-    rows[:, free] = new[: len(new_pivots)]
-    merged, _ = _merge_echelon(basis, pivots, rows, free[new_pivots], p)
-    return Subspace(alg.field, dim, merged)
+    gram = alg.gram.data
+    spanning = _kernel_rows(z.basis, z._pivot_columns, p) @ gram % p
+    conditions = _products(alg, spanning, np.arange(dim)) @ gram % p
+    return Subspace.from_vectors(alg.field, dim, nullspace(conditions, p))
 
 
 @_held

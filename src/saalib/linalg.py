@@ -126,22 +126,26 @@ def _clear(row: dict[int, int], c: int, pivot_row: dict[int, int], p: int) -> No
             del row[j]
 
 
-def _eliminate(a: np.ndarray, p: int) -> list[int]:
-    """Reduce the residue array a to RREF in place; returns the pivot columns.
+def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of an integer array mod p.
 
-    The inputs are small and sparse (tens of rows, a few nonzeros each), so
-    per-call numpy overhead would outweigh the arithmetic.  The nonzeros are
-    read once into one {column: residue} dict of Python ints per row, which
-    keeps every step exact for any p.  The rows are then taken one at a
-    time.  The basis found so far is in RREF, each of its rows zero on the
-    other pivot columns, so clearing a row on the pivot columns where it
-    has a nonzero leaves it zero on every pivot column.  A row that is not
-    then zero brings a new pivot, its first nonzero: it is scaled to 1
-    there and cleared from the basis rows that have a nonzero in that
-    column.  Each step thus touches only rows with a nonzero where it
-    works.  RREF is unique, so the row order does not change the result,
-    which is written back into a by one fancy-index assignment.
+    Returns (rref, pivot_columns): a new array of the input's shape, its
+    zero rows at the bottom.  The inputs are sparse, a few nonzeros per
+    row, so per-call numpy overhead would outweigh the arithmetic.  After
+    one reduction mod p, the nonzeros are read once into one
+    {column: residue} dict of Python ints per row, which keeps every step
+    exact for any p, and zero rows cost nothing.  The rows are then taken
+    one at a time.  The basis found so far is in RREF, each of its rows
+    zero on the other pivot columns, so clearing a row on the pivot columns
+    where it has a nonzero leaves it zero on every pivot column.  A row
+    that is not then zero brings a new pivot, its first nonzero: it is
+    scaled to 1 there and cleared from the basis rows that have a nonzero
+    in that column.  Each step thus touches only rows with a nonzero where
+    it works, and a redundant row costs one clearing per nonzero pivot
+    column it meets.  RREF is unique, so the row order does not change the
+    result, which is written back by one fancy-index assignment.
     """
+    a = np.asarray(a, dtype=np.int64) % p
     ri, ci = np.nonzero(a)
     rows: dict[int, dict[int, int]] = {}
     for i, j, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
@@ -167,75 +171,7 @@ def _eliminate(a: np.ndarray, p: int) -> list[int]:
         [i for i, c in enumerate(pivots) for _ in basis[c]],
         [j for c in pivots for j in basis[c]],
     ] = [v for c in pivots for v in basis[c].values()]
-    return pivots
-
-
-def _merge_echelon(
-    basis: np.ndarray, pivots: list[int], new: np.ndarray, new_pivots: list[int], p: int
-) -> tuple[np.ndarray, list[int]]:
-    """The RREF basis of span(basis) + span(new), and its pivot columns.
-
-    basis and new are RREF row blocks with pivot columns pivots and
-    new_pivots, and new vanishes on the columns pivots.  Clearing basis on
-    the new pivot columns (one matmul) and interleaving the rows by pivot
-    then gives the unique RREF, without eliminating again.
-    """
-    basis = (basis - _dot_mod(basis[:, new_pivots], new, p)) % p
-    merged = list(pivots) + list(new_pivots)
-    return np.vstack([basis, new])[np.argsort(merged)], sorted(merged)
-
-
-def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an integer array mod p.
-
-    Returns (rref, pivot_columns), rref of the input's shape.  Rows of zeros
-    sink to the bottom.
-
-    Inputs with at most max(ncols, 2048 // ncols) nonzero rows, which is
-    nearly every input the central series, the centralizer and the chain
-    search produce, are eliminated by the sparse kernel (_eliminate) in
-    one call, in place; their zero rows cost it nothing.  The kernel clears
-    each redundant row pivot by pivot in Python, which on tall dense inputs
-    costs more than one matmul.  So a taller input loses its zero rows, and
-    only a head block of that many rows is eliminated by the kernel.  All
-    remaining rows are then cleared against the head's basis in one
-    residual round, rest - rest[:, pivots] @ basis (mod p), and the rows
-    that became zero are dropped.  Rounds repeat on what is left; each
-    new block's pivots are merged into the basis, which is first cleared on
-    the new pivot columns, so the result is the unique RREF.  Exact while
-    p * (p - 1) < 2**63: the kernel computes in Python ints, and the
-    residual rounds in int64 (see _dot_mod).
-    """
-    a = np.asarray(a, dtype=np.int64) % p
-    nonzero = a.any(axis=1)
-    ncols = a.shape[1]
-    head = max(ncols, 2048 // max(ncols, 1))
-    if np.count_nonzero(nonzero) <= head:
-        return a, _eliminate(a, p)
-    rest = a[nonzero]
-    basis = rest[:0]
-    pivots: list[int] = []
-    while rest.shape[0]:
-        block = rest[:head]
-        new_pivots = _eliminate(block, p)
-        if not pivots:
-            basis, pivots = block[: len(new_pivots)], new_pivots
-        else:
-            basis, pivots = _merge_echelon(basis, pivots, block[: len(new_pivots)], new_pivots, p)
-        rest = rest[head:]
-        if rest.shape[0]:
-            rest = (rest - _dot_mod(rest[:, pivots], basis, p)) % p
-            rest = rest[rest.any(axis=1)]
-    out = np.zeros_like(a)
-    out[: len(pivots)] = basis
-    return out, pivots
-
-
-def _free_columns(ncols: int, pivots) -> np.ndarray:
-    """The columns 0 <= j < ncols that are not pivots, in increasing order."""
-    free = np.ones(ncols, dtype=bool)
-    free[pivots] = False
-    return np.flatnonzero(free)
+    return a, pivots
 
 
 def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
@@ -244,7 +180,9 @@ def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
     One row per free column f, in increasing order: 1 at f, and minus
     rref[r, f] at the pivot column of row r.
     """
-    free = _free_columns(rref.shape[1], pivots)
+    free = np.ones(rref.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     ker = np.zeros((free.size, rref.shape[1]), dtype=np.int64)
     ker[np.arange(free.size), free] = 1
     ker[:, pivots] = -rref[: len(pivots), free].T % p
@@ -330,11 +268,7 @@ class Subspace:
         vanishes.
         """
         p = self.field.p
-        return not ((rows - _dot_mod(rows[:, self._pivots()], self.basis, p)) % p).any()
-
-    def _pivots(self) -> np.ndarray:
-        """Pivot columns of the RREF basis, read off when it was checked."""
-        return self._pivot_columns
+        return not ((rows - _dot_mod(rows[:, self._pivot_columns], self.basis, p)) % p).any()
 
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)
@@ -445,7 +379,7 @@ def perp(s: Subspace, g: GramMatrix) -> Subspace:
     if s.dim == 0:
         return Subspace.full(s.field, s.ambient_dim)
     p = s.field.p
-    ker = _kernel_rows(s.basis, s._pivots(), p)
+    ker = _kernel_rows(s.basis, s._pivot_columns, p)
     return Subspace.from_vectors(s.field, s.ambient_dim, ker @ g.data % p)
 
 

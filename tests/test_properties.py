@@ -29,6 +29,7 @@ from saalib.construct import (
     ScalingWitness,
     _transform_values,
     catalog,
+    minimal_algebra,
     try_scaling_isomorphism,
     verify_scaling_witness,
 )
@@ -78,8 +79,9 @@ def combinations(rng, count, gens, p):
 def banded_rows(p, ncols, seed, bands):
     """Tall rows in bands of nested spans: band (m, k) has m rows in span of k generators.
 
-    Bands of growing rank leave rows that the first blocks' bases cannot
-    clear, so the blocked kernel needs several residual rounds.
+    Most rows are redundant, so the elimination sees tall inputs whose rows
+    it clears to zero, and bands of growing rank make rows that bring new
+    pivots late, after many redundant ones.
     """
     rng = np.random.default_rng(seed)
     gens = rng.integers(0, p, size=(ncols, ncols), dtype=np.uint64).astype(object).tolist()
@@ -309,6 +311,16 @@ def reference_centralizer(alg, z):
     return reference_span(alg.field, dim, reference_kernel(conditions, dim, p))
 
 
+def assert_centralizers_match_reference(alg, ideals):
+    """The upper series and the centralizer above each ideal match the reference."""
+    terms = [zero_space(alg), reference_centralizer(alg, zero_space(alg))]
+    while terms[-1] != terms[-2]:
+        terms.append(reference_centralizer(alg, terms[-1]))
+    assert upper_central_series(alg).upper == tuple(terms[:-1])
+    for z in ideals:
+        assert _centralizer_above(alg, z) == reference_centralizer(alg, z)
+
+
 @settings(max_examples=40)
 @given(p=primes, n=st.integers(2, 6), seed=seeds, shape=shapes)
 def test_centralizer_matches_full_coordinate_reference(p, n, seed, shape):
@@ -316,15 +328,17 @@ def test_centralizer_matches_full_coordinate_reference(p, n, seed, shape):
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
     alg = build_algebra(MAKERS[shape](n, field, rng))
-    terms = [zero_space(alg), reference_centralizer(alg, zero_space(alg))]
-    while terms[-1] != terms[-2]:
-        terms.append(reference_centralizer(alg, terms[-1]))
-    assert upper_central_series(alg).upper == tuple(terms[:-1])
     ideals = list(lower_central_series(alg).lower)
     if shape != "general":
         ideals += isotropic_ideal_chain(alg)
-    for z in ideals:
-        assert _centralizer_above(alg, z) == reference_centralizer(alg, z)
+    assert_centralizers_match_reference(alg, ideals)
+
+
+@pytest.mark.parametrize("n, p", [(8, 3), (12, 3), (8, 3037000493)])
+def test_centralizer_of_minimal_algebras_matches_reference(n, p):
+    # sparse algebras of dim 16 and 24, with long upper series and chains
+    _, alg = minimal_algebra(n, PrimeField(p))
+    assert_centralizers_match_reference(alg, isotropic_ideal_chain(alg))
 
 
 @pytest.mark.parametrize("p", PRIMES)
