@@ -29,7 +29,6 @@ from .linalg import (
     _rref_array,
     nullspace,
     perp,
-    solve_against_form,
     subspace_intersect,
 )
 

@@ -9,6 +9,7 @@ names can be drawn again from its index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -176,13 +177,14 @@ def check_rank_two_structure(alg: Algebra, subject: str = "algebra") -> CheckRes
 # randomized scanning
 
 
-def _triple_universe(n: int) -> list[tuple[BasisVector, BasisVector, BasisVector]]:
+@functools.cache
+def _triple_universe(n: int) -> tuple[tuple[BasisVector, BasisVector, BasisVector], ...]:
     """All admissible triples of a nilpotent presentation, in pinned order."""
-    out = []
-    for kind in ("x", "y"):
-        for i, j, k in itertools.combinations(range(1, n + 1), 3):
-            out.append((BasisVector(kind, i), BasisVector("y", j), BasisVector("y", k)))
-    return out
+    return tuple(
+        (BasisVector(kind, i), BasisVector("y", j), BasisVector("y", k))
+        for kind in ("x", "y")
+        for i, j, k in itertools.combinations(range(1, n + 1), 3)
+    )
 
 
 def random_nilpotent_presentation(
@@ -214,18 +216,21 @@ class ScanConfig:
     samples: int
     seed: int
     rank_filter: int | None = None
+    # built once here, so that no sample repeats the primality test
+    field: PrimeField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        PrimeField(self.p)  # refuses composites and primes too large for int64
+        # refuses composites and primes too large for int64
+        object.__setattr__(self, "field", PrimeField(self.p))
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
 
 def sample_presentation(cfg: ScanConfig, index: int) -> Presentation:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
-    return random_nilpotent_presentation(cfg.n, PrimeField(cfg.p), rng)
+    return random_nilpotent_presentation(cfg.n, cfg.field, rng)
 
 
 @dataclass(frozen=True)

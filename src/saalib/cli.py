@@ -4,11 +4,19 @@ Commands: verify, predict, construct, catalog, scan.  Exit codes follow a
 fixed contract: 0 all requested checks pass, 1 a check or expectation
 failed, 2 usage, I/O or parse errors.  Reports are fixed-order key/value
 lines so runs are byte-for-byte comparable.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused by every later call.  Each subcommand's handler is bound
+at that build, but the handlers look up the library functions they call
+(``verify_report``, ``minimal_algebra``, ``scan`` and the rest) as module
+globals at call time, so a caller that rebinds one of those names on this
+module still reaches the rebound function.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import (
@@ -222,6 +230,7 @@ def _cmd_scan(args) -> int:
     return 0 if not report.discoveries else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saa",

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from saalib import linalg
 from saalib.algebra import (
     NotNilpotentError,
     Presentation,
@@ -141,6 +142,33 @@ def test_scan_config_validation():
         ScanConfig(n=4, p=4, samples=10, seed=0)
     with pytest.raises(ValueError):
         ScanConfig(n=4, p=3, samples=0, seed=0)
+
+
+def test_scan_tests_the_prime_once_per_config(monkeypatch):
+    # the field is held on the config, so the sample count does not repeat is_prime
+    calls = []
+    is_prime = linalg.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(linalg, "is_prime", counted)
+    counts = []
+    for samples in (5, 20):
+        calls.clear()
+        report = scan(ScanConfig(n=4, p=2147483647, samples=samples, seed=3))
+        assert report.classified == samples
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1
+
+
+def test_scan_config_field_is_not_compared_or_shown():
+    a = ScanConfig(n=4, p=3, samples=5, seed=1)
+    b = ScanConfig(n=4, p=3, samples=5, seed=1)
+    assert a.field == PrimeField(3)
+    assert a == b and hash(a) == hash(b)
+    assert "field" not in repr(a)
 
 
 def test_scan_single_sample():

@@ -1,5 +1,6 @@
 """Black-box CLI behavior: reports, exit codes, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -256,3 +257,61 @@ def test_scan_cli_rejects_bad_config(capsys):
     capsys.readouterr()
     assert main(["scan", "--n", "4", "--p", "3", "--samples", "0", "--seed", "0"]) == 2
     capsys.readouterr()
+
+
+def test_parser_built_once_across_commands(tmp_path, monkeypatch, capsys):
+    # one parser tree per process: the top-level parser and one per subcommand
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = write_catalog_file(tmp_path, "P8-2-1", r=1)
+    out_path = tmp_path / "c4.saa"
+    assert main(["verify", str(path)]) == 0
+    assert main(["construct", "--n", "4", "--p", "3", "--out", str(out_path)]) == 0
+    assert main(["predict", "--n", "8"]) == 0
+    assert main(["catalog"]) == 0
+    assert main(["scan", "--n", "4", "--p", "3", "--samples", "3", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert built.count("saa") == 1
+    assert len(built) == 6
+
+    for argv, usage in (
+        (["verify"], "usage: saa verify"),
+        (["construct", "--n", "4", "--p", "3"], "usage: saa construct"),
+        (["nonsense"], "usage: saa "),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(usage)
+    code, out = run(capsys, "predict", "--n", "8")
+    assert code == 0 and out == "m=3 case=ONE class=7\n"
+    assert len(built) == 6
+
+
+def test_reused_parser_help_matches_a_fresh_parser(capsys):
+    main(["predict", "--n", "8"])
+    capsys.readouterr()
+    texts = []
+    for parse in (main, cli._build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(["scan", "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: saa scan")
+
+
+def test_import_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import saalib, saalib.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "0\n"
