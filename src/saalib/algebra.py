@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
-from functools import wraps
+from functools import cache, wraps
 
 import numpy as np
 
@@ -97,12 +97,13 @@ class BasisVector:
         return 2 * (self.index - 1) + (1 if self.kind == "y" else 0)
 
     @classmethod
+    @cache
     def from_coordinate(cls, c: int) -> "BasisVector":
         return cls("y" if c % 2 else "x", c // 2 + 1)
 
     @classmethod
     def parse(cls, token: str) -> "BasisVector":
-        if len(token) < 2 or token[0] not in "xy" or not token[1:].isdigit():
+        if len(token) < 2 or token[0] not in "xy" or not _is_decimal(token[1:]):
             raise ValueError(f"bad basis vector token {token!r}")
         return cls(token[0], int(token[1:]))
 
@@ -127,8 +128,41 @@ class PresentationTriple:
         return f"({self.a} {self.b}, {self.c}) = {self.value}"
 
 
+def _is_decimal(token: str) -> bool:
+    """True iff token is a non-empty run of ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _triple_sort_key(t: PresentationTriple):
     return tuple((v.kind, v.index) for v in t.vectors)
+
+
+def _check_triple(t: PresentationTriple, n: int, p: int) -> None:
+    """Refuse a triple that no presentation of dimension 2n over GF(p) holds."""
+    for v in t.vectors:
+        if v.index > n:
+            raise ValueError(f"basis vector {v} out of range for n={n}")
+    if len(set(t.vectors)) != 3:
+        raise ValueError(f"repeated basis vector in triple {t}")
+    try:
+        operator.index(t.value)
+    except TypeError:
+        raise ValueError(f"value of triple {t} is not an integer") from None
+    if not 0 < t.value < p:
+        raise ValueError(f"value of triple {t} not in [1, {p}); omit zero triples")
+
+
+def _nilpotent_shape(a: BasisVector, b: BasisVector, c: BasisVector) -> bool:
+    """True iff (a b, c) is (x_i y_j, y_k) or (y_i y_j, y_k) with i < j < k."""
+    return b.kind == c.kind == "y" and a.index < b.index < c.index
+
+
+def _orient(coords) -> tuple[tuple[int, int, int], int]:
+    """Three distinct coordinates in increasing order, and the sign of the
+    permutation that sorts them."""
+    c1, c2, c3 = coords
+    inversions = (c1 > c2) + (c1 > c3) + (c2 > c3)
+    return tuple(sorted(coords)), -1 if inversions % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -144,23 +178,11 @@ class Presentation:
             raise ValueError("n must be at least 1")
         seen: set[frozenset[BasisVector]] = set()
         for t in self.triples:
-            for v in t.vectors:
-                if v.index > self.n:
-                    raise ValueError(f"basis vector {v} out of range for n={self.n}")
-            if len({v.coordinate for v in t.vectors}) != 3:
-                raise ValueError(f"repeated basis vector in triple {t}")
+            _check_triple(t, self.n, self.field.p)
             key = frozenset(t.vectors)
             if key in seen:
                 raise ValueError(f"duplicate triple on basis set {sorted(map(str, t.vectors))}")
             seen.add(key)
-            try:
-                operator.index(t.value)
-            except TypeError:
-                raise ValueError(f"value of triple {t} is not an integer") from None
-            if not 0 < t.value < self.field.p:
-                raise ValueError(
-                    f"value of triple {t} not in [1, {self.field.p}); omit zero triples"
-                )
 
     @classmethod
     def build(cls, n: int, field: PrimeField, items) -> "Presentation":
@@ -183,22 +205,11 @@ class Presentation:
 
     def canonical_triples(self) -> tuple[PresentationTriple, ...]:
         """Triples with entries in coordinate order, sorted by (kind, indices)."""
-        out = []
-        for t in self.triples:
-            vecs = list(t.vectors)
-            order = sorted(range(3), key=lambda i: vecs[i].coordinate)
-            sign = _permutation_sign(order)
-            value = t.value if sign == 1 else -t.value % self.field.p
-            a, b, c = (vecs[i] for i in order)
-            out.append(PresentationTriple(a, b, c, value))
+        out = (
+            PresentationTriple(*map(BasisVector.from_coordinate, key), value)
+            for key, value in StructureTensor.from_presentation(self).items()
+        )
         return tuple(sorted(out, key=_triple_sort_key))
-
-
-def _permutation_sign(order) -> int:
-    inversions = sum(
-        1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 class StructureTensor:
@@ -226,21 +237,15 @@ class StructureTensor:
     def from_presentation(cls, pres: Presentation) -> "StructureTensor":
         values: dict[tuple[int, int, int], int] = {}
         for t in pres.triples:
-            coords = [v.coordinate for v in t.vectors]
-            order = sorted(range(3), key=lambda i: coords[i])
-            sign = _permutation_sign(order)
-            key = tuple(coords[i] for i in order)
+            key, sign = _orient([v.coordinate for v in t.vectors])
             values[key] = sign * t.value % pres.field.p
         return cls(pres.n, pres.field, values)
 
     def value_at(self, c1: int, c2: int, c3: int) -> int:
         if len({c1, c2, c3}) != 3:
             return 0
-        coords = [c1, c2, c3]
-        order = sorted(range(3), key=lambda i: coords[i])
-        key = tuple(coords[i] for i in order)
-        base = self._data.get(key, 0)
-        return _permutation_sign(order) * base % self.field.p
+        key, sign = _orient((c1, c2, c3))
+        return sign * self._data.get(key, 0) % self.field.p
 
     def items(self):
         """Sorted (coords, value) pairs on increasing coordinate triples."""
@@ -663,13 +668,7 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
 
 def validate_nilpotent_presentation(pres: Presentation) -> bool:
     """True iff every triple is (x_i y_j, y_k) or (y_i y_j, y_k) with i<j<k."""
-    for t in pres.triples:
-        a, b, c = t.vectors
-        if b.kind != "y" or c.kind != "y":
-            return False
-        if not (a.index < b.index < c.index):
-            return False
-    return True
+    return all(_nilpotent_shape(*t.vectors) for t in pres.triples)
 
 
 def is_maximal_class_criterion(alg: Algebra) -> bool:

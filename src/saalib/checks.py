@@ -292,36 +292,6 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _SampleRecord:
-    """What one sample contributes to a scan report."""
-
-    rank: int
-    nilpotency_class: int | None
-    criterion_mismatch: bool
-    discovery: Discovery | None
-
-
-def _classify_sample(cfg: ScanConfig, index: int) -> _SampleRecord:
-    pres = sample_presentation(cfg, index)
-    alg = build_algebra(pres)
-    cls = lower_central_series(alg).nilpotency_class
-    rk = rank(alg)
-    mismatch = False
-    if alg.dim >= 8:
-        mismatch = is_maximal_class_criterion(alg) != (cls == alg.dim - 3)
-    reason = None
-    if rk == 2:
-        if cfg.n >= 4 and cls is not None and cls < predict_min_class(cfg.n).predicted_class:
-            reason = "class below predicted minimum"
-        elif alg.dim >= 8 and cls is not None and not (5 <= cls <= alg.dim - 3):
-            reason = "class outside [5, 2n-3]"
-    discovery = None
-    if reason is not None:
-        discovery = Discovery(index, rk, cls, reason, emit_presentation(pres))
-    return _SampleRecord(rk, cls, mismatch, discovery)
-
-
 def scan(cfg: ScanConfig) -> ScanReport:
     """Classify random nilpotent presentations by (rank, class).
 
@@ -331,16 +301,25 @@ def scan(cfg: ScanConfig) -> ScanReport:
     samples are counted by (rank, class).
     """
     report = ScanReport(cfg, criterion_mismatches=0 if 2 * cfg.n >= 8 else None)
+    predicted = report.predicted_min_class
     for index in range(cfg.samples):
-        record = _classify_sample(cfg, index)
-        rk, cls = record.rank, record.nilpotency_class
+        pres = sample_presentation(cfg, index)
+        alg = build_algebra(pres)
+        cls = lower_central_series(alg).nilpotency_class
+        rk = rank(alg)
+        if alg.dim >= 8 and is_maximal_class_criterion(alg) != (cls == alg.dim - 3):
+            report.criterion_mismatches += 1
         if rk == 2 and cls is not None:
             if report.min_class_rank2 is None or cls < report.min_class_rank2:
                 report.min_class_rank2 = cls
-        if record.criterion_mismatch:
-            report.criterion_mismatches += 1
-        if record.discovery is not None:
-            report.discoveries += (record.discovery,)
+            reason = None
+            if predicted is not None and cls < predicted:
+                reason = "class below predicted minimum"
+            elif alg.dim >= 8 and not 5 <= cls <= alg.dim - 3:
+                reason = "class outside [5, 2n-3]"
+            if reason is not None:
+                discovery = Discovery(index, rk, cls, reason, emit_presentation(pres))
+                report.discoveries += (discovery,)
         if cfg.rank_filter is None or rk == cfg.rank_filter:
             report.classified += 1
             report.counts[(rk, cls)] = report.counts.get((rk, cls), 0) + 1

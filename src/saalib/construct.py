@@ -29,6 +29,7 @@ from .algebra import (
     BasisVector,
     Presentation,
     StructureTensor,
+    _nilpotent_shape,
     build_algebra,
     is_isotropic,
     nilpotency_class,
@@ -157,7 +158,7 @@ class TripleSet:
 
         generators_ok = True
         for a, b, c in self.triples:
-            if b.kind != "y" or c.kind != "y" or not (a.index < b.index < c.index):
+            if not _nilpotent_shape(a, b, c):
                 generators_ok = False
                 break
             if a.kind == "x":

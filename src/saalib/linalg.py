@@ -275,8 +275,7 @@ class Subspace:
         return self._spans(vec[None, :])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim or other.field != self.field:
-            raise ValueError("ambient mismatch")
+        _require_same_ambient(self, other)
         return self._spans(other.basis)
 
     def __eq__(self, other) -> bool:

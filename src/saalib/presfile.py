@@ -9,6 +9,9 @@ ignored:
     kind <general|nilpotent>
     triple <b> <b> <b> <value>     # <b> is x<i> or y<i>, value in [1, p)
 
+Numbers are ASCII digits only.  A triple is refused exactly when
+Presentation refuses it, with the same message after the line number.
+
 Emission is canonical: triple entries in coordinate order with the sign
 folded into the value, records sorted by (kind, indices), values reduced.
 parse(emit(parse(text))) is the identity and emitted text is a fixpoint.
@@ -22,7 +25,9 @@ from .algebra import (
     BasisVector,
     Presentation,
     PresentationTriple,
-    validate_nilpotent_presentation,
+    _check_triple,
+    _is_decimal,
+    _nilpotent_shape,
 )
 from .linalg import PrimeField
 
@@ -80,12 +85,12 @@ def parse_presentation_file(text: str) -> PresentationFile:
         raise ParseError(number, f"unsupported header {' '.join(parts)!r}")
 
     number, parts = expect("n")
-    if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+    if len(parts) != 2 or not _is_decimal(parts[1]) or int(parts[1]) < 1:
         raise ParseError(number, "n must be an integer >= 1")
     n = int(parts[1])
 
     number, parts = expect("p")
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2 or not _is_decimal(parts[1]):
         raise ParseError(number, "p must be an integer")
     p = int(parts[1])
     try:
@@ -106,36 +111,24 @@ def parse_presentation_file(text: str) -> PresentationFile:
             raise ParseError(number, f"expected 'triple', got {parts[0]!r}")
         if len(parts) != 5:
             raise ParseError(number, "triple needs three basis vectors and a value")
-        vectors = []
-        for token in parts[1:4]:
-            try:
-                v = BasisVector.parse(token)
-            except ValueError as exc:
-                raise ParseError(number, str(exc)) from exc
-            if v.index > n:
-                raise ParseError(number, f"basis vector {token} out of range for n={n}")
-            vectors.append(v)
-        if len({v.coordinate for v in vectors}) != 3:
-            raise ParseError(number, "repeated basis vector in triple")
-        key = frozenset(vectors)
+        try:
+            a, b, c = map(BasisVector.parse, parts[1:4])
+            if not _is_decimal(parts[4]):
+                raise ValueError(f"bad value {parts[4]!r}")
+            t = PresentationTriple(a, b, c, int(parts[4]))
+            _check_triple(t, n, p)
+            if kind == "nilpotent" and not _nilpotent_shape(a, b, c):
+                raise ValueError(
+                    "nilpotent presentations allow only (x_i y_j, y_k) or "
+                    "(y_i y_j, y_k) with i < j < k"
+                )
+        except ValueError as exc:
+            raise ParseError(number, str(exc)) from exc
+        key = frozenset(t.vectors)
         if key in seen:
             raise ParseError(number, f"duplicate triple (first seen on line {seen[key]})")
         seen[key] = number
-        try:
-            value = int(parts[4])
-        except ValueError as exc:
-            raise ParseError(number, f"bad value {parts[4]!r}") from exc
-        if not 1 <= value < p:
-            raise ParseError(number, f"value must lie in [1, {p}), got {value}")
-        a, b, c = vectors
-        if kind == "nilpotent":
-            if b.kind != "y" or c.kind != "y" or not (a.index < b.index < c.index):
-                raise ParseError(
-                    number,
-                    "nilpotent presentations allow only (x_i y_j, y_k) or "
-                    "(y_i y_j, y_k) with i < j < k",
-                )
-        triples.append(PresentationTriple(a, b, c, value))
+        triples.append(t)
 
     pres = Presentation(n, field, tuple(triples))
     return PresentationFile(MAGIC, n, p, kind, pres)
@@ -146,12 +139,13 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def emit_presentation(pres: Presentation, kind: str | None = None) -> str:
-    """Canonical text form; kind is derived from the triple shape if omitted."""
+    """Canonical text form; kind is derived from the canonical triples if omitted."""
+    triples = pres.canonical_triples()
     if kind is None:
-        kind = "nilpotent" if validate_nilpotent_presentation(pres) else "general"
+        kind = "nilpotent" if all(_nilpotent_shape(*t.vectors) for t in triples) else "general"
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     lines = [MAGIC, f"n {pres.n}", f"p {pres.field.p}", f"kind {kind}"]
-    for t in pres.canonical_triples():
+    for t in triples:
         lines.append(f"triple {t.a} {t.b} {t.c} {t.value}")
     return "\n".join(lines) + "\n"

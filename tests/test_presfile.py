@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from saalib.algebra import Presentation, build_algebra, nilpotency_class
+from saalib.algebra import (
+    BasisVector,
+    Presentation,
+    PresentationTriple,
+    build_algebra,
+    nilpotency_class,
+)
 from saalib.checks import random_nilpotent_presentation
 from saalib.construct import catalog
 from saalib.linalg import PrimeField
@@ -70,12 +76,48 @@ def test_parse_error_line_numbers():
         ("saa-presentation v1\nn 4\np 3\nkind nilpotent\ntriple x3 y2 y4 1\n", "nilpotent"),
         ("saa-presentation v1\nn 4\np 3\nkind nilpotent\ntriple x1 x2 y4 1\n", "nilpotent"),
         ("saa-presentation v1\nn 4\np 3\nkind general\nwidget x1 y2 y3 1\n", "triple"),
+        # numbers are ASCII digits only
+        ("saa-presentation v1\nn \u00b2\np 3\nkind general\n", "line 2: n must be"),
+        ("saa-presentation v1\nn 4\np \u00b3\nkind general\n", "line 3: p must be"),
+        (
+            "saa-presentation v1\nn 4\np 3\nkind general\ntriple x\u00b2 y2 y3 1\n",
+            "line 5: bad basis vector token",
+        ),
+        (
+            "saa-presentation v1\nn 4\np 3\nkind general\ntriple x1 y2 y3 1_0\n",
+            "line 5: bad value",
+        ),
+        (
+            "saa-presentation v1\nn 4\np 3\nkind general\ntriple x1 y2 y3 +2\n",
+            "line 5: bad value",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "a,b,c,value",
+    [
+        ("x1", "y2", "y9", 1),  # index out of range
+        ("x1", "x1", "y2", 1),  # repeated vector
+        ("x1", "y2", "y3", 0),
+        ("x1", "y2", "y3", 3),  # value p
+    ],
+)
+def test_parser_refuses_a_triple_as_presentation_does(a, b, c, value):
+    triple = PresentationTriple(*map(BasisVector.parse, (a, b, c)), value)
+    with pytest.raises(ValueError) as direct:
+        Presentation(4, F3, (triple,))
+    assert type(direct.value) is ValueError
+    text = f"saa-presentation v1\nn 4\np 3\nkind general\ntriple {a} {b} {c} {value}\n"
+    with pytest.raises(ParseError) as parsed:
+        parse_presentation(text)
+    assert parsed.value.line == 5
+    assert str(parsed.value) == f"line 5: {direct.value}"
 
 
 def test_emit_is_canonical_and_stable():
@@ -92,6 +134,9 @@ def test_emit_derives_kind():
     assert "kind general" in emit_presentation(general)
     nil = Presentation.build(4, F3, [("x1", "y2", "y3", 1)])
     assert "kind nilpotent" in emit_presentation(nil)
+    # the kind is that of the emitted, canonical triples
+    scrambled = Presentation.build(4, F3, [("x1", "y3", "y2", 1)])
+    assert "kind nilpotent" in emit_presentation(scrambled)
 
 
 def test_emit_normalizes_entry_order_with_sign():

@@ -11,6 +11,7 @@ from saalib.algebra import (
     _SPARSE_SHARE,
     BasisVector,
     Presentation,
+    PresentationTriple,
     StructureTensor,
     _centralizer_above,
     _dense_products,
@@ -34,6 +35,7 @@ from saalib.construct import (
     verify_scaling_witness,
 )
 from saalib.linalg import GramMatrix, PrimeField, Subspace, _rref_array, nullspace, perp
+from saalib.presfile import emit_presentation, parse_presentation
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
 # prime with p * (p - 1) < 2**63
@@ -437,3 +439,51 @@ def test_scaling_solve_agrees_on_random_supports(p, n, seed, perturb):
     assert (witness is None) == (reference_scaling_search(source, target) is None)
     if witness is not None:
         assert verify_scaling_witness(source, target, witness)
+
+
+# the orderings of three entries that the cyclic identity
+# (u v, w) = (v w, u) = (w u, v) leaves unchanged; the other three negate
+CYCLIC = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+
+
+def reference_canonical_triples(pres):
+    """Each triple in the one of its six orderings with increasing coordinates."""
+    p = pres.field.p
+    out = []
+    for t in pres.triples:
+        for order in itertools.permutations(range(3)):
+            a, b, c = (t.vectors[i] for i in order)
+            if a.coordinate < b.coordinate < c.coordinate:
+                value = t.value if order in CYCLIC else -t.value % p
+                out.append(PresentationTriple(a, b, c, value))
+    return tuple(sorted(out, key=lambda t: [(v.kind, v.index) for v in t.vectors]))
+
+
+@st.composite
+def general_presentations(draw):
+    """Any mix of x and y entries, each triple's entries in a random order."""
+    p = draw(primes)
+    n = draw(st.integers(2, 6))
+    basis = [BasisVector(kind, i) for i in range(1, n + 1) for kind in "xy"]
+    supports = draw(
+        st.lists(st.frozensets(st.sampled_from(basis), min_size=3, max_size=3), max_size=12,
+                 unique=True)
+    )
+    triples = tuple(
+        PresentationTriple(*draw(st.permutations(sorted(support))), draw(st.integers(1, p - 1)))
+        for support in supports
+    )
+    return Presentation(n, PrimeField(p), triples)
+
+
+@settings(max_examples=80)
+@given(pres=general_presentations())
+def test_orientation_of_general_presentations(pres):
+    assert pres.canonical_triples() == reference_canonical_triples(pres)
+    tensor = StructureTensor.from_presentation(pres)
+    for t in pres.triples:
+        assert tensor.value_at(*(v.coordinate for v in t.vectors)) == t.value
+    text = emit_presentation(pres)
+    again = parse_presentation(text)
+    assert StructureTensor.from_presentation(again) == tensor
+    assert emit_presentation(again) == text
