@@ -3,7 +3,9 @@
 tests/golden/ holds the stdout of `saa verify` on every catalog entry over
 GF(3) (r = 1 and 2 for the parameterized ones), the stdout and written file
 of `saa construct --n N --p 3` for N = 4..12 and 14..16 (n = 13 has no
-construction yet), the stdout of four seeded scans, the stdout of `saa
+construction yet) and for N = 24, 40, 41 and 68, which cover case ONE,
+both sides of the ONE/TWO boundary 2n = omega(4) + omega(5) = 80, and
+case TWO, the stdout of four seeded scans, the stdout of `saa
 verify` on seeded random nilpotent presentations for n = 5..8, and the
 canonical bases of `isotropic_ideal_chain` on the minimal constructions
 over GF(3) for n = 8..12 and 14..16.  The random presentations
@@ -102,12 +104,13 @@ def _chain(n: int) -> dict[str, str]:
 
 
 CONSTRUCT_N = [*range(4, 13), 14, 15, 16]
+LARGE_CONSTRUCT_N = [24, 40, 41, 68]
 RANDOM = [(n, 3, i) for n in range(5, 9) for i in range(4)] + [(8, 2147483647, i) for i in (0, 1)]
 SCANS = [(3, 3, 40, 5, None), (4, 2, 60, 5, None), (5, 3, 60, 5, 3)]
 VERIFY = [(e.name, r) for e in catalog() for r in ((1, 2) if e.parameterized else (None,))]
 CASES = {
     **{_verify_case(name, r): partial(_verify, name, r) for name, r in VERIFY},
-    **{f"construct-n{n}": partial(_construct, n) for n in CONSTRUCT_N},
+    **{f"construct-n{n}": partial(_construct, n) for n in CONSTRUCT_N + LARGE_CONSTRUCT_N},
     "scan": partial(_scan, 6, 3, 40, 42, 2),
     **{_scan_case(*args): partial(_scan, *args) for args in SCANS},
     **{f"verify-random-n{n}-p{p}-i{i}": partial(_verify_random, n, p, i) for n, p, i in RANDOM},
