@@ -667,8 +667,18 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
 
 
 def validate_nilpotent_presentation(pres: Presentation) -> bool:
-    """True iff every triple is (x_i y_j, y_k) or (y_i y_j, y_k) with i<j<k."""
-    return all(_nilpotent_shape(*t.vectors) for t in pres.triples)
+    """True iff every triple, its vectors in coordinate order, is
+    (x_i y_j, y_k) or (y_i y_j, y_k) with i<j<k.
+
+    A triple value is alternating, so the order a triple is written in
+    does not change the algebra it presents.  A triple of nilpotent shape
+    is already in coordinate order, so only the others are sorted.
+    """
+    by_coordinate = operator.attrgetter("coordinate")
+    return all(
+        _nilpotent_shape(*t.vectors) or _nilpotent_shape(*sorted(t.vectors, key=by_coordinate))
+        for t in pres.triples
+    )
 
 
 def is_maximal_class_criterion(alg: Algebra) -> bool:

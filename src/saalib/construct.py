@@ -1,20 +1,21 @@
 """Generative constructions: the omega threshold recursion, the minimal
 class prediction, rank-2 algebras of predicted minimal class for
-half-dimensions n >= 4 (n = 13 is a known gap: the search runs out of
-candidates and raises ConstructionError), the catalog of known minimal
-presentations up to dimension 16, and an exact diagonal
-scaling-isomorphism solve.
+half-dimensions n >= 4 (n = 13 and n = 69..81 are known gaps: the low
+generators cannot cover the outer pair shell, and ConstructionError is
+raised), the catalog of known minimal presentations up to dimension 16,
+and an exact diagonal scaling-isomorphism solve.
 
-The builders work with shells of the standard basis.  Writing W(r) for
+The builder works with shells of the standard basis.  Writing W(r) for
 omega(r), the top W(r) x-vectors form the r-th generator shell and the
 pairs of the top W(r) y-vectors form the r-th pair shell.  Generators are
 matched shell-by-shell to pair shells one level down; the leftover low
 generators are injected into the outermost pair shell (case ONE) or, when
 they no longer fit, the low y-vectors pair among themselves (case TWO),
-which costs one extra step of nilpotency class.  Every produced
-presentation is self-verified: it must come out nilpotent of rank 2 with
-exactly the predicted class, otherwise the builder moves to the next
-admissible assignment.
+which costs one extra step of nilpotency class.  Each step makes one
+deterministic choice, and the result is checked: the triple set must
+satisfy its structural properties and its algebra must come out nilpotent
+of rank 2 with exactly the predicted class, otherwise ConstructionError
+names the step that failed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .algebra import (
     product_space,
     rank,
     series_report,
-    validate_nilpotent_presentation,
 )
 from .linalg import PrimeField
 
@@ -60,10 +60,9 @@ __all__ = [
 
 
 class ConstructionError(RuntimeError):
-    """Raised when no admissible triple assignment survives verification.
+    """Raised when the minimal construction cannot be built or fails its checks.
 
-    The message says which ran out: the candidate space or the budget of
-    verifications.
+    The message names the step that failed.
     """
 
 
@@ -215,97 +214,53 @@ def _as_triples(raw: list[tuple[tuple[str, int], int, int]]):
     return tuple(sorted(out, key=lambda t: (t[0].kind, t[0].index, t[1].index, t[2].index)))
 
 
-def _injections(gens, pairs, must_cover: set[int]):
-    """Lazily yield injective assignments gen -> pair whose union of chosen
-    pair entries covers must_cover; pairs are tried in the given order."""
-
-    def feasible(uncovered: set[int], remaining: int) -> bool:
-        return len(uncovered) <= 2 * remaining
-
-    def rec(idx: int, used: set[tuple[int, int]], uncovered: set[int], acc):
-        if idx == len(gens):
-            if not uncovered:
-                yield list(acc)
-            return
-        remaining = len(gens) - idx
-        if not feasible(uncovered, remaining):
-            return
-        for pair in pairs:
-            if pair in used:
-                continue
-            acc.append((gens[idx], pair))
-            used.add(pair)
-            yield from rec(idx + 1, used, uncovered - set(pair), acc)
-            used.remove(pair)
-            acc.pop()
-
-    yield from rec(0, set(), set(must_cover), [])
+def _base_assignment(n: int, m: int) -> list:
+    """Shell-by-shell bijections below the outermost level: each shell's
+    descending generators zipped with its pairs in lexicographic order."""
+    return [
+        (("x", g), i, j)
+        for r in range(1, m)
+        for g, (i, j) in zip(_x_shell(n, r), _pair_shell(n, r))
+    ]
 
 
-def _base_assignments(n: int, m: int):
-    """Shell-by-shell bijections below the outermost level.
+def _injection(gens, pairs, cover) -> list | None:
+    """Give each generator, in order, the first unused pair after which the
+    generators still to come, at two indices each, can cover the rest of
+    cover.  None if some generator finds no such pair."""
+    uncovered, free, chosen = set(cover), list(pairs), []
+    for rest, g in zip(range(len(gens) - 1, -1, -1), gens):
+        pair = next((q for q in free if len(uncovered.difference(q)) <= 2 * rest), None)
+        if pair is None:
+            return None
+        free.remove(pair)
+        uncovered.difference_update(pair)
+        chosen.append((g, *pair))
+    return None if uncovered else chosen
 
-    The first yield pairs descending generators with pairs in lexicographic
-    order; later yields permute the pair order per shell, the outermost
-    shell fastest.  Each level's permutations are drawn lazily, so the
-    first yield costs memory linear in the shells even where a shell has
-    dozens of pairs.
+
+def _w_completion(existing: list[set[int]], lows, n: int) -> list | None:
+    """All-y triples, chosen greedily, that involve every low y index.
+
+    For the lowest uncovered index a the first triple is taken among
+    (a, b, c) with b ascending and c descending, then (i, a, c) with i
+    descending and c descending, that shares at most one y index with every
+    triple chosen so far or in existing.  None if some a has no such triple.
     """
-    levels = []
-    for r in range(1, m):
-        gens = _x_shell(n, r)
-        pairs = _pair_shell(n, r)
-        if len(gens) != len(pairs):
-            raise ConstructionError(f"shell size mismatch at level {r}")
-        levels.append((gens, pairs))
-
-    def rec(depth: int, acc: list):
-        if depth == len(levels):
-            yield list(acc)
-            return
-        gens, pairs = levels[depth]
-        for perm in itertools.permutations(pairs):
-            acc.extend((("x", g), i, j) for g, (i, j) in zip(gens, perm))
-            yield from rec(depth + 1, acc)
-            del acc[len(acc) - len(gens):]
-
-    yield from rec(0, [])
-
-
-def _w_completions(existing_sets: list[frozenset], lows: list[int], n: int):
-    """Lazily yield all-y triples that involve every low y index.
-
-    Candidates for the lowest uncovered index a are (a, b, c) with b
-    ascending and c descending, then (i, a, c) with i descending and c
-    descending; each must share at most one entry with every chosen triple.
-    """
-
-    def candidates(a: int):
-        for b in range(a + 1, n + 1):
-            for c in range(n, b, -1):
-                yield (a, b, c)
-        for i in range(a - 1, 0, -1):
-            for c in range(n, a, -1):
-                yield (i, a, c)
-
-    def rec(chosen: list[tuple[int, int, int]], chosen_sets: list[frozenset], uncovered: set[int]):
-        if not uncovered:
-            yield list(chosen)
-            return
+    taken, chosen, uncovered = list(existing), [], set(lows)
+    while uncovered:
         a = min(uncovered)
-        for tri in candidates(a):
-            tri_set = frozenset(BasisVector("y", i) for i in tri)
-            if any(len(tri_set & s) > 1 for s in existing_sets):
-                continue
-            if any(len(tri_set & s) > 1 for s in chosen_sets):
-                continue
-            chosen.append(tri)
-            chosen_sets.append(tri_set)
-            yield from rec(chosen, chosen_sets, uncovered - set(tri))
-            chosen_sets.pop()
-            chosen.pop()
-
-    yield from rec([], [], set(lows))
+        candidates = itertools.chain(
+            ((a, b, c) for b in range(a + 1, n + 1) for c in range(n, b, -1)),
+            ((i, a, c) for i in range(a - 1, 0, -1) for c in range(n, a, -1)),
+        )
+        tri = next((t for t in candidates if all(len(s.intersection(t)) <= 1 for s in taken)), None)
+        if tri is None:
+            return None
+        taken.append(set(tri))
+        chosen.append(tri)
+        uncovered.difference_update(tri)
+    return chosen
 
 
 def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Algebra | None:
@@ -315,10 +270,7 @@ def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Algebra | N
     algebra holds both, so asking it for its class and rank again
     recomputes nothing.
     """
-    pres = tset.presentation(field)
-    if not validate_nilpotent_presentation(pres):
-        return None
-    alg = build_algebra(pres)
+    alg = build_algebra(tset.presentation(field))
     if nilpotency_class(alg) != predicted or rank(alg) != 2:
         return None
     return alg
@@ -327,73 +279,44 @@ def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Algebra | N
 def minimal_algebra(n: int, field: PrimeField) -> tuple[TripleSet, Algebra]:
     """A rank-2 algebra of the predicted minimal class for dimension 2n.
 
-    Deterministic: the first assignment in the pinned enumeration order that
-    satisfies the triple-set properties and self-verifies is returned, with
-    its triple set.  The algebra holds the lower series and the centre its
-    verification computed.  Raises ConstructionError when the candidates run
-    out, as they do at n = 13 for every p, or when 5000 candidates have
-    failed verification.  Where the generators injected into the outer pair shell
-    cover at most two new indices each, too few to cover the shell, no
-    injection exists for any base assignment, and the candidates run out
-    before a base assignment is drawn.
+    Deterministic: the shells are assigned in their pinned order, the low
+    generators are injected into the outer pair shell and, in case TWO,
+    the low y-vectors are completed by all-y triples.  The triple set must
+    satisfy its properties and its algebra must verify; the algebra is
+    returned with its triple set and holds the lower series and the centre
+    its verification computed.  Raises ConstructionError naming the step
+    that failed.  At n = 13 and n = 69..81 the low generators cover at most
+    two new indices each, too few for the outer pair shell.
     """
     pred = predict_min_class(n)
     m = pred.m
     k_low = n - omega(m)
-    pair_shell_m = _pair_shell(n, m)
-    cover = set(range(n - omega(m) + 1, n - omega(m - 1) + 1))
-    max_verifications = 5000
+
+    def failed(step: str) -> ConstructionError:
+        return ConstructionError(f"no minimal construction found for n={n} over {field!r}: {step}")
 
     if pred.case == "ONE":
-        u_gens = []
-        for k in range(k_low, 0, -1):
-            u_gens.append(("x", k))
-            u_gens.append(("y", k))
+        low_gens = [(kind, k) for k in range(k_low, 0, -1) for kind in "xy"]
     else:
-        u_gens = [("x", k) for k in range(k_low, 0, -1)]
-
-    def candidates():
-        # _injections' first feasibility test, which no base assignment changes
-        if 2 * len(u_gens) < len(cover):
-            return
-        for base in _base_assignments(n, m):
-            for inj in _injections(u_gens, pair_shell_m, cover):
-                psi_triples = base + [(g, i, j) for g, (i, j) in inj]
-                if pred.case == "ONE":
-                    yield psi_triples
-                else:
-                    existing = [
-                        frozenset(
-                            (
-                                BasisVector(g[0], g[1]),
-                                BasisVector("y", i),
-                                BasisVector("y", j),
-                            )
-                        )
-                        for g, i, j in psi_triples
-                    ]
-                    lows = list(range(1, k_low + 1))
-                    for extra in _w_completions(existing, lows, n):
-                        yield psi_triples + [(("y", a), b, c) for a, b, c in extra]
-
-    verifications = 0
-    for raw in candidates():
-        tset = TripleSet(n, m, pred.case, _as_triples(raw))
-        if not tset.satisfies_properties():
-            continue
-        if verifications == max_verifications:
-            raise ConstructionError(
-                f"no minimal construction found for n={n} over {field!r}: "
-                f"the budget of {max_verifications} verifications is exhausted"
-            )
-        verifications += 1
-        alg = _verified(tset, field, pred.predicted_class)
-        if alg is not None:
-            return tset, alg
-    raise ConstructionError(
-        f"no minimal construction found for n={n} over {field!r}: the candidate "
-        f"space is exhausted after {verifications} verifications"
-    )
+        low_gens = [("x", k) for k in range(k_low, 0, -1)]
+    cover = range(n - omega(m) + 1, n - omega(m - 1) + 1)
+    injected = _injection(low_gens, _pair_shell(n, m), cover)
+    if injected is None:
+        raise failed("the low generators cannot cover the outer pair shell")
+    raw = _base_assignment(n, m) + injected
+    if pred.case == "TWO":
+        extra = _w_completion([{i, j} for _, i, j in raw], range(1, k_low + 1), n)
+        if extra is None:
+            raise failed("no all-y triples complete the low y-vectors")
+        raw += [(("y", a), b, c) for a, b, c in extra]
+    tset = TripleSet(n, m, pred.case, _as_triples(raw))
+    if not tset.satisfies_properties():
+        broken = [name for name, ok in tset.property_report().items() if not ok]
+        raise failed("the triple set fails " + ", ".join(broken))
+    alg = _verified(tset, field, pred.predicted_class)
+    if alg is None:
+        raise failed(f"the algebra is not of rank 2 and class {pred.predicted_class}")
+    return tset, alg
 
 
 def construct_minimal(n: int, field: PrimeField) -> tuple[TripleSet, Presentation]:

@@ -13,7 +13,7 @@ from saalib.algebra import nilpotency_class
 from saalib.cli import main
 from saalib.construct import catalog
 from saalib.linalg import PrimeField
-from saalib.presfile import parse_presentation_file
+from saalib.presfile import emit_presentation, parse_presentation_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -86,6 +86,21 @@ def test_verify_expectations(tmp_path, capsys):
     abelian.write_text("saa-presentation v1\nn 4\np 3\nkind nilpotent\n")
     code, out = run(capsys, "verify", str(abelian), "--expect-class", "5")
     assert code == 1 and "MISMATCH" in out
+
+
+def test_verify_criterion_ignores_the_order_triples_are_written_in(tmp_path, capsys):
+    # a nilpotent presentation written out of order, and its canonical text
+    reordered = tmp_path / "reordered.saa"
+    reordered.write_text(
+        "saa-presentation v1\nn 4\np 3\nkind general\n"
+        "triple y3 x1 y2 1\ntriple y4 y1 y2 2\ntriple x2 y4 y3 1\n"
+    )
+    canonical = tmp_path / "canonical.saa"
+    canonical.write_text(emit_presentation(parse_presentation_file(reordered.read_text()).presentation))
+    for path in (reordered, canonical):
+        code, out = run(capsys, "verify", str(path))
+        assert code == 0
+        assert "maximal-class-criterion: yes\n" in out, path.name
 
 
 def test_verify_io_and_parse_errors(tmp_path, capsys):
@@ -203,16 +218,18 @@ def test_construct_rejects_small_n(capsys):
 
 
 def test_construct_without_candidates_exits_1(tmp_path):
-    # n = 13 is the known gap of the construction: its candidates run out
+    # n = 13 is a known gap of the construction: its low generators cannot
+    # cover the outer pair shell
     out = tmp_path / "c13.saa"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = [sys.executable, "-m", "saalib.cli", "construct", "--n", "13", "--p", "3"]
     proc = subprocess.run(argv + ["--out", str(out)], capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "candidate space is exhausted" in proc.stderr
+    assert proc.stderr == (
+        "error: no minimal construction found for n=13 over GF(3): "
+        "the low generators cannot cover the outer pair shell\n"
+    )
     assert not out.exists()
 
 

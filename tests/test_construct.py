@@ -1,7 +1,6 @@
 """Omega recursion, class prediction, minimal constructions, catalog,
 scaling isomorphisms and fingerprints."""
 
-import itertools
 import time
 import tracemalloc
 
@@ -96,61 +95,52 @@ def test_construct_minimal_rejects_small_n():
 
 
 def test_construction_error_names_what_ran_out(monkeypatch):
-    verified = []
-    monkeypatch.setattr(construct, "_verified", lambda *args: verified.append(args) and None)
-    with pytest.raises(ConstructionError, match="candidate space is exhausted after 60 "):
-        construct_minimal(6, F3)
-    with pytest.raises(ConstructionError, match="candidate space is exhausted after 0 "):
+    with pytest.raises(
+        ConstructionError, match="n=13 .*: the low generators cannot cover the outer pair shell$"
+    ):
         construct_minimal(13, F3)
-    verified.clear()
-    with pytest.raises(ConstructionError, match="budget of 5000 verifications is exhausted"):
-        construct_minimal(8, F3)
-    assert len(verified) == 5000
+    monkeypatch.setattr(construct, "_verified", lambda *args: None)
+    with pytest.raises(ConstructionError, match="n=6 .*: the algebra is not of rank 2 and class 7$"):
+        construct_minimal(6, F3)
 
 
 def test_futile_injection_is_refused_before_any_base_assignment(monkeypatch):
     # at n = 13 the low generators cover at most 4 of the 7 new outer-shell
-    # indices, for every base assignment, so none is drawn
-    drawn = []
-    base_assignments = construct._base_assignments
-
-    def counted(n, m):
-        for assignment in base_assignments(n, m):
-            drawn.append(assignment)
-            yield assignment
-
-    monkeypatch.setattr(construct, "_base_assignments", counted)
-    with pytest.raises(ConstructionError, match="candidate space is exhausted after 0 "):
+    # indices, so no presentation is built; n = 12 builds exactly one
+    built = []
+    monkeypatch.setattr(construct, "build_algebra", lambda pres: built.append(pres) or build_algebra(pres))
+    with pytest.raises(ConstructionError, match="cannot cover the outer pair shell"):
         construct_minimal(13, F3)
-    assert drawn == []
+    assert built == []
     construct_minimal(12, F3)
-    assert len(drawn) == 1
+    assert len(built) == 1
 
 
-def test_base_assignments_keep_the_product_order():
-    # the lazy generator yields what itertools.product over the per-shell
-    # permutations yielded, so every construction stays where it was
-    for n, m in ((8, 3), (12, 3), (16, 4)):
-        levels = [(construct._x_shell(n, r), construct._pair_shell(n, r)) for r in range(1, m)]
-        expected = [
-            [(("x", g), i, j) for (gens, _), perm in zip(levels, combo)
-             for g, (i, j) in zip(gens, perm)]
-            for combo in itertools.product(*[itertools.permutations(p) for _, p in levels])
-        ]
-        assert list(construct._base_assignments(n, m)) == expected, n
+def test_injection_fails_exactly_at_the_gaps():
+    # no algebra is built; the injection alone marks n = 13 and 69..81
+    gaps = []
+    for n in range(4, 201):
+        m = predict_min_class(n).m
+        k_low = n - omega(m)
+        kinds = "xy" if predict_min_class(n).case == "ONE" else "x"
+        gens = [(kind, k) for k in range(k_low, 0, -1) for kind in kinds]
+        cover = range(n - omega(m) + 1, n - omega(m - 1) + 1)
+        if construct._injection(gens, construct._pair_shell(n, m), cover) is None:
+            gaps.append(n)
+    assert gaps == [13, *range(69, 82)]
 
 
 def test_base_assignments_first_yield_is_lazy():
     # from n = 69 the fourth pair shell has 56 pairs; materialising its
-    # permutations ran out of memory before the first yield
+    # permutations once ran out of memory
     tracemalloc.start()
     try:
-        first = next(construct._base_assignments(69, 5))
+        base = construct._base_assignment(69, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
-    assert len(first) == 1 + 2 + 7 + 56
+    assert len(base) == 1 + 2 + 7 + 56
 
 
 def test_construct_sweep_self_verifies():
@@ -159,7 +149,7 @@ def test_construct_sweep_self_verifies():
         for p in (2, 3, 5, 7):
             field = PrimeField(p)
             if n == 13:
-                with pytest.raises(ConstructionError, match="candidate space is exhausted"):
+                with pytest.raises(ConstructionError, match="cannot cover the outer pair shell"):
                     minimal_algebra(n, field)
                 continue
             tset, alg = minimal_algebra(n, field)
