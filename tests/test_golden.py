@@ -8,7 +8,8 @@ both sides of the ONE/TWO boundary 2n = omega(4) + omega(5) = 80, and
 case TWO, the stdout of four seeded scans, the stdout of `saa
 verify` on seeded random nilpotent presentations for n = 5..8, and the
 canonical bases of `isotropic_ideal_chain` on the minimal constructions
-over GF(3) for n = 8..12 and 14..16.  The random presentations
+over GF(3) for n = 8..12, 14..16, 24 (case ONE) and 41 (case TWO), and on
+every catalog entry over GF(3) with r = 1.  The random presentations
 are samples 0..3 of seed 2023 over GF(3), where every n has samples of
 maximal class and, below n = 8, samples of lower class; all four at n = 8
 are of maximal class, so every `perp` of the maximal-class structure check
@@ -34,10 +35,10 @@ from pathlib import Path
 
 import pytest
 
-from saalib.algebra import build_algebra, isotropic_ideal_chain
+from saalib.algebra import Presentation, build_algebra, isotropic_ideal_chain
 from saalib.checks import ScanConfig, sample_presentation
 from saalib.cli import main
-from saalib.construct import catalog, construct_minimal
+from saalib.construct import catalog, catalog_entry, construct_minimal
 from saalib.linalg import PrimeField
 from saalib.presfile import emit_presentation
 
@@ -94,17 +95,25 @@ def _verify_random(n: int, p: int, index: int) -> dict[str, str]:
     return {f"verify-random-n{n}-p{p}-i{index}.txt": out}
 
 
-def _chain(n: int) -> dict[str, str]:
-    _, pres = construct_minimal(n, PrimeField(3))
+def _chain(name: str, pres: Presentation) -> dict[str, str]:
     lines = []
     for i, term in enumerate(isotropic_ideal_chain(build_algebra(pres))):
         rows = ("".join(map(str, row)) for row in term.basis.tolist())
         lines.append(f"I_{i}: " + " ".join(rows) + "\n")
-    return {f"chain-construct-n{n}-p3.txt": "".join(lines)}
+    return {f"chain-{name}-p3.txt": "".join(lines)}
+
+
+def _chain_construct(n: int) -> dict[str, str]:
+    return _chain(f"construct-n{n}", construct_minimal(n, PrimeField(3))[1])
+
+
+def _chain_catalog(name: str) -> dict[str, str]:
+    return _chain(f"catalog-{name}", catalog_entry(name).presentation(PrimeField(3), r=1))
 
 
 CONSTRUCT_N = [*range(4, 13), 14, 15, 16]
 LARGE_CONSTRUCT_N = [24, 40, 41, 68]
+CHAIN_CONSTRUCT_N = [n for n in CONSTRUCT_N if n >= 8] + [24, 41]
 RANDOM = [(n, 3, i) for n in range(5, 9) for i in range(4)] + [(8, 2147483647, i) for i in (0, 1)]
 SCANS = [(3, 3, 40, 5, None), (4, 2, 60, 5, None), (5, 3, 60, 5, 3)]
 VERIFY = [(e.name, r) for e in catalog() for r in ((1, 2) if e.parameterized else (None,))]
@@ -114,7 +123,8 @@ CASES = {
     "scan": partial(_scan, 6, 3, 40, 42, 2),
     **{_scan_case(*args): partial(_scan, *args) for args in SCANS},
     **{f"verify-random-n{n}-p{p}-i{i}": partial(_verify_random, n, p, i) for n, p, i in RANDOM},
-    **{f"chain-construct-n{n}": partial(_chain, n) for n in CONSTRUCT_N if n >= 8},
+    **{f"chain-construct-n{n}": partial(_chain_construct, n) for n in CHAIN_CONSTRUCT_N},
+    **{f"chain-catalog-{e.name}": partial(_chain_catalog, e.name) for e in catalog()},
 }
 
 
