@@ -14,7 +14,6 @@ carries the minus.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import cache, wraps
 
@@ -67,15 +66,7 @@ class NotNilpotentError(ValueError):
 
 
 class ChainError(RuntimeError):
-    """Raised when the isotropic ideal chain search runs out.
-
-    The message names what ran out: the candidate space, so that no chain
-    of the greedy shape exists, or the budget of extensions.
-    """
-
-
-# extensions the isotropic ideal chain search may try before giving up
-_CHAIN_BUDGET = 5000
+    """Raised when no isotropic ideal chain exists: the algebra is not nilpotent."""
 
 
 @dataclass(frozen=True, order=True)
@@ -581,104 +572,78 @@ def _priority_permutation(n: int) -> list[int]:
 
 def _candidate_rows(w: Subspace, perm: list[int]) -> list[np.ndarray]:
     """Basis rows of w canonicalized in the priority coordinate order."""
-    if w.dim == 0:
-        return []
-    p = w.field.p
-    permuted = w.basis[:, perm]
-    arr, pivots = _rref_array(permuted, p)
+    arr, pivots = _rref_array(w.basis[:, perm], w.field.p)
     inverse = np.argsort(perm)
     return [row[inverse] for row in arr[: len(pivots)]]
 
 
 def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
-    """An ascending chain {0} = I_0 < I_1 < ... < I_n of isotropic ideals.
-
-    Extension vectors are chosen greedily: at each step the first admissible
-    canonical basis vector of the candidate space, in the priority coordinate
-    order x_n, ..., x_1, y_n, ..., y_1.  The first two steps restrict to
-    central vectors so that the doubled chain
+    """An ascending chain {0} = I_0 < I_1 < ... < I_n of isotropic ideals
+    whose doubled chain
 
         I_0 < I_2 < ... < I_{n-1} < perp(I_{n-1}) < ... < perp(I_2) < L
 
-    comes out central; this is verified before returning, and the search
-    backtracks over later candidates if the greedy choice ever fails.  The
-    perp of each term is computed once and held for both uses.  Raises
-    ChainError when the candidates run out, as they do when the centre is
-    zero, or when _CHAIN_BUDGET extensions have been tried.
+    is central, built in one greedy pass.  I_{k+1} is I_k plus the first
+    canonical basis vector of w = C & perp(I_k) not in I_k, in the priority
+    coordinate order x_n, ..., x_1, y_n, ..., y_1; C is the centre Z for
+    k < 2 and {v : v L <= I_k} after that.  No choice needs revisiting:
+
+    - k = 0: nothing has been chosen yet.
+    - k = 1: w > I_1 iff dim Z >= 3, or dim Z = 2 and Z is isotropic,
+      whichever I_1 <= Z was chosen.  A nilpotent L passes: dim Z >= 2,
+      and Z & L^2 is orthogonal to Z and nonzero unless L is abelian.
+    - k >= 2: a nilpotent L acts nilpotently on the module perp(I_k)/I_k,
+      whose fixed vectors give w > I_k.
+    - Any complete chain is central: I_{k+1} L <= I_k gives
+      perp(I_k) L <= perp(I_{k+1}) by invariance of the form; gamma
+      vanishes on perp(I_{n-1}) x perp(I_{n-1}) x L, so
+      perp(I_{n-1}) L <= I_{n-1}; and I_2 <= Z = perp(L^2) gives
+      L L <= perp(I_2).  For n <= 2 the doubled chain is 0 < L, and a
+      nilpotent L is then abelian.
+
+    So a chain exists iff L is nilpotent, and the greedy path finds one
+    whenever any path does.  ChainError names the step k at which no
+    candidate extends I_k.  The doubled chain is checked with the perps
+    the steps computed; a failure raises RuntimeError, as it is proved.
     """
     n = alg.n
     perm = _priority_permutation(n)
-    center = _center(alg)
-    extended = 0
-    perps: dict[Subspace, Subspace] = {}
-
-    def perp_of(s: Subspace) -> Subspace:
-        if s not in perps:
-            perps[s] = perp(s, alg.gram)
-        return perps[s]
-
-    def extensions(chain: list[Subspace]) -> Iterator[Subspace]:
-        current = chain[-1]
-        depth = len(chain)  # next index to fill
-        if depth <= 2:
-            candidates_from = center
-        else:
-            candidates_from = _centralizer_above(alg, current)
-        w = subspace_intersect(candidates_from, perp_of(current))
-        for row in _candidate_rows(w, perm):
-            if not current.contains(row):
-                rows = np.vstack([current.basis, row])
-                yield Subspace.from_vectors(alg.field, alg.dim, rows)
-
-    def doubled_chain_central(chain: list[Subspace]) -> bool:
-        if n < 3:
-            return True
-        terms = [chain[0]] + chain[2:n] + [perp_of(chain[r]) for r in range(n - 1, 1, -1)]
-        terms.append(full_space(alg))
-        L = full_space(alg)
-        for lower_term, upper_term in zip(terms, terms[1:]):
-            if not lower_term._spans(_product_rows(alg, upper_term, L)):
-                return False
-        return True
-
-    def search(chain: list[Subspace]) -> list[Subspace] | None:
-        nonlocal extended
-        if len(chain) == n + 1:
-            return chain if doubled_chain_central(chain) else None
-        for ext in extensions(chain):
-            if extended == _CHAIN_BUDGET:
-                raise ChainError(
-                    f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
-                    f"the budget of {_CHAIN_BUDGET} extensions is exhausted"
-                )
-            extended += 1
-            result = search(chain + [ext])
-            if result is not None:
-                return result
-        return None
-
-    result = search([zero_space(alg)])
-    if result is None:
-        raise ChainError(
-            f"no isotropic ideal chain found for n={n} over {alg.field!r}: the candidate "
-            f"space is exhausted after {extended} extensions"
-        )
-    return result
+    chain, perps = [zero_space(alg)], []
+    for k in range(n):
+        current = chain[k]
+        perps.append(perp(current, alg.gram))
+        above = _center(alg) if k < 2 else _centralizer_above(alg, current)
+        w = subspace_intersect(above, perps[k])
+        row = next((r for r in _candidate_rows(w, perm) if not current.contains(r)), None)
+        if row is None:
+            raise ChainError(
+                f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
+                f"no candidate extends I_{k}"
+            )
+        chain.append(Subspace.from_vectors(alg.field, alg.dim, np.vstack([current.basis, row])))
+    L = full_space(alg)
+    doubled = [chain[0], *chain[2:n], *perps[n - 1 : 1 : -1], L]
+    for lower_term, upper_term in zip(doubled, doubled[1:]):
+        if not lower_term._spans(_product_rows(alg, upper_term, L)):
+            raise RuntimeError(f"doubled ideal chain is not central for n={n}")
+    return chain
 
 
-def validate_nilpotent_presentation(pres: Presentation) -> bool:
-    """True iff every triple, its vectors in coordinate order, is
-    (x_i y_j, y_k) or (y_i y_j, y_k) with i<j<k.
+def _nilpotent_triple(t: PresentationTriple) -> bool:
+    """True iff t, its vectors in coordinate order, is (x_i y_j, y_k) or
+    (y_i y_j, y_k) with i<j<k.
 
     A triple value is alternating, so the order a triple is written in
     does not change the algebra it presents.  A triple of nilpotent shape
     is already in coordinate order, so only the others are sorted.
     """
     by_coordinate = operator.attrgetter("coordinate")
-    return all(
-        _nilpotent_shape(*t.vectors) or _nilpotent_shape(*sorted(t.vectors, key=by_coordinate))
-        for t in pres.triples
-    )
+    return _nilpotent_shape(*t.vectors) or _nilpotent_shape(*sorted(t.vectors, key=by_coordinate))
+
+
+def validate_nilpotent_presentation(pres: Presentation) -> bool:
+    """True iff every triple is of nilpotent shape (see _nilpotent_triple)."""
+    return all(map(_nilpotent_triple, pres.triples))
 
 
 def is_maximal_class_criterion(alg: Algebra) -> bool:

@@ -10,7 +10,9 @@ ignored:
     triple <b> <b> <b> <value>     # <b> is x<i> or y<i>, value in [1, p)
 
 Numbers are ASCII digits only.  A triple is refused exactly when
-Presentation refuses it, with the same message after the line number.
+Presentation refuses it, with the same message after the line number;
+`kind nilpotent` also refuses one that validate_nilpotent_presentation
+refuses, so the order a triple is written in never matters.
 
 Emission is canonical: triple entries in coordinate order with the sign
 folded into the value, records sorted by (kind, indices), values reduced.
@@ -27,7 +29,8 @@ from .algebra import (
     PresentationTriple,
     _check_triple,
     _is_decimal,
-    _nilpotent_shape,
+    _nilpotent_triple,
+    validate_nilpotent_presentation,
 )
 from .linalg import PrimeField
 
@@ -117,10 +120,10 @@ def parse_presentation_file(text: str) -> PresentationFile:
                 raise ValueError(f"bad value {parts[4]!r}")
             t = PresentationTriple(a, b, c, int(parts[4]))
             _check_triple(t, n, p)
-            if kind == "nilpotent" and not _nilpotent_shape(a, b, c):
+            if kind == "nilpotent" and not _nilpotent_triple(t):
                 raise ValueError(
                     "nilpotent presentations allow only (x_i y_j, y_k) or "
-                    "(y_i y_j, y_k) with i < j < k"
+                    "(y_i y_j, y_k) with i < j < k, in coordinate order"
                 )
         except ValueError as exc:
             raise ParseError(number, str(exc)) from exc
@@ -139,13 +142,12 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def emit_presentation(pres: Presentation, kind: str | None = None) -> str:
-    """Canonical text form; kind is derived from the canonical triples if omitted."""
-    triples = pres.canonical_triples()
+    """Canonical text form; kind is derived from the triples if omitted."""
     if kind is None:
-        kind = "nilpotent" if all(_nilpotent_shape(*t.vectors) for t in triples) else "general"
+        kind = "nilpotent" if validate_nilpotent_presentation(pres) else "general"
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     lines = [MAGIC, f"n {pres.n}", f"p {pres.field.p}", f"kind {kind}"]
-    for t in triples:
+    for t in pres.canonical_triples():
         lines.append(f"triple {t.a} {t.b} {t.c} {t.value}")
     return "\n".join(lines) + "\n"

@@ -419,8 +419,8 @@ def test_isotropic_ideal_chain_on_catalog():
             assert is_isotropic(alg, s)
 
 
-def test_chain_search_takes_each_perp_once(monkeypatch):
-    # the doubled chain reuses the perps that the extension step computed
+def test_chain_takes_each_perp_once(monkeypatch):
+    # the doubled chain reuses the perps that the extension steps computed
     seen = []
 
     def counted(s, g):
@@ -464,18 +464,8 @@ def test_chain_fails_on_non_nilpotent():
     )
     alg = build_algebra(pres)
     assert upper_central_series(alg).upper[-1].dim == 0
-    with pytest.raises(ChainError, match="candidate space is exhausted after 0 extensions"):
+    with pytest.raises(ChainError, match="no candidate extends I_0"):
         isotropic_ideal_chain(alg)
-
-
-def test_chain_budget_exhaustion_names_the_budget(monkeypatch):
-    # the greedy chain of P8-2-1 takes n = 4 extensions and no backtracking
-    pres = catalog_entry("P8-2-1").presentation(F3, r=1)
-    monkeypatch.setattr(algebra_module, "_CHAIN_BUDGET", 3)
-    with pytest.raises(ChainError, match="the budget of 3 extensions is exhausted"):
-        isotropic_ideal_chain(build_algebra(pres))
-    monkeypatch.setattr(algebra_module, "_CHAIN_BUDGET", 4)
-    assert len(isotropic_ideal_chain(build_algebra(pres))) == 5
 
 
 def test_validate_nilpotent_presentation():

@@ -89,18 +89,27 @@ def test_verify_expectations(tmp_path, capsys):
 
 
 def test_verify_criterion_ignores_the_order_triples_are_written_in(tmp_path, capsys):
-    # a nilpotent presentation written out of order, and its canonical text
-    reordered = tmp_path / "reordered.saa"
-    reordered.write_text(
-        "saa-presentation v1\nn 4\np 3\nkind general\n"
-        "triple y3 x1 y2 1\ntriple y4 y1 y2 2\ntriple x2 y4 y3 1\n"
-    )
+    # a nilpotent presentation written out of order, under either kind, reads
+    # as its canonical text: the parser and the criterion judge each triple
+    # with its vectors in coordinate order
+    def text(kind):
+        return (
+            f"saa-presentation v1\nn 4\np 3\nkind {kind}\n"
+            "triple y3 x1 y2 1\ntriple y4 y1 y2 2\ntriple x2 y4 y3 1\n"
+        )
+
     canonical = tmp_path / "canonical.saa"
-    canonical.write_text(emit_presentation(parse_presentation_file(reordered.read_text()).presentation))
-    for path in (reordered, canonical):
-        code, out = run(capsys, "verify", str(path))
-        assert code == 0
-        assert "maximal-class-criterion: yes\n" in out, path.name
+    canonical.write_text(emit_presentation(parse_presentation_file(text("general")).presentation))
+    assert "kind nilpotent\n" in canonical.read_text()
+    code, out = run(capsys, "verify", str(canonical))
+    assert code == 0
+    assert "maximal-class-criterion: yes\n" in out
+    for kind in ("general", "nilpotent"):
+        reordered = tmp_path / f"{kind}.saa"
+        reordered.write_text(text(kind))
+        # the files differ only in the kind that verify echoes
+        expected = out.replace("kind: nilpotent\n", f"kind: {kind}\n")
+        assert run(capsys, "verify", str(reordered)) == (code, expected), kind
 
 
 def test_verify_io_and_parse_errors(tmp_path, capsys):

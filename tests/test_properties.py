@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from saalib.algebra import (
     _SPARSE_SHARE,
     BasisVector,
+    ChainError,
     Presentation,
     PresentationTriple,
     StructureTensor,
@@ -21,6 +22,7 @@ from saalib.algebra import (
     full_space,
     isotropic_ideal_chain,
     lower_central_series,
+    nilpotency_class,
     product_space,
     upper_central_series,
     zero_space,
@@ -178,11 +180,14 @@ def test_membership_matches_stacked_rank_test(p, ambient, seed, span, count, ins
 
 
 def random_presentation(n, field, rng):
-    """Random values on a random set of coordinate triples, nilpotent or not."""
+    """Random values on a random set of coordinate triples, nilpotent or not.
+
+    Dimension 2 has no triple of distinct coordinates, so n = 1 draws none.
+    """
     dim = 2 * n
     seen = set()
     items = []
-    for _ in range(int(rng.integers(0, 3 * n))):
+    for _ in range(int(rng.integers(0, 3 * n)) if n >= 2 else 0):
         coords = tuple(sorted(int(c) for c in rng.choice(dim, size=3, replace=False)))
         if coords in seen:
             continue
@@ -341,6 +346,26 @@ def test_centralizer_of_minimal_algebras_matches_reference(n, p):
     # sparse algebras of dim 16 and 24, with long upper series and chains
     _, alg = minimal_algebra(n, PrimeField(p))
     assert_centralizers_match_reference(alg, isotropic_ideal_chain(alg))
+
+
+@given(p=primes, n=st.integers(1, 6), seed=seeds, shape=shapes)
+def test_chain_exists_iff_nilpotent(p, n, seed, shape):
+    # a complete chain has a central doubled chain, and a nilpotent algebra
+    # always has a candidate, so the greedy pass fails exactly off nilpotency
+    field = PrimeField(p)
+    alg = build_algebra(MAKERS[shape](n, field, np.random.default_rng(seed)))
+    if nilpotency_class(alg) is None:
+        with pytest.raises(ChainError):
+            isotropic_ideal_chain(alg)
+        return
+    chain = isotropic_ideal_chain(alg)
+    assert [s.dim for s in chain] == list(range(n + 1))
+    center = upper_central_series(alg).upper[1]
+    assert center.contains_subspace(chain[min(n, 2)])
+    for lower, upper in zip(chain, chain[1:]):
+        assert lower.contains_subspace(product_space(alg, upper, full_space(alg)))
+    for s in chain:
+        assert perp(s, alg.gram).contains_subspace(s)
 
 
 @pytest.mark.parametrize("p", PRIMES)
