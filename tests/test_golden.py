@@ -9,8 +9,12 @@ case TWO, the stdout of four seeded scans, the stdout of `saa
 verify` on seeded random nilpotent presentations for n = 5..8, and the
 canonical bases of `isotropic_ideal_chain` on the minimal constructions
 over GF(3) for n = 8..12, 14..16, 24 (case ONE) and 41 (case TWO), and on
-every catalog entry over GF(3) with r = 1.  The random presentations
-are samples 0..3 of seed 2023 over GF(3), where every n has samples of
+every catalog entry over GF(3) with r = 1.  Two hand-written verify
+files pin the report's other branches: the n = 3 file over GF(3) with no
+triples, whose centre is all of L and so not isotropic (the only case
+that prints `center-isotropic: no`), and the `kind general` n = 2 file
+over GF(3) with the one triple x1 y1 x2, which is not nilpotent
+(`duality: n/a`).  The random presentations are samples 0..3 of seed 2023 over GF(3), where every n has samples of
 maximal class and, below n = 8, samples of lower class; all four at n = 8
 are of maximal class, so every `perp` of the maximal-class structure check
 is pinned.  Samples 0 and 1 at n = 8 over GF(2**31 - 1) are added.
@@ -95,6 +99,13 @@ def _verify_random(n: int, p: int, index: int) -> dict[str, str]:
     return {f"verify-random-n{n}-p{p}-i{index}.txt": out}
 
 
+def _verify_text(name: str, text: str) -> dict[str, str]:
+    Path("in.saa").write_text(text, encoding="utf-8")
+    code, out = _run(["verify", "in.saa"])
+    assert code == 0
+    return {f"verify-{name}.txt": out}
+
+
 def _chain(name: str, pres: Presentation) -> dict[str, str]:
     lines = []
     for i, term in enumerate(isotropic_ideal_chain(build_algebra(pres))):
@@ -117,12 +128,18 @@ CHAIN_CONSTRUCT_N = [n for n in CONSTRUCT_N if n >= 8] + [24, 41]
 RANDOM = [(n, 3, i) for n in range(5, 9) for i in range(4)] + [(8, 2147483647, i) for i in (0, 1)]
 SCANS = [(3, 3, 40, 5, None), (4, 2, 60, 5, None), (5, 3, 60, 5, 3)]
 VERIFY = [(e.name, r) for e in catalog() for r in ((1, 2) if e.parameterized else (None,))]
+HEADER = "saa-presentation v1\n"
+VERIFY_TEXT = {
+    "abelian-n3-p3": HEADER + "n 3\np 3\nkind nilpotent\n",
+    "general-n2-p3": HEADER + "n 2\np 3\nkind general\ntriple x1 y1 x2 1\n",
+}
 CASES = {
     **{_verify_case(name, r): partial(_verify, name, r) for name, r in VERIFY},
     **{f"construct-n{n}": partial(_construct, n) for n in CONSTRUCT_N + LARGE_CONSTRUCT_N},
     "scan": partial(_scan, 6, 3, 40, 42, 2),
     **{_scan_case(*args): partial(_scan, *args) for args in SCANS},
     **{f"verify-random-n{n}-p{p}-i{i}": partial(_verify_random, n, p, i) for n, p, i in RANDOM},
+    **{f"verify-{name}": partial(_verify_text, name, text) for name, text in VERIFY_TEXT.items()},
     **{f"chain-construct-n{n}": partial(_chain_construct, n) for n in CHAIN_CONSTRUCT_N},
     **{f"chain-catalog-{e.name}": partial(_chain_catalog, e.name) for e in catalog()},
 }
