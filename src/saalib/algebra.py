@@ -25,10 +25,11 @@ from .linalg import (
     Subspace,
     _dot_mod,
     _kernel_rows,
+    _pairing_matrix,
     _rref_array,
     nullspace,
+    orthogonal,
     perp,
-    subspace_intersect,
 )
 
 __all__ = [
@@ -558,11 +559,15 @@ def is_ideal(alg: Algebra, s: Subspace) -> bool:
 
 
 def is_isotropic(alg: Algebra, s: Subspace) -> bool:
-    return perp(s, alg.gram).contains_subspace(s)
+    """True iff s lies in perp(s), that is orthogonal(s, s): one pairing
+    matrix of s's basis with itself, and no perp built."""
+    return orthogonal(s, s, alg.gram)
 
 
 def is_abelian(alg: Algebra, s: Subspace) -> bool:
-    return product_space(alg, s, s).is_zero()
+    """True iff s s = 0: the product rows are nonzero by construction
+    (see _products), so s is abelian iff there are none."""
+    return len(_product_rows(alg, s, s)) == 0
 
 
 def _priority_permutation(n: int) -> list[int]:
@@ -570,9 +575,10 @@ def _priority_permutation(n: int) -> list[int]:
     return [2 * (i - 1) for i in range(n, 0, -1)] + [2 * i - 1 for i in range(n, 0, -1)]
 
 
-def _candidate_rows(w: Subspace, perm: list[int]) -> list[np.ndarray]:
-    """Basis rows of w canonicalized in the priority coordinate order."""
-    arr, pivots = _rref_array(w.basis[:, perm], w.field.p)
+def _candidate_rows(w: np.ndarray, perm: list[int], p: int) -> list[np.ndarray]:
+    """Rows spanning the span of w, canonicalized in the priority coordinate
+    order: the RREF in that order is unique, whichever rows span it."""
+    arr, pivots = _rref_array(w[:, perm], p)
     inverse = np.argsort(perm)
     return [row[inverse] for row in arr[: len(pivots)]]
 
@@ -603,18 +609,24 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
 
     So a chain exists iff L is nilpotent, and the greedy path finds one
     whenever any path does.  ChainError names the step k at which no
-    candidate extends I_k.  The doubled chain is checked with the perps
-    the steps computed; a failure raises RuntimeError, as it is proved.
+    candidate extends I_k.
+
+    No step builds perp(I_k): c @ C lies in perp(I_k) iff c M = 0, with M
+    the pairing matrix of C's basis with I_k's (see orthogonal), so w is
+    spanned by the left kernel of M mapped back through C's basis.  After
+    the loop one perp is taken for each of I_2, ..., I_{n-1}, the terms the
+    doubled chain holds, and the doubled chain is checked as central; a
+    failure raises RuntimeError, as it is proved.
     """
-    n = alg.n
+    n, p = alg.n, alg.field.p
     perm = _priority_permutation(n)
-    chain, perps = [zero_space(alg)], []
+    chain = [zero_space(alg)]
     for k in range(n):
         current = chain[k]
-        perps.append(perp(current, alg.gram))
         above = _center(alg) if k < 2 else _centralizer_above(alg, current)
-        w = subspace_intersect(above, perps[k])
-        row = next((r for r in _candidate_rows(w, perm) if not current.contains(r)), None)
+        coeffs = nullspace(_pairing_matrix(above, current, alg.gram).T, p)
+        w = _dot_mod(coeffs, above.basis, p)
+        row = next((r for r in _candidate_rows(w, perm, p) if not current.contains(r)), None)
         if row is None:
             raise ChainError(
                 f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
@@ -622,7 +634,8 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
             )
         chain.append(Subspace.from_vectors(alg.field, alg.dim, np.vstack([current.basis, row])))
     L = full_space(alg)
-    doubled = [chain[0], *chain[2:n], *perps[n - 1 : 1 : -1], L]
+    perps = [perp(term, alg.gram) for term in chain[2:n]]
+    doubled = [chain[0], *chain[2:n], *reversed(perps), L]
     for lower_term, upper_term in zip(doubled, doubled[1:]):
         if not lower_term._spans(_product_rows(alg, upper_term, L)):
             raise RuntimeError(f"doubled ideal chain is not central for n={n}")
@@ -665,8 +678,16 @@ def is_maximal_class_criterion(alg: Algebra) -> bool:
             return False
     u = alg.table[BasisVector("x", 1).coordinate, BasisVector("y", 2).coordinate]
     v = alg.table[BasisVector("y", 1).coordinate, BasisVector("y", 2).coordinate]
-    span = Subspace.from_vectors(alg.field, alg.dim, np.vstack([u, v]))
-    return span.dim == 2
+    return _independent(u, v, alg.field.p)
+
+
+def _independent(u: np.ndarray, v: np.ndarray, p: int) -> bool:
+    """True iff the residue vectors u and v are linearly independent mod p.
+
+    They are iff their wedge u ^ v, with entries u_i v_j - u_j v_i, is not
+    zero mod p.  Each entry is exact in int64, since (p - 1)**2 < 2**63.
+    """
+    return bool(((np.outer(u, v) - np.outer(v, u)) % p).any())
 
 
 def maximal_class_structure_check(alg: Algebra) -> bool:
@@ -674,7 +695,9 @@ def maximal_class_structure_check(alg: Algebra) -> bool:
 
     Only defined for algebras of maximal class 2n-3 with 2n >= 8; the
     convention L^0 = L, Z_{-1} = 0 and Z_j = L for j past the class closes
-    the index range.
+    the index range.  The form is non-degenerate, so L^k = perp(Z_{k-1})
+    iff dim L^k + dim Z_{k-1} = 2n and L^k is orthogonal to Z_{k-1}, which
+    one pairing matrix decides (see orthogonal); no perp is built.
     """
     if alg.dim < 8:
         raise ValueError("structure check requires dimension at least 8")
@@ -696,8 +719,8 @@ def maximal_class_structure_check(alg: Algebra) -> bool:
         return report.upper[j] if j < len(report.upper) else full_space(alg)
 
     for k in range(0, target + 1):
-        lk = lower_term(k)
-        if lk != perp(upper_term(k - 1), alg.gram):
+        lk, z = lower_term(k), upper_term(k - 1)
+        if lk.dim + z.dim != alg.dim or not orthogonal(lk, z, alg.gram):
             return False
         if lk != upper_term(alg.dim - k - 2):
             return False

@@ -28,7 +28,7 @@ from .algebra import (
     series_report,
 )
 from .construct import predict_min_class
-from .linalg import PrimeField, _rref_array, perp
+from .linalg import PrimeField, _rref_array, orthogonal
 from .presfile import emit_presentation
 
 __all__ = [
@@ -98,12 +98,18 @@ def check_axioms(alg: Algebra, subject: str = "algebra") -> CheckResult:
 
 
 def check_duality(alg: Algebra, subject: str = "algebra") -> CheckResult:
-    """Z_i equals perp(L^{i+1}) for every i up to the class."""
+    """Z_i equals perp(L^{i+1}) for every i up to the class.
+
+    The form is non-degenerate, so Z_i = perp(L^{i+1}) iff
+    dim Z_i + dim L^{i+1} = 2n and Z_i is orthogonal to L^{i+1}, which one
+    pairing matrix decides (see orthogonal); no perp is built.
+    """
     rep = series_report(alg)
     if rep.nilpotency_class is None:
         raise NotNilpotentError("duality check requires a nilpotent algebra")
     for i, z in enumerate(rep.upper):
-        if z != perp(rep.lower[i], alg.gram):
+        lower = rep.lower[i]
+        if z.dim + lower.dim != alg.dim or not orthogonal(z, lower, alg.gram):
             return CheckResult(
                 "duality", subject, False, f"Z_{i} != perp(L^{i + 1}); dims {rep.lower_dims}"
             )

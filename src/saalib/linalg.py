@@ -27,6 +27,7 @@ __all__ = [
     "subspace_intersect",
     "GramMatrix",
     "perp",
+    "orthogonal",
     "solve_against_form",
 ]
 
@@ -380,6 +381,31 @@ def perp(s: Subspace, g: GramMatrix) -> Subspace:
     p = s.field.p
     ker = _kernel_rows(s.basis, s._pivot_columns, p)
     return Subspace.from_vectors(s.field, s.ambient_dim, ker @ g.data % p)
+
+
+def _pairing_matrix(a: Subspace, b: Subspace, g: GramMatrix) -> np.ndarray:
+    """The pairings (u, v) for u over a's basis rows and v over b's.
+
+    One matmul, A G B^T mod p.  G is a signed permutation, so each entry
+    of A G is one product of residues, and _dot_mod keeps the second
+    product exact in int64 for every accepted p.
+    """
+    for s in (a, b):
+        if s.ambient_dim != g.dim or s.field != g.field:
+            raise ValueError("ambient mismatch")
+    p = g.field.p
+    return _dot_mod(a.basis @ g.data % p, b.basis.T, p)
+
+
+def orthogonal(a: Subspace, b: Subspace, g: GramMatrix) -> bool:
+    """True iff every vector of a pairs to zero with every vector of b.
+
+    That is, a lies in perp(b), read off one pairing matrix of the two
+    bases (see _pairing_matrix) instead of building the perp.  The form is
+    non-degenerate, so dim perp(b) = 2n - dim b, and a = perp(b) holds
+    exactly when dim a + dim b = 2n and orthogonal(a, b, g).
+    """
+    return not _pairing_matrix(a, b, g).any()
 
 
 def solve_against_form(g: GramMatrix, rhs) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Algebra construction, product axioms, central series, structure tests."""
 
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -420,7 +421,8 @@ def test_isotropic_ideal_chain_on_catalog():
 
 
 def test_chain_takes_each_perp_once(monkeypatch):
-    # the doubled chain reuses the perps that the extension steps computed
+    # the extension steps read orthogonality off pairing matrices; only the
+    # doubled chain needs perps, one of each of I_2, ..., I_{n-1}
     seen = []
 
     def counted(s, g):
@@ -434,7 +436,7 @@ def test_chain_takes_each_perp_once(monkeypatch):
         seen.clear()
         chain = isotropic_ideal_chain(alg)
         assert len(seen) == len(set(seen)), alg.n
-        assert set(seen) == set(chain[:-1]), alg.n
+        assert set(seen) == set(chain[2:-1]), alg.n
 
 
 def test_chain_witness_from_nilpotent_presentation():
@@ -502,6 +504,30 @@ def test_maximal_class_structure_check():
         assert maximal_class_structure_check(alg)
     with pytest.raises(ValueError):
         maximal_class_structure_check(build_algebra(catalog_entry("P10-2-1").presentation(F3)))
+
+
+def test_maximal_class_structure_check_fails_on_a_tampered_report():
+    alg = build_algebra(catalog_entry("P8-2-1").presentation(F3))
+    rep = series_report(alg)
+    # a centre of the right dimension that pairs nonzero with L^2
+    other = Subspace.from_vectors(F3, alg.dim, np.eye(alg.dim, dtype=np.int64)[:2])
+    assert other != rep.upper[1]
+    alg._series["series_report"] = dataclasses.replace(
+        rep, upper=(rep.upper[0], other, *rep.upper[2:])
+    )
+    assert maximal_class_structure_check(alg) is False
+    # L^2 = Z_{2n-4} both shrunk to a hyperplane of L^2: every term still
+    # pairs to zero where it should, and only dim L^2 + dim Z_1 != 2n, or
+    # dim L^{2n-3} + dim Z_{2n-4} != 2n, shows the tampering
+    shrunk = Subspace.from_vectors(F3, alg.dim, rep.lower[1].basis[1:])
+    upper = list(rep.upper)
+    upper[alg.dim - 4] = shrunk
+    alg._series["series_report"] = dataclasses.replace(
+        rep, lower=(rep.lower[0], shrunk, *rep.lower[2:]), upper=tuple(upper)
+    )
+    assert maximal_class_structure_check(alg) is False
+    alg._series["series_report"] = rep
+    assert maximal_class_structure_check(alg) is True
 
 
 def test_series_mirror_equality():

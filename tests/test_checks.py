@@ -13,6 +13,7 @@ from saalib.algebra import (
     build_algebra,
     nilpotency_class,
     rank,
+    series_report,
 )
 from saalib.checks import (
     ScanConfig,
@@ -64,6 +65,24 @@ def test_duality_on_catalog_and_randoms():
             assert check_duality(alg).passed
     abelian = build_algebra(Presentation.build(4, F3, []))
     assert check_duality(abelian).passed
+
+
+@pytest.mark.parametrize("swap", ["same dim", "line inside"])
+def test_duality_fails_on_a_tampered_centre(swap):
+    # same dim: pairs nonzero with L^2; line inside Z_1: orthogonal to L^2
+    # but of too small a dimension to be its perp
+    alg = build_algebra(catalog_entry("P10-2-1").presentation(F3))
+    rep = series_report(alg)
+    z1 = rep.upper[1]
+    rows = np.eye(alg.dim, dtype=np.int64)[: z1.dim] if swap == "same dim" else z1.basis[:1]
+    other = linalg.Subspace.from_vectors(F3, alg.dim, rows)
+    assert other != z1
+    alg._series["series_report"] = dataclasses.replace(
+        rep, upper=(rep.upper[0], other, *rep.upper[2:])
+    )
+    result = check_duality(alg)
+    assert not result.passed
+    assert result.details == f"Z_1 != perp(L^2); dims {rep.lower_dims}"
 
 
 def test_duality_requires_nilpotent():

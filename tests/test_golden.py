@@ -16,8 +16,8 @@ that prints `center-isotropic: no`), and the `kind general` n = 2 file
 over GF(3) with the one triple x1 y1 x2, which is not nilpotent
 (`duality: n/a`).  The random presentations are samples 0..3 of seed 2023 over GF(3), where every n has samples of
 maximal class and, below n = 8, samples of lower class; all four at n = 8
-are of maximal class, so every `perp` of the maximal-class structure check
-is pinned.  Samples 0 and 1 at n = 8 over GF(2**31 - 1) are added.
+are of maximal class, so every orthogonality test of the maximal-class
+structure check is pinned.  Samples 0 and 1 at n = 8 over GF(2**31 - 1) are added.
 The scans cover a rank-2 filter at n = 6; n = 3, where the predicted
 class, min-class-rank2 and the criterion mismatches read n/a; n = 4 over
 GF(2) with three rank rows; and a rank-3 filter at n = 5, whose

@@ -16,6 +16,7 @@ from saalib.algebra import (
     StructureTensor,
     _centralizer_above,
     _dense_products,
+    _independent,
     _sparse_products,
     _table_nonzeros,
     build_algebra,
@@ -36,7 +37,15 @@ from saalib.construct import (
     try_scaling_isomorphism,
     verify_scaling_witness,
 )
-from saalib.linalg import GramMatrix, PrimeField, Subspace, _rref_array, nullspace, perp
+from saalib.linalg import (
+    GramMatrix,
+    PrimeField,
+    Subspace,
+    _rref_array,
+    nullspace,
+    orthogonal,
+    perp,
+)
 from saalib.presfile import emit_presentation, parse_presentation
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
@@ -44,6 +53,8 @@ from saalib.presfile import emit_presentation, parse_presentation
 PRIMES = (2, 3, 7, 268435399, 2147483647, 3037000493)
 
 primes = st.sampled_from(PRIMES)
+# two small primes, one odd prime above 3 and the largest accepted prime
+small_and_largest = st.sampled_from((2, 3, 7, 3037000493))
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -290,6 +301,54 @@ def test_perp_matches_two_elimination_reference(p, n, seed, span):
     expected = reference_span(field, 2 * n, reference_kernel(constraints, 2 * n, p))
     assert perp(s, g) == expected
     assert perp(expected, g) == s
+
+
+@given(
+    p=small_and_largest,
+    n=st.integers(1, 6),
+    seed=seeds,
+    span=st.integers(0, 12),
+    count=st.integers(0, 12),
+    draw=st.sampled_from(["random", "inside", "perturbed"]),
+)
+def test_orthogonal_matches_perp(p, n, seed, span, count, draw):
+    # a is drawn at random, inside perp(b), or inside it but for one row, so
+    # both answers and both sides of dim a + dim b = 2n occur
+    field = PrimeField(p)
+    g = GramMatrix(field, n)
+    rng = np.random.default_rng(seed)
+    b = Subspace.from_vectors(field, 2 * n, rng.integers(0, p, size=(span, 2 * n)))
+    b_perp = perp(b, g)
+    if draw == "random":
+        rows = rng.integers(0, p, size=(count, 2 * n)).tolist()
+    else:
+        rows = combinations(rng, count, b_perp.basis.tolist(), p) if b_perp.dim else []
+        if draw == "perturbed" and rows:
+            rows[0] = [(x + int(y)) % p for x, y in zip(rows[0], rng.integers(0, p, 2 * n))]
+    a = Subspace.from_vectors(field, 2 * n, rows)
+    assert orthogonal(a, b, g) == b_perp.contains_subspace(a)
+    assert orthogonal(b, a, g) == orthogonal(a, b, g)
+    assert (a.dim + b.dim == 2 * n and orthogonal(a, b, g)) == (a == b_perp)
+
+
+@given(
+    p=small_and_largest,
+    dim=st.integers(1, 16),
+    seed=seeds,
+    draw=st.sampled_from(["random", "parallel", "zero first", "zero second"]),
+)
+def test_wedge_decides_independence(p, dim, seed, draw):
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, p, size=dim)
+    v = rng.integers(0, p, size=dim)
+    if draw == "parallel":
+        v = u * int(rng.integers(0, p)) % p
+    elif draw == "zero first":
+        u = np.zeros(dim, dtype=np.int64)
+    elif draw == "zero second":
+        v = np.zeros(dim, dtype=np.int64)
+    span = Subspace.from_vectors(PrimeField(p), dim, np.vstack([u, v]))
+    assert _independent(u, v, p) == (span.dim == 2)
 
 
 def reference_centralizer(alg, z):
