@@ -576,8 +576,9 @@ def _priority_permutation(n: int) -> list[int]:
 
 
 def _candidate_rows(w: np.ndarray, perm: list[int], p: int) -> list[np.ndarray]:
-    """Rows spanning the span of w, canonicalized in the priority coordinate
-    order: the RREF in that order is unique, whichever rows span it."""
+    """The canonical basis of the span of w's rows in the priority coordinate
+    order, mapped back to coordinate order.  RREF is unique, so any rows
+    spanning the same space give the same candidates."""
     arr, pivots = _rref_array(w[:, perm], p)
     inverse = np.argsort(perm)
     return [row[inverse] for row in arr[: len(pivots)]]

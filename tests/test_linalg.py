@@ -11,6 +11,7 @@ from saalib.linalg import (
     _rref_array,
     is_prime,
     nullspace,
+    orthogonal,
     perp,
     solve_against_form,
     subspace_intersect,
@@ -157,6 +158,10 @@ def test_ambient_mismatch_errors():
         subspace_intersect(a, b)
     with pytest.raises(ValueError):
         perp(b, GramMatrix(field, 2))
+    with pytest.raises(ValueError):
+        orthogonal(a, b, GramMatrix(field, 2))
+    with pytest.raises(ValueError):
+        orthogonal(a, a, GramMatrix(PrimeField(5), 2))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -182,6 +187,9 @@ def test_perp_examples():
     x1 = Subspace.from_vectors(field, 4, [[1, 0, 0, 0]])
     expected = Subspace.from_vectors(field, 4, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert perp(x1, g) == expected
+    y1 = Subspace.from_vectors(field, 4, [[0, 1, 0, 0]])
+    assert orthogonal(x1, x1, g) and orthogonal(x1, expected, g)
+    assert not orthogonal(x1, y1, g) and not orthogonal(y1, x1, g)
 
 
 @pytest.mark.parametrize("p", PRIMES)
