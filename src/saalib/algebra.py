@@ -29,7 +29,6 @@ from .linalg import (
     _rref_array,
     nullspace,
     orthogonal,
-    perp,
 )
 
 __all__ = [
@@ -319,7 +318,7 @@ def build_algebra(pres: Presentation) -> Algebra:
     gamma = tensor.dense()
     dim = 2 * pres.n
     table = np.zeros((dim, dim, dim), dtype=np.int64)
-    # closed form of solve_against_form applied to every basis pair at once
+    # the module docstring's closed form of u . v, for every basis pair at once
     table[:, :, 0::2] = gamma[:, :, 1::2]
     table[:, :, 1::2] = -gamma[:, :, 0::2] % field.p
     table.flags.writeable = False
@@ -601,12 +600,20 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
       and Z & L^2 is orthogonal to Z and nonzero unless L is abelian.
     - k >= 2: a nilpotent L acts nilpotently on the module perp(I_k)/I_k,
       whose fixed vectors give w > I_k.
-    - Any complete chain is central: I_{k+1} L <= I_k gives
-      perp(I_k) L <= perp(I_{k+1}) by invariance of the form; gamma
-      vanishes on perp(I_{n-1}) x perp(I_{n-1}) x L, so
-      perp(I_{n-1}) L <= I_{n-1}; and I_2 <= Z = perp(L^2) gives
-      L L <= perp(I_2).  For n <= 2 the doubled chain is 0 < L, and a
-      nilpotent L is then abelian.
+    - Any complete chain is central.  Each step keeps I_{k+1} in C and in
+      perp(I_k), so the chain has (i) I_m L = 0 for m = min(n, 2),
+      (ii) I_{k+1} L <= I_k for 2 <= k < n and (iii) I_n isotropic.  These
+      make the doubled chain central by invariance, (xy, z) = (yz, x), which
+      holds for every algebra build_algebra makes, its table being read off
+      an alternating gamma (check_axioms tests it).  By (iii) the doubled
+      chain ascends, and by (i) and (ii) its lower half is central.  (ii)
+      gives perp(I_k) L <= perp(I_{k+1}), as (a l, b) = -(b l, a).  By
+      (iii), perp(I_{n-1}) = I_n + <v>, and gamma(a, l, b) = (a l, b)
+      vanishes for a, b in it by (ii) at k = n-1, (iii) and alternation, so
+      perp(I_{n-1}) L <= I_{n-1}.  (i) gives L L <= perp(I_2), as
+      (a l, b) = (l b, a).  For n <= 2 the doubled chain is 0 < L: by (i)
+      and alternation, gamma vanishes once an argument lies in I_m, and
+      dim L/I_m <= 2, so gamma = 0.
 
     So a chain exists iff L is nilpotent, and the greedy path finds one
     whenever any path does.  ChainError names the step k at which no
@@ -615,9 +622,9 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     No step builds perp(I_k): c @ C lies in perp(I_k) iff c M = 0, with M
     the pairing matrix of C's basis with I_k's (see orthogonal), so w is
     spanned by the left kernel of M mapped back through C's basis.  After
-    the loop one perp is taken for each of I_2, ..., I_{n-1}, the terms the
-    doubled chain holds, and the doubled chain is checked as central; a
-    failure raises RuntimeError, as it is proved.
+    the loop (i) and (ii) are checked on the product rows and (iii) on one
+    pairing matrix; a failure, which the argument above rules out, raises
+    RuntimeError naming the condition and k.
     """
     n, p = alg.n, alg.field.p
     perm = _priority_permutation(n)
@@ -635,11 +642,16 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
             )
         chain.append(Subspace.from_vectors(alg.field, alg.dim, np.vstack([current.basis, row])))
     L = full_space(alg)
-    perps = [perp(term, alg.gram) for term in chain[2:n]]
-    doubled = [chain[0], *chain[2:n], *reversed(perps), L]
-    for lower_term, upper_term in zip(doubled, doubled[1:]):
-        if not lower_term._spans(_product_rows(alg, upper_term, L)):
-            raise RuntimeError(f"doubled ideal chain is not central for n={n}")
+    m = min(n, 2)
+    if len(_product_rows(alg, chain[m], L)):
+        raise RuntimeError(f"isotropic ideal chain fails (i) I_{m} L = 0 for n={n}")
+    for k in range(2, n):
+        if not chain[k]._spans(_product_rows(alg, chain[k + 1], L)):
+            raise RuntimeError(
+                f"isotropic ideal chain fails (ii) I_{k + 1} L <= I_{k} at k={k} for n={n}"
+            )
+    if not orthogonal(chain[n], chain[n], alg.gram):
+        raise RuntimeError(f"isotropic ideal chain fails (iii) I_{n} isotropic for n={n}")
     return chain
 
 

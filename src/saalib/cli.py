@@ -127,8 +127,9 @@ def verify_report(
 
 def _cmd_verify(args) -> int:
     try:
-        text = open(args.file, encoding="utf-8").read()
-    except OSError as exc:
+        with open(args.file, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

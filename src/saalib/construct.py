@@ -435,7 +435,11 @@ def _transform_values(tensor: StructureTensor, witness: ScalingWitness):
 
 
 def verify_scaling_witness(a: Presentation, b: Presentation, witness: ScalingWitness) -> bool:
-    """True iff the witness transforms a's full tensor exactly onto b's."""
+    """True iff the witness, n unit scales over a's and b's shared field,
+    transforms a's full tensor exactly onto b's."""
+    shared = a.n == b.n == len(witness.scales) and a.field == b.field == witness.field
+    if not shared or not all(s % witness.field.p for s in witness.scales):
+        return False
     ta = StructureTensor.from_presentation(a)
     tb = StructureTensor.from_presentation(b)
     return _transform_values(ta, witness) == dict(tb.items())

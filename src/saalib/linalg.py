@@ -23,12 +23,10 @@ __all__ = [
     "PrimeField",
     "nullspace",
     "Subspace",
-    "subspace_sum",
     "subspace_intersect",
     "GramMatrix",
     "perp",
     "orthogonal",
-    "solve_against_form",
 ]
 
 
@@ -76,9 +74,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
         return pow(a, -1, self.p)
-
-    def units(self) -> range:
-        return range(1, self.p)
 
     def reduce(self, data) -> np.ndarray:
         """Reduce arbitrary integer data to a read-only residue array."""
@@ -299,13 +294,6 @@ def _require_same_ambient(a: Subspace, b: Subspace) -> None:
         raise ValueError("ambient mismatch")
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Canonical span of the union of the two bases."""
-    _require_same_ambient(a, b)
-    stacked = np.vstack([a.basis, b.basis])
-    return Subspace.from_vectors(a.field, a.ambient_dim, stacked)
-
-
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of row spaces.
 
@@ -407,16 +395,3 @@ def orthogonal(a: Subspace, b: Subspace, g: GramMatrix) -> bool:
     """
     return not _pairing_matrix(a, b, g).any()
 
-
-def solve_against_form(g: GramMatrix, rhs) -> np.ndarray:
-    """The unique v with (v, u_k) = rhs[k] for every standard basis vector u_k.
-
-    With the standard form this is closed-form: the x_k coefficient of v is
-    the required pairing against y_k, and the y_k coefficient is minus the
-    required pairing against x_k.
-    """
-    r = g.field.vector(rhs, g.dim)
-    out = np.zeros(g.dim, dtype=np.int64)
-    out[0::2] = r[1::2]
-    out[1::2] = -r[0::2] % g.field.p
-    return g.field.reduce(out)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from saalib import algebra as algebra_module
+from saalib import linalg as linalg_module
 from saalib.algebra import (
     BasisVector,
     ChainError,
@@ -420,23 +421,64 @@ def test_isotropic_ideal_chain_on_catalog():
             assert is_isotropic(alg, s)
 
 
-def test_chain_takes_each_perp_once(monkeypatch):
-    # the extension steps read orthogonality off pairing matrices; only the
-    # doubled chain needs perps, one of each of I_2, ..., I_{n-1}
-    seen = []
+def test_chain_builds_no_perp(monkeypatch):
+    # the extension steps read orthogonality off pairing matrices, and the
+    # chain is checked by (i)-(iii); algebra holds no perp, and the patch
+    # catches any call from inside linalg
+    def refused(s, g):
+        raise AssertionError("isotropic_ideal_chain built a perp")
 
-    def counted(s, g):
-        seen.append(s)
-        return perp(s, g)
-
-    monkeypatch.setattr(algebra_module, "perp", counted)
+    assert not hasattr(algebra_module, "perp")
+    monkeypatch.setattr(linalg_module, "perp", refused)
     algebras = [build_algebra(e.presentation(F3, r=1)) for e in catalog()]
     algebras.append(build_algebra(construct_minimal(16, F3)[1]))
     for alg in algebras:
-        seen.clear()
-        chain = isotropic_ideal_chain(alg)
-        assert len(seen) == len(set(seen)), alg.n
-        assert set(seen) == set(chain[2:-1]), alg.n
+        assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(alg.n + 1))
+
+
+def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
+    # every pairing reads zero and y_3 comes right after x_3, so the loop
+    # takes I_2 = <x_3, y_3>; the abelian algebra makes every doubled chain
+    # central, and only (iii) sees that I_3 is not isotropic
+    monkeypatch.setattr(
+        algebra_module, "_pairing_matrix", lambda a, b, g: np.zeros((a.dim, b.dim), np.int64)
+    )
+    monkeypatch.setattr(
+        algebra_module,
+        "_priority_permutation",
+        lambda n: [2 * (i - 1) + t for i in range(n, 0, -1) for t in (0, 1)],
+    )
+    with pytest.raises(RuntimeError, match=r"fails \(iii\) I_3 isotropic for n=3") as info:
+        isotropic_ideal_chain(abelian(3))
+    assert not isinstance(info.value, ChainError)
+
+
+def relabelled(pres):
+    """The same algebra with each index i renamed n + 1 - i."""
+    n = pres.n
+    items = [(*(f"{v.kind}{n + 1 - v.index}" for v in t.vectors), t.value) for t in pres.triples]
+    return Presentation.build(n, pres.field, items)
+
+
+@pytest.mark.parametrize(
+    "above_zero, failing",
+    [(False, r"fails \(i\) I_2 L = 0 for n="), (True, r"fails \(ii\) I_3 L <= I_2 at k=2 for n=")],
+)
+def test_chain_check_refuses_a_chain_outside_the_centralizers(monkeypatch, above_zero, failing):
+    # _centralizer_above returns L (or L above every nonzero ideal, so the
+    # centre stays right); with the indices reversed the priority order then
+    # takes vectors whose products leave the chain
+    centralizer = algebra_module._centralizer_above
+    monkeypatch.setattr(
+        algebra_module,
+        "_centralizer_above",
+        lambda alg, z: centralizer(alg, z) if above_zero and z.is_zero() else full_space(alg),
+    )
+    for entry in catalog():
+        alg = build_algebra(relabelled(entry.presentation(F3, r=1)))
+        with pytest.raises(RuntimeError, match=failing) as info:
+            isotropic_ideal_chain(alg)
+        assert not isinstance(info.value, ChainError)
 
 
 def test_chain_witness_from_nilpotent_presentation():

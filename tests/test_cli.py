@@ -121,6 +121,13 @@ def test_verify_io_and_parse_errors(tmp_path, capsys):
     code = main(["verify", str(bad)])
     capsys.readouterr()
     assert code == 2
+    # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback
+    binary = tmp_path / "binary.saa"
+    binary.write_bytes(b"saa-presentation v1\nn 4\xff\n")
+    code = main(["verify", str(binary)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "utf-8" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_2(capsys):

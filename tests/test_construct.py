@@ -272,6 +272,27 @@ def test_scaling_no_witness_and_mismatch():
         try_scaling_isomorphism(p1, other)
 
 
+def test_scaling_witness_that_is_no_basis_change_is_refused():
+    # the identity scaling verifies; with 9 scales for n = 4 it read True,
+    # with 2 it raised IndexError and with a zero scale ZeroDivisionError
+    from saalib.algebra import Presentation
+
+    a = catalog_entry("P8-2-1").presentation(F7, r=1)
+    assert verify_scaling_witness(a, a, ScalingWitness(F7, (1, 1, 1, 1)))
+    for witness in (
+        ScalingWitness(F7, (1,) * 9),
+        ScalingWitness(F7, (1, 1)),
+        ScalingWitness(F7, (0, 1, 1, 1)),
+        ScalingWitness(F7, (1, 7, 1, 1)),
+        ScalingWitness(PrimeField(5), (1, 1, 1, 1)),
+    ):
+        assert not verify_scaling_witness(a, a, witness), witness
+    # a and b must present algebras of one space
+    empty3, empty4 = Presentation(3, F7, ()), Presentation(4, F7, ())
+    assert not verify_scaling_witness(empty3, empty4, ScalingWitness(F7, (1, 1, 1)))
+    assert not verify_scaling_witness(a, Presentation(4, F3, ()), ScalingWitness(F7, (1,) * 4))
+
+
 def test_scaling_over_gf2_is_the_identity():
     # GF(2)^x is trivial, so the only diagonal scaling is (1, ..., 1)
     for entry in catalog():

@@ -425,6 +425,14 @@ def test_chain_exists_iff_nilpotent(p, n, seed, shape):
         assert lower.contains_subspace(product_space(alg, upper, full_space(alg)))
     for s in chain:
         assert perp(s, alg.gram).contains_subspace(s)
+    # the reference: the doubled chain I_0 < I_2 < ... < perp(I_2) < L, built
+    # with perp, is central, as the chain's own check (i)-(iii) implies
+    L = full_space(alg)
+    perps = [perp(s, alg.gram) for s in chain[2:n]]
+    doubled = [chain[0], *chain[2:n], *reversed(perps), L]
+    for lower, upper in zip(doubled, doubled[1:]):
+        assert upper.contains_subspace(lower)
+        assert lower.contains_subspace(product_space(alg, upper, L))
 
 
 @pytest.mark.parametrize("p", PRIMES)
