@@ -14,8 +14,14 @@ files pin the report's other branches: the n = 3 file over GF(3) with no
 triples, whose centre is all of L and so not isotropic (the only case
 that prints `center-isotropic: no`), and the `kind general` n = 2 file
 over GF(3) with the one triple x1 y1 x2, which is not nilpotent
-(`duality: n/a`).  The random presentations are samples 0..3 of seed 2023 over GF(3), where every n has samples of
-maximal class and, below n = 8, samples of lower class; all four at n = 8
+(`duality: n/a`).  Two more pin the branches no catalog or random file
+reaches: P8-2-1 over GF(3) with each index i renamed 5 - i, a `kind
+general` file of maximal class whose criterion reads n/a at dimension 8
+while its structure check passes, and the `kind general` n = 4 file with
+the triples x1 y1 x2 and x3 y3 y4, which has a 2-dimensional centre at
+dimension 8 but is not nilpotent, so every check reads n/a.  The random
+presentations are samples 0..3 of seed 2023 over GF(3), where every n has
+samples of maximal class and, below n = 8, samples of lower class; all four at n = 8
 are of maximal class, so every orthogonality test of the maximal-class
 structure check is pinned.  Samples 0 and 1 at n = 8 over GF(2**31 - 1) are added.
 The scans cover a rank-2 filter at n = 6; n = 3, where the predicted
@@ -132,6 +138,9 @@ HEADER = "saa-presentation v1\n"
 VERIFY_TEXT = {
     "abelian-n3-p3": HEADER + "n 3\np 3\nkind nilpotent\n",
     "general-n2-p3": HEADER + "n 2\np 3\nkind general\ntriple x1 y1 x2 1\n",
+    "relabelled-P8-2-1-p3": HEADER + "n 4\np 3\nkind general\n"
+    "triple x3 y2 y1 1\ntriple x4 y3 y2 1\ntriple y4 y3 y1 1\n",
+    "general-n4-p3": HEADER + "n 4\np 3\nkind general\ntriple x1 y1 x2 1\ntriple x3 y3 y4 1\n",
 }
 CASES = {
     **{_verify_case(name, r): partial(_verify, name, r) for name, r in VERIFY},
