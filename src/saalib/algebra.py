@@ -38,6 +38,7 @@ __all__ = [
     "StructureTensor",
     "Algebra",
     "SeriesReport",
+    "NotApplicable",
     "NotNilpotentError",
     "ChainError",
     "build_algebra",
@@ -61,7 +62,11 @@ __all__ = [
 ]
 
 
-class NotNilpotentError(ValueError):
+class NotApplicable(ValueError):
+    """Raised when a check's precondition fails, so the check does not apply."""
+
+
+class NotNilpotentError(NotApplicable):
     """Raised when an operation requires a nilpotent algebra."""
 
 
@@ -434,8 +439,10 @@ class SeriesReport:
     """Computed central series data.
 
     lower holds L^1 >= L^2 >= ... and upper holds Z_0 <= Z_1 <= ..., each up
-    to their first repeated term.  nilpotency_class is present iff the lower
-    series reaches zero.
+    to their first repeated term, so past its end a series repeats its last
+    term.  lower_term and upper_term read a series by that rule, with
+    L^0 = L^1 = L and Z_{-1} = Z_0 = 0.  nilpotency_class is present iff
+    the lower series reaches zero.
     """
 
     lower: tuple[Subspace, ...] = ()
@@ -450,6 +457,14 @@ class SeriesReport:
     @property
     def upper_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.upper)
+
+    def lower_term(self, i: int) -> Subspace:
+        """L^i for any integer i."""
+        return self.lower[min(max(i, 1), len(self.lower)) - 1]
+
+    def upper_term(self, i: int) -> Subspace:
+        """Z_i for any integer i."""
+        return self.upper[min(max(i, 0), len(self.upper) - 1)]
 
 
 @_held
@@ -529,7 +544,7 @@ def rank(alg: Algebra) -> int:
     low = lower_central_series(alg)
     if low.nilpotency_class is None:
         raise NotNilpotentError("rank requires a nilpotent algebra")
-    r = alg.dim - (low.lower[1].dim if len(low.lower) > 1 else alg.dim)
+    r = alg.dim - low.lower_term(2).dim
     z1 = _center(alg)
     if z1.dim != r:
         raise RuntimeError(f"rank cross-check failed: dim L - dim L^2 = {r}, dim Z_1 = {z1.dim}")
@@ -680,9 +695,9 @@ def is_maximal_class_criterion(alg: Algebra) -> bool:
     independent.
     """
     if alg.dim < 8:
-        raise ValueError("criterion requires dimension at least 8")
+        raise NotApplicable("criterion requires dimension at least 8")
     if alg.presentation is None or not validate_nilpotent_presentation(alg.presentation):
-        raise ValueError("criterion requires a nilpotent presentation")
+        raise NotApplicable("criterion requires a nilpotent presentation")
     n = alg.n
     for i in range(2, n - 1):
         xi = BasisVector("x", i).coordinate
@@ -707,34 +722,23 @@ def maximal_class_structure_check(alg: Algebra) -> bool:
     """Verify L^k = perp(Z_{k-1}) = Z_{2n-k-2} for 0 <= k <= 2n-3.
 
     Only defined for algebras of maximal class 2n-3 with 2n >= 8; the
-    convention L^0 = L, Z_{-1} = 0 and Z_j = L for j past the class closes
-    the index range.  The form is non-degenerate, so L^k = perp(Z_{k-1})
-    iff dim L^k + dim Z_{k-1} = 2n and L^k is orthogonal to Z_{k-1}, which
-    one pairing matrix decides (see orthogonal); no perp is built.
+    series report's index rule (L^0 = L, Z_{-1} = 0 and Z_j = L for j past
+    the class) closes the index range.  The form is non-degenerate, so
+    L^k = perp(Z_{k-1}) iff dim L^k + dim Z_{k-1} = 2n and L^k is
+    orthogonal to Z_{k-1}, which one pairing matrix decides (see
+    orthogonal); no perp is built.
     """
     if alg.dim < 8:
-        raise ValueError("structure check requires dimension at least 8")
+        raise NotApplicable("structure check requires dimension at least 8")
     report = series_report(alg)
     cls = report.nilpotency_class
     target = alg.dim - 3
     if cls != target:
-        raise ValueError(f"not of maximal class: class is {cls}, expected {target}")
-
-    def lower_term(k: int) -> Subspace:
-        if k <= 1:
-            return full_space(alg)
-        idx = k - 1
-        return report.lower[idx] if idx < len(report.lower) else zero_space(alg)
-
-    def upper_term(j: int) -> Subspace:
-        if j < 0:
-            return zero_space(alg)
-        return report.upper[j] if j < len(report.upper) else full_space(alg)
-
+        raise NotApplicable(f"not of maximal class: class is {cls}, expected {target}")
     for k in range(0, target + 1):
-        lk, z = lower_term(k), upper_term(k - 1)
+        lk, z = report.lower_term(k), report.upper_term(k - 1)
         if lk.dim + z.dim != alg.dim or not orthogonal(lk, z, alg.gram):
             return False
-        if lk != upper_term(alg.dim - k - 2):
+        if lk != report.upper_term(alg.dim - k - 2):
             return False
     return True

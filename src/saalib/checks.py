@@ -18,6 +18,7 @@ import numpy as np
 from .algebra import (
     Algebra,
     BasisVector,
+    NotApplicable,
     NotNilpotentError,
     Presentation,
     PresentationTriple,
@@ -154,10 +155,11 @@ def check_rank_two_structure(alg: Algebra, subject: str = "algebra") -> CheckRes
     rep = series_report(alg)
     if rep.nilpotency_class is None:
         raise NotNilpotentError("rank-two structure requires a nilpotent algebra")
-    if rep.upper[1].dim != 2:
-        raise ValueError("check requires a 2-dimensional center")
+    center = rep.upper_term(1)
+    if center.dim != 2:
+        raise NotApplicable("check requires a 2-dimensional center")
     if alg.dim < 8:
-        raise ValueError("check requires dimension at least 8")
+        raise NotApplicable("check requires dimension at least 8")
     d = alg.dim
     cls = rep.nilpotency_class
     ld = rep.lower_dims
@@ -168,7 +170,7 @@ def check_rank_two_structure(alg: Algebra, subject: str = "algebra") -> CheckRes
         problems.append(f"dim L^3 = {ld[2]} != {d - 3}")
     if ld[3] not in (d - 4, d - 5):
         problems.append(f"dim L^4 = {ld[3]} not in {{{d - 4}, {d - 5}}}")
-    if rep.lower[cls - 1] != rep.upper[1]:
+    if rep.lower_term(cls) != center:
         problems.append("L^class != center")
     if not 5 <= cls <= d - 3:
         problems.append(f"class {cls} outside [5, {d - 3}]")

@@ -348,8 +348,7 @@ class CatalogEntry:
     def dim(self) -> int:
         return 2 * self.n
 
-    def presentation(self, field: PrimeField | None = None, r: int = 1) -> Presentation:
-        field = field or PrimeField(3)
+    def presentation(self, field: PrimeField, r: int = 1) -> Presentation:
         rv = r % field.p
         if self.parameterized and rv == 0:
             raise ValueError(f"{self.name} requires a nonzero parameter r")
@@ -581,7 +580,7 @@ def try_scaling_isomorphism(a: Presentation, b: Presentation) -> ScalingWitness 
 def fingerprint(alg: Algebra) -> tuple:
     """Isomorphism invariants; unequal fingerprints certify non-isomorphism."""
     report = series_report(alg)
-    lsq = report.lower[1] if len(report.lower) > 1 else report.lower[0]
+    lsq = report.lower_term(2)
     sq_product = product_space(alg, lsq, lsq)
     return (
         report.lower_dims,

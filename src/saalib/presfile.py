@@ -16,7 +16,10 @@ refuses, so the order a triple is written in never matters.
 
 Emission is canonical: triple entries in coordinate order with the sign
 folded into the value, records sorted by (kind, indices), values reduced.
-parse(emit(parse(text))) is the identity and emitted text is a fixpoint.
+The kind line is derived, never chosen: `kind nilpotent` exactly when
+validate_nilpotent_presentation accepts the triples, so every emitted file
+parses.  parse(emit(parse(text))) is the identity and emitted text is a
+fixpoint.
 """
 
 from __future__ import annotations
@@ -141,12 +144,9 @@ def parse_presentation(text: str) -> Presentation:
     return parse_presentation_file(text).presentation
 
 
-def emit_presentation(pres: Presentation, kind: str | None = None) -> str:
-    """Canonical text form; kind is derived from the triples if omitted."""
-    if kind is None:
-        kind = "nilpotent" if validate_nilpotent_presentation(pres) else "general"
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
+def emit_presentation(pres: Presentation) -> str:
+    """Canonical text form; the kind is nilpotent iff every triple is."""
+    kind = "nilpotent" if validate_nilpotent_presentation(pres) else "general"
     lines = [MAGIC, f"n {pres.n}", f"p {pres.field.p}", f"kind {kind}"]
     for t in pres.canonical_triples():
         lines.append(f"triple {t.a} {t.b} {t.c} {t.value}")

@@ -12,6 +12,7 @@ from saalib import linalg as linalg_module
 from saalib.algebra import (
     BasisVector,
     ChainError,
+    NotApplicable,
     NotNilpotentError,
     Presentation,
     PresentationTriple,
@@ -570,6 +571,42 @@ def test_maximal_class_structure_check_fails_on_a_tampered_report():
     assert maximal_class_structure_check(alg) is False
     alg._series["series_report"] = rep
     assert maximal_class_structure_check(alg) is True
+
+
+def test_not_applicable_is_a_value_error():
+    assert issubclass(NotNilpotentError, NotApplicable)
+    assert issubclass(NotApplicable, ValueError)
+
+
+@pytest.mark.parametrize(
+    "pres, lower_dims, upper_dims",
+    [
+        # L^i and Z_i at i = -1, 0, 1, 2 and 9, past every held end
+        (Presentation.build(3, F3, []), (6, 6, 6, 0, 0), (0, 0, 6, 6, 6)),
+        (Presentation.build(2, F3, [("x1", "y1", "x2", 1)]), (4, 4, 4, 3, 3), (0, 0, 1, 1, 1)),
+        (catalog_entry("P8-2-1").presentation(F3, r=1), (8, 8, 8, 6, 0), (0, 0, 2, 3, 8)),
+    ],
+    ids=["abelian-n3", "non-nilpotent-n2", "P8-2-1"],
+)
+def test_series_terms_follow_one_index_rule(pres, lower_dims, upper_dims):
+    alg = build_algebra(pres)
+    rep = series_report(alg)
+    L = full_space(alg)
+    indexes = (-1, 0, 1, 2, 9)
+    assert tuple(rep.lower_term(i).dim for i in indexes) == lower_dims
+    assert tuple(rep.upper_term(i).dim for i in indexes) == upper_dims
+    assert rep.lower_term(-1) == rep.lower_term(0) == L
+    assert rep.upper_term(-1) == rep.upper_term(0) == zero_space(alg)
+    for i, term in enumerate(rep.lower, start=1):
+        assert rep.lower_term(i) is term
+    for i, term in enumerate(rep.upper):
+        assert rep.upper_term(i) is term
+    # each series is held up to its first repeated term, so the term past
+    # its end, which the rule reads as the last one, is the true next term
+    last = rep.lower[-1]
+    assert product_space(alg, last, L) == last == rep.lower_term(len(rep.lower) + 1)
+    last = rep.upper[-1]
+    assert algebra_module._centralizer_above(alg, last) == last == rep.upper_term(len(rep.upper))
 
 
 def test_series_mirror_equality():

@@ -9,7 +9,19 @@ from pathlib import Path
 import pytest
 
 from saalib import algebra, cli, construct
-from saalib.algebra import nilpotency_class
+from saalib.algebra import (
+    NotApplicable,
+    build_algebra,
+    is_maximal_class_criterion,
+    maximal_class_structure_check,
+    nilpotency_class,
+)
+from saalib.checks import (
+    CheckResult,
+    check_duality,
+    check_rank_two_structure,
+    check_series_step_bounds,
+)
 from saalib.cli import main
 from saalib.construct import catalog
 from saalib.linalg import PrimeField
@@ -110,6 +122,63 @@ def test_verify_criterion_ignores_the_order_triples_are_written_in(tmp_path, cap
         # the files differ only in the kind that verify echoes
         expected = out.replace("kind: nilpotent\n", f"kind: {kind}\n")
         assert run(capsys, "verify", str(reordered)) == (code, expected), kind
+
+
+HEADER = "saa-presentation v1\n"
+ABELIAN_N3 = HEADER + "n 3\np 3\nkind nilpotent\n"
+# not nilpotent, with a 2-dimensional centre at dimension 8
+GENERAL_N4 = HEADER + "n 4\np 3\nkind general\ntriple x1 y1 x2 1\ntriple x3 y3 y4 1\n"
+# P8-2-1 with each index i renamed 5 - i: maximal class, no nilpotent presentation
+RELABELLED_P8 = (
+    HEADER + "n 4\np 3\nkind general\n"
+    "triple x3 y2 y1 1\ntriple x4 y3 y2 1\ntriple y4 y3 y1 1\n"
+)
+P10_2_1 = emit_presentation(construct.catalog_entry("P10-2-1").presentation(PrimeField(3)))
+
+
+@pytest.mark.parametrize(
+    "row, check, text",
+    [
+        ("duality", check_duality, GENERAL_N4),
+        ("series-step-bounds", check_series_step_bounds, GENERAL_N4),
+        ("rank2-dims", check_rank_two_structure, GENERAL_N4),
+        ("rank2-dims", check_rank_two_structure, ABELIAN_N3),
+        ("maximal-class-criterion", is_maximal_class_criterion, ABELIAN_N3),
+        ("maximal-class-criterion", is_maximal_class_criterion, RELABELLED_P8),
+        ("maximal-class-structure", maximal_class_structure_check, ABELIAN_N3),
+        ("maximal-class-structure", maximal_class_structure_check, GENERAL_N4),
+        ("maximal-class-structure", maximal_class_structure_check, P10_2_1),
+    ],
+)
+def test_verify_reads_n_a_exactly_where_the_check_does_not_apply(row, check, text):
+    pfile = parse_presentation_file(text)
+    report, _ = cli.verify_report(pfile)
+    assert f"\n{row}: n/a\n" in report
+    with pytest.raises(NotApplicable):
+        check(build_algebra(pfile.presentation))
+
+
+def test_verify_lets_a_fault_inside_a_check_propagate(tmp_path, monkeypatch):
+    # only NotApplicable reads as n/a; any other ValueError is a fault
+    def boom(alg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "check_duality", boom)
+    pfile = parse_presentation_file(write_catalog_file(tmp_path, "P8-2-1", r=1).read_text())
+    with pytest.raises(ValueError, match="boom") as info:
+        cli.verify_report(pfile)
+    assert not isinstance(info.value, NotApplicable)
+
+
+def test_verify_reaches_a_check_rebound_on_the_module(tmp_path, monkeypatch, capsys):
+    path = write_catalog_file(tmp_path, "P8-2-1", r=1)
+    monkeypatch.setattr(cli, "check_duality", lambda alg: CheckResult("duality", "algebra", False))
+    capsys.readouterr()
+    code, out = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out == GOLDEN_P8_REPORT.replace("duality: pass", "duality: fail").replace(
+        "checks: pass", "checks: FAIL"
+    )
 
 
 def test_verify_io_and_parse_errors(tmp_path, capsys):

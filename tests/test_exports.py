@@ -27,3 +27,12 @@ def test_package_imports_only_public_names():
     for node in imports:
         public = importlib.import_module(f"saalib.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in public] == [], node.module
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
+def test_package_reexports_every_public_name(name):
+    # cli is the command-line front end; every library module's surface is
+    # reachable from the package itself
+    module = importlib.import_module(f"saalib.{name}")
+    missing = [n for n in module.__all__ if getattr(saalib, n, None) is not getattr(module, n)]
+    assert missing == []
