@@ -27,6 +27,7 @@ from .linalg import (
     _kernel_rows,
     _pairing_matrix,
     _rref_array,
+    _reversed_kernel,
     nullspace,
     orthogonal,
 )
@@ -276,12 +277,12 @@ class Algebra:
     """An algebra: symplectic space, structure tensor and product table.
 
     table[i, j] holds the coordinates of e_i . e_j.  The table's nonzero
-    entries, the lower central series, the centre Z_1, the upper central
-    series and the series report are each computed at most once per
-    instance, on first use, and held in _series.  Instances are immutable
-    after construction and safe to share across threads: every held value
-    is deterministic and immutable, so a race can at worst compute the same
-    value twice.
+    entries, the lower central series, the centre Z_1 (with read-only rows
+    spanning its perp), the upper central series and the series report
+    are each computed at most once per instance, on first use, and held in
+    _series.  Instances are immutable after construction and safe to share
+    across threads: every held value is deterministic and immutable, so a
+    race can at worst compute the same value twice.
     """
 
     n: int
@@ -495,43 +496,71 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
 
-def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
-    """{v : v . e_k lies in z for every basis vector e_k}, solved as one kernel.
+def _centralizer_step(alg: Algebra, spanning: np.ndarray) -> tuple[Subspace, np.ndarray]:
+    """C = {v : v . e_k lies in z for every basis vector e_k}, given rows
+    spanning perp(z), and read-only rows spanning perp(C); one elimination.
 
     The form is non-degenerate, so z = perp(perp(z)), and it is invariant,
     (v e_k, w) = (v, e_k w).  So v . e_k lies in z for every k iff v is
-    orthogonal to every product w . e_k with w in perp(z).  The kernel rows
-    of z's RREF basis, times the form, span perp(z) (see perp); their
-    nonzero products with the basis vectors (_products, sparse for sparse
-    tables), times the form, are the conditions on v, and the result is
-    their kernel.  G is a signed permutation, so each entry of either
-    product with G is one product of residues and stays exact in int64 for
-    every accepted p.  The identity holds for every subspace z, but every
-    caller passes an ideal (z L <= z): each upper-series term and each term
-    of an isotropic ideal chain is one.  An ideal z lies in the result, so
-    the upper series ascends.
+    orthogonal to every product w . e_k with w in perp(z).  Those products
+    span S, and their nonzero rows (_products, sparse for sparse tables),
+    times the form, are the conditions on v, so C = perp(S).  One
+    elimination of the conditions (_reversed_kernel) yields both C's
+    canonical basis and rows spanning S G, which times G^T = G^-1 span
+    S = perp(C).  G is a signed permutation, so each entry of a product
+    with G or G^T is one product of residues and stays exact in int64 for
+    every accepted p.  The identity holds for every subspace z, and for an
+    ideal z (z L <= z), as every upper-series and chain term is, z lies
+    in C.  No rows span perp(L) = 0, and then C = L without an elimination.
     """
     p, dim = alg.field.p, alg.dim
-    if z.dim == dim:
-        return full_space(alg)
+    if not len(spanning):
+        return full_space(alg), spanning
     gram = alg.gram.data
-    spanning = _kernel_rows(z.basis, z._pivot_columns, p) @ gram % p
     conditions = _products(alg, spanning, np.arange(dim)) @ gram % p
-    return Subspace.from_vectors(alg.field, dim, nullspace(conditions, p))
+    kernel, row_space = _reversed_kernel(conditions, p)
+    above = row_space @ gram.T % p
+    above.flags.writeable = False
+    return Subspace(alg.field, dim, kernel), above
+
+
+def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
+    """{v : v . e_k lies in z for every basis vector e_k} (_centralizer_step).
+
+    The kernel rows of z's RREF basis, times the form, span perp(z) (see
+    perp).  Only isotropic_ideal_chain calls it: the upper series carries
+    each step's rows spanning perp(Z_i) forward instead.
+    """
+    p = alg.field.p
+    spanning = _kernel_rows(z.basis, z._pivot_columns, p) @ alg.gram.data % p
+    return _centralizer_step(alg, spanning)[0]
 
 
 @_held
-def _center(alg: Algebra) -> Subspace:
-    """Z_1 = {v : v L = 0}."""
-    return _centralizer_above(alg, zero_space(alg))
+def _center(alg: Algebra) -> tuple[Subspace, np.ndarray]:
+    """Z_1 = {v : v L = 0}, and read-only rows spanning perp(Z_1).
+
+    One _centralizer_step from the identity rows, which span perp(0) = L.
+    The rows are held for upper_central_series, so the centre is eliminated
+    once whether rank, the chain or the upper series asks first.
+    """
+    return _centralizer_step(alg, np.eye(alg.dim, dtype=np.int64))
 
 
 @_held
 def upper_central_series(alg: Algebra) -> SeriesReport:
-    """Z_0 = 0, Z_{i+1} = {v : v L <= Z_i}, computed as iterated kernels."""
-    terms = [zero_space(alg), _center(alg)]
+    """Z_0 = 0, Z_{i+1} = {v : v L <= Z_i}, computed until stabilization.
+
+    Each term is one _centralizer_step, one elimination, from the rows
+    spanning perp(Z_i) that the step before it returned, starting from
+    the centre's.  The series reads nothing from the lower series, so
+    check_duality compares two independent computations.
+    """
+    center, spanning = _center(alg)
+    terms = [zero_space(alg), center]
     while terms[-1] != terms[-2]:
-        terms.append(_centralizer_above(alg, terms[-1]))
+        term, spanning = _centralizer_step(alg, spanning)
+        terms.append(term)
     return SeriesReport(upper=tuple(terms[:-1]))
 
 
@@ -545,7 +574,7 @@ def rank(alg: Algebra) -> int:
     if low.nilpotency_class is None:
         raise NotNilpotentError("rank requires a nilpotent algebra")
     r = alg.dim - low.lower_term(2).dim
-    z1 = _center(alg)
+    z1 = _center(alg)[0]
     if z1.dim != r:
         raise RuntimeError(f"rank cross-check failed: dim L - dim L^2 = {r}, dim Z_1 = {z1.dim}")
     return r
@@ -589,13 +618,12 @@ def _priority_permutation(n: int) -> list[int]:
     return [2 * (i - 1) for i in range(n, 0, -1)] + [2 * i - 1 for i in range(n, 0, -1)]
 
 
-def _candidate_rows(w: np.ndarray, perm: list[int], p: int) -> list[np.ndarray]:
+def _candidate_rows(w: np.ndarray, perm: list[int], p: int) -> np.ndarray:
     """The canonical basis of the span of w's rows in the priority coordinate
     order, mapped back to coordinate order.  RREF is unique, so any rows
     spanning the same space give the same candidates."""
     arr, pivots = _rref_array(w[:, perm], p)
-    inverse = np.argsort(perm)
-    return [row[inverse] for row in arr[: len(pivots)]]
+    return arr[: len(pivots)][:, np.argsort(perm)]
 
 
 def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
@@ -636,8 +664,10 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
 
     No step builds perp(I_k): c @ C lies in perp(I_k) iff c M = 0, with M
     the pairing matrix of C's basis with I_k's (see orthogonal), so w is
-    spanned by the left kernel of M mapped back through C's basis.  After
-    the loop (i) and (ii) are checked on the product rows and (iii) on one
+    spanned by the left kernel of M mapped back through C's basis.  The
+    first candidate not in I_k is the first with a nonzero residual against
+    I_k's basis, one residual for all of them (see Subspace._residuals).
+    After the loop (i) and (ii) are checked on the product rows and (iii) on one
     pairing matrix; a failure, which the argument above rules out, raises
     RuntimeError naming the condition and k.
     """
@@ -646,15 +676,17 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     chain = [zero_space(alg)]
     for k in range(n):
         current = chain[k]
-        above = _center(alg) if k < 2 else _centralizer_above(alg, current)
+        above = _center(alg)[0] if k < 2 else _centralizer_above(alg, current)
         coeffs = nullspace(_pairing_matrix(above, current, alg.gram).T, p)
         w = _dot_mod(coeffs, above.basis, p)
-        row = next((r for r in _candidate_rows(w, perm, p) if not current.contains(r)), None)
-        if row is None:
+        candidates = _candidate_rows(w, perm, p)
+        outside = current._residuals(candidates).any(axis=1)
+        if not outside.any():
             raise ChainError(
                 f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
                 f"no candidate extends I_{k}"
             )
+        row = candidates[outside.argmax()]
         chain.append(Subspace.from_vectors(alg.field, alg.dim, np.vstack([current.basis, row])))
     L = full_space(alg)
     m = min(n, 2)

@@ -185,6 +185,22 @@ def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
     return ker
 
 
+def _reversed_kernel(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, R) from one elimination: K the canonical RREF basis of the right
+    kernel {x : rows @ x = 0 (mod p)}, and R rows spanning the row space.
+
+    The elimination runs on the columns in reverse order.  There a kernel
+    row (_kernel_rows) has its 1 at a free column and its other entries at
+    the pivot columns of RREF rows that start before it, so flipped back it
+    leads with that 1 and is nonzero elsewhere only at pivot columns to its
+    right.  Taken in increasing order of their free columns, the flipped
+    rows are thus the RREF of the kernel, and no second elimination is
+    needed.  R is the nonzero RREF rows, flipped back.
+    """
+    a, pivots = _rref_array(rows[:, ::-1], p)
+    return _kernel_rows(a, pivots, p)[::-1, ::-1], a[: len(pivots), ::-1]
+
+
 def nullspace(rows: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning the right kernel {x : rows @ x = 0 (mod p)}.
 
@@ -256,15 +272,18 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def _spans(self, rows: np.ndarray) -> bool:
-        """True iff every residue row lies in the subspace.
+    def _residuals(self, rows: np.ndarray) -> np.ndarray:
+        """The residual v - v[pivots] @ basis of each residue row v.
 
-        A row v lies in the span of the RREF basis iff v equals its pivot
-        entries times the basis, so the residual v - v[pivots] @ basis
-        vanishes.
+        A row lies in the span of the RREF basis iff it equals its pivot
+        entries times the basis, so iff its residual vanishes.
         """
         p = self.field.p
-        return not ((rows - _dot_mod(rows[:, self._pivot_columns], self.basis, p)) % p).any()
+        return (rows - _dot_mod(rows[:, self._pivot_columns], self.basis, p)) % p
+
+    def _spans(self, rows: np.ndarray) -> bool:
+        """True iff every residue row lies in the subspace (see _residuals)."""
+        return not self._residuals(rows).any()
 
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)

@@ -252,37 +252,40 @@ def test_form_exact_against_python_ints(p):
 
 
 def test_each_series_computed_once_per_algebra(monkeypatch):
-    # the upper series takes one centralizer per term, on Z_0, ..., Z_cls = L,
-    # and the lower series one elimination per step; no other elimination in
-    # algebra happens outside the centralizer during verify_report
-    centralized, lower_steps, inside = [], [], []
-    centralizer, eliminate = algebra_module._centralizer_above, algebra_module._rref_array
+    # the upper series takes one centralizer step per term, each with exactly
+    # one elimination, on Z_1, ..., Z_cls = L, and one more that reads the
+    # repeated L off the empty rows spanning perp(L) with none; the lower
+    # series takes one elimination per step, and during verify_report no
+    # other elimination runs in algebra, directly or through linalg
+    steps, lower_steps, inside = [], [], []
+    step, eliminate = algebra_module._centralizer_step, linalg_module._rref_array
 
-    def counted_centralizer(alg, z):
-        centralized.append(z.dim)
-        inside.append(z)
+    def counted_step(alg, spanning):
+        inside.append([])
         try:
-            return centralizer(alg, z)
+            term, above = step(alg, spanning)
         finally:
-            inside.pop()
+            eliminations = inside.pop()
+        steps.append((term.dim, len(eliminations)))
+        return term, above
 
     def counted_eliminate(*args):
-        if not inside:
-            lower_steps.append(args)
+        (inside[-1] if inside else lower_steps).append(args)
         return eliminate(*args)
 
-    monkeypatch.setattr(algebra_module, "_centralizer_above", counted_centralizer)
+    monkeypatch.setattr(algebra_module, "_centralizer_step", counted_step)
     monkeypatch.setattr(algebra_module, "_rref_array", counted_eliminate)
+    monkeypatch.setattr(linalg_module, "_rref_array", counted_eliminate)
     for name, upper_dims in (
-        ("P8-2-1", [0, 2, 3, 5, 6, 8]),
-        ("P16-2-1", [0, 2, 3, 5, 11, 13, 14, 16]),
+        ("P8-2-1", [2, 3, 5, 6, 8]),
+        ("P16-2-1", [2, 3, 5, 11, 13, 14, 16]),
     ):
         pres = catalog_entry(name).presentation(F3)
-        centralized.clear()
+        steps.clear()
         lower_steps.clear()
         _, ok = verify_report(parse_presentation_file(emit_presentation(pres)))
         assert ok
-        assert centralized == upper_dims, name
+        assert steps == [(d, 1) for d in upper_dims] + [(upper_dims[-1], 0)], name
         assert len(lower_steps) == catalog_entry(name).expected_class, name
 
         rank_first = build_algebra(pres)
@@ -290,6 +293,21 @@ def test_each_series_computed_once_per_algebra(monkeypatch):
         report_first = build_algebra(pres)
         assert series_report(report_first) == series_report(rank_first)
         assert rank(report_first) == r == 2
+
+
+def test_held_centre_rows_are_read_only_and_span_its_perp():
+    # the rows _center holds for the upper series are shared like every held
+    # value, so they refuse writes; each step's rows span the perp of its term
+    alg = build_algebra(catalog_entry("P12-2-1").presentation(F3))
+    center, rows = algebra_module._center(alg)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    assert algebra_module._center(alg)[1] is rows
+    for term in upper_central_series(alg).upper[1:]:
+        assert Subspace.from_vectors(F3, alg.dim, rows) == perp(term, alg.gram)
+        following, rows = algebra_module._centralizer_step(alg, rows)
+        assert not rows.flags.writeable
+    assert following == full_space(alg) and rows.shape == (0, alg.dim)
 
 
 def test_held_series_shared_across_threads():
@@ -466,15 +484,14 @@ def relabelled(pres):
     [(False, r"fails \(i\) I_2 L = 0 for n="), (True, r"fails \(ii\) I_3 L <= I_2 at k=2 for n=")],
 )
 def test_chain_check_refuses_a_chain_outside_the_centralizers(monkeypatch, above_zero, failing):
-    # _centralizer_above returns L (or L above every nonzero ideal, so the
-    # centre stays right); with the indices reversed the priority order then
-    # takes vectors whose products leave the chain
-    centralizer = algebra_module._centralizer_above
-    monkeypatch.setattr(
-        algebra_module,
-        "_centralizer_above",
-        lambda alg, z: centralizer(alg, z) if above_zero and z.is_zero() else full_space(alg),
-    )
+    # _centralizer_above returns L, and so does _center unless above_zero
+    # keeps the centre right; with the indices reversed the priority order
+    # then takes vectors whose products leave the chain
+    monkeypatch.setattr(algebra_module, "_centralizer_above", lambda alg, z: full_space(alg))
+    if not above_zero:
+        monkeypatch.setattr(
+            algebra_module, "_center", lambda alg: (full_space(alg), np.zeros((0, alg.dim), np.int64))
+        )
     for entry in catalog():
         alg = build_algebra(relabelled(entry.presentation(F3, r=1)))
         with pytest.raises(RuntimeError, match=failing) as info:

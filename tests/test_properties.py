@@ -41,6 +41,7 @@ from saalib.linalg import (
     GramMatrix,
     PrimeField,
     Subspace,
+    _reversed_kernel,
     _rref_array,
     nullspace,
     orthogonal,
@@ -285,6 +286,30 @@ def test_nullspace_matches_python_int_kernel(p, ncols, seed, bands):
     assert ker.tolist() == reference_kernel(rows, ncols, p)
 
 
+@given(
+    p=primes,
+    ncols=st.integers(1, 24),
+    seed=seeds,
+    bands=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), min_size=1, max_size=3),
+)
+@example(p=3037000493, ncols=9, seed=1, bands=[(12, 0)])
+@example(p=3037000493, ncols=6, seed=2, bands=[(4, 0), (30, 6)])
+@example(p=2, ncols=12, seed=3, bands=[(0, 0)])
+def test_reversed_kernel_matches_python_int_kernel(p, ncols, seed, bands):
+    # the kernel is already the canonical basis (Subspace refuses any other),
+    # and the second output spans the row space; the examples are all-zero
+    # rows (kernel = identity), zero rows then full rank (empty kernel), and
+    # no rows at all
+    bands = [(m, min(k, ncols)) for m, k in sorted(bands, key=lambda band: band[1])]
+    rows = banded_rows(p, ncols, seed, bands)
+    field = PrimeField(p)
+    kernel, row_space = _reversed_kernel(np.array(rows, dtype=np.int64).reshape(-1, ncols), p)
+    expected = reference_span(field, ncols, reference_kernel(rows, ncols, p))
+    assert Subspace(field, ncols, kernel) == expected
+    assert reference_span(field, ncols, row_space.tolist()) == reference_span(field, ncols, rows)
+    assert len(row_space) + len(kernel) == ncols
+
+
 @given(p=primes, n=st.integers(1, 8), seed=seeds, span=st.integers(0, 16))
 def test_perp_matches_two_elimination_reference(p, n, seed, span):
     # the reference solves (u, v) = 0 against the basis times the form, then
@@ -400,10 +425,18 @@ def test_centralizer_matches_full_coordinate_reference(p, n, seed, shape):
     assert_centralizers_match_reference(alg, ideals)
 
 
-@pytest.mark.parametrize("n, p", [(8, 3), (12, 3), (8, 3037000493)])
+@pytest.mark.parametrize("n, p", [(8, 3), (10, 3), (12, 3), (8, 3037000493)])
 def test_centralizer_of_minimal_algebras_matches_reference(n, p):
-    # sparse algebras of dim 16 and 24, with long upper series and chains
+    # sparse algebras of dim 16 to 24, past the dims the draws above reach,
+    # with long upper series and chains
     _, alg = minimal_algebra(n, PrimeField(p))
+    assert_centralizers_match_reference(alg, isotropic_ideal_chain(alg))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("entry", catalog(), ids=lambda entry: entry.name)
+def test_centralizer_of_catalog_algebras_matches_reference(entry, p):
+    alg = build_algebra(entry.presentation(PrimeField(p)))
     assert_centralizers_match_reference(alg, isotropic_ideal_chain(alg))
 
 
