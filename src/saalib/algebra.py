@@ -23,11 +23,14 @@ from .linalg import (
     GramMatrix,
     PrimeField,
     Subspace,
+    _dict_rows,
     _dot_mod,
     _kernel_rows,
     _pairing_matrix,
-    _rref_array,
     _reversed_kernel,
+    _rows_array,
+    _rref_array,
+    _rref_rows,
     nullspace,
     orthogonal,
 )
@@ -333,9 +336,8 @@ def build_algebra(pres: Presentation) -> Algebra:
 
 def multiply(alg: Algebra, u, v) -> np.ndarray:
     """Bilinear extension of the basis multiplication table."""
-    uu, vv = (alg.field.vector(x, alg.dim) for x in (u, v))
-    rows = _products(alg, uu[None, :], np.arange(alg.dim), right=vv[None, :])
-    return rows[0] if len(rows) else np.zeros(alg.dim, dtype=np.int64)
+    uu, vv = (_dict_rows(alg.field.vector(x, alg.dim)[None, :]) for x in (u, v))
+    return _rows_array(_products(alg, uu, range(alg.dim), right=vv), (1, alg.dim))[0]
 
 
 def form(alg: Algebra, u, v) -> int:
@@ -351,9 +353,11 @@ def zero_space(alg: Algebra) -> Subspace:
     return Subspace.zero(alg.field, alg.dim)
 
 
-# Below this share of nonzero table entries the products are scattered from
-# the nonzeros.  Constructions (0.3-3.5 % nonzero at dim 8-32) ran faster
-# scattered, the scan's random samples (about 10 % at dim 12) on the matmul.
+# Below this share of nonzero table entries the products are read off the
+# row table T (_row_table) as dict rows; above it they come from one matmul
+# and are read into dict rows after.  Constructions (0.3-3.5 % nonzero at
+# dim 8-32) ran faster on T, the scan's random samples (about 10 % at
+# dim 12) on the matmul.
 _SPARSE_SHARE = 1 / 16
 
 
@@ -362,6 +366,17 @@ def _table_nonzeros(alg: Algebra) -> tuple[np.ndarray, ...]:
     """The table's nonzero entries as (i, j, k, value) arrays, in C order."""
     i, j, k = np.nonzero(alg.table)
     return i, j, k, alg.table[i, j, k]
+
+
+@_held
+def _row_table(alg: Algebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """T[i] = ((j, k, value), ...): the nonzero entries table[i, j, k], as
+    Python ints.  Read from the table, not the tensor, so the products see
+    exactly what the table holds."""
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
+    for i, j, k, v in zip(*(x.tolist() for x in _table_nonzeros(alg))):
+        rows[i].append((j, k, v))
+    return tuple(map(tuple, rows))
 
 
 def _dense_products(alg: Algebra, left: np.ndarray, cols) -> np.ndarray:
@@ -374,46 +389,78 @@ def _dense_products(alg: Algebra, left: np.ndarray, cols) -> np.ndarray:
     return _dot_mod(left, on_cols, p).reshape(len(left), dim, len(cols))
 
 
-def _sparse_products(alg: Algebra, left: np.ndarray, cols) -> np.ndarray:
-    """The same array as _dense_products, scattered from the table's nonzeros.
+def _combine(terms) -> dict[int, int]:
+    """sum c * row over the (c, row) pairs of dict rows, unreduced."""
+    out: dict[int, int] = {}
+    for c, row in terms:
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + c * v
+    return out
 
-    Entry (i, j, k, value) with k among cols adds left[:, i] * value to slot
-    (j, k) of every row.  Each product is reduced mod p before the scatter,
-    and a slot receives at most one entry per i, so it sums at most dim
-    residues and stays exact in int64 while p * (p - 1) < 2**63.
+
+def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
+    """A dict row reduced mod p, its zeros dropped."""
+    return {j: r for j, x in row.items() if (r := x % p)}
+
+
+def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
+    """The nonzero rows among the products (u . v)[cols], as dict rows
+    {position in cols: residue}.
+
+    u runs over the dict rows left and v over the dict rows right, or over
+    every basis vector e_j when right is None.  left None stands for the
+    basis vectors, and then only e_i . e_j with i < j is taken: build_algebra
+    makes table[j, i] = -table[i, j] (check_axioms tests it), so the pairs
+    span the same space with half the rows.  When fewer than _SPARSE_SHARE
+    of the dim**3 table entries are nonzero, as in every minimal
+    construction, each u . e_j is summed from the row table T, entry
+    (j, k, value) of T[i] adding u_i * value at k; a right factor w then
+    combines them, sum w_j (u . e_j).  The sums run on Python ints and are
+    reduced once, exact for any p, and no dense array is built.  Otherwise
+    they come from _dense_products, a right factor is contracted by one
+    _dot_mod, and the nonzeros are read into dict rows.  Zero rows are
+    dropped, so callers that want a span never eliminate them.
     """
-    p, dim, ncols = alg.field.p, alg.dim, len(cols)
-    i, j, k, value = _table_nonzeros(alg)
-    position = np.full(dim, -1)
-    position[cols] = np.arange(ncols)
-    keep = position[k] >= 0
-    slots = j[keep] * ncols + position[k[keep]]
-    out = np.zeros((len(left), dim * ncols), dtype=np.int64)
-    np.add.at(out, (slice(None), slots), left[:, i[keep]] * value[keep] % p)
-    return (out % p).reshape(len(left), dim, ncols)
+    p, dim = alg.field.p, alg.dim
+    if len(_table_nonzeros(alg)[3]) >= _SPARSE_SHARE * dim**3:
+        if left is None:
+            prods = alg.table[np.triu_indices(dim, 1)][:, cols]
+        else:
+            prods = _dense_products(alg, _rows_array(left, (len(left), dim)), cols)
+            if right is not None:
+                prods = _dot_mod(_rows_array(right, (len(right), dim)), prods, p)
+        return _dict_rows(prods.reshape(-1, len(cols)))
+    table = _row_table(alg)
+    position = {k: t for t, k in enumerate(cols)}
+    if left is None:
+        out = []
+        for i, entries in enumerate(table):
+            by_j: dict[int, dict[int, int]] = {}
+            for j, k, v in entries:
+                t = position.get(k)
+                if j > i and t is not None:
+                    by_j.setdefault(j, {})[t] = v
+            out += by_j.values()
+        return out
+    out = []
+    for u in left:
+        by_j = {}
+        for i, ui in u.items():
+            for j, k, v in table[i]:
+                t = position.get(k)
+                if t is not None:
+                    row = by_j.setdefault(j, {})
+                    row[t] = row.get(t, 0) + ui * v
+        if right is None:
+            prods = (by_j[j] for j in sorted(by_j))
+        else:
+            prods = (_combine([(wj, by_j[j]) for j, wj in w.items() if j in by_j]) for w in right)
+        out += filter(None, (_reduced(row, p) for row in prods))
+    return out
 
 
-def _products(alg: Algebra, left: np.ndarray, cols, right: np.ndarray | None = None) -> np.ndarray:
-    """The nonzero rows among the products (u . v)[cols].
-
-    u runs over the rows of left and v over the rows of right, or over
-    every basis vector e_j when right is None.  The products u . e_j come
-    from _sparse_products when fewer than _SPARSE_SHARE of the dim**3 table
-    entries are nonzero, as in every minimal construction, and from
-    _dense_products otherwise; a right factor is then contracted by one
-    _dot_mod.  Zero rows are dropped, so callers that want a span never
-    eliminate them.
-    """
-    sparse = len(_table_nonzeros(alg)[3]) < _SPARSE_SHARE * alg.dim**3
-    prods = (_sparse_products if sparse else _dense_products)(alg, left, cols)
-    if right is not None:
-        prods = _dot_mod(right, prods, alg.field.p)
-    rows = prods.reshape(-1, prods.shape[-1])
-    return rows[rows.any(axis=1)]
-
-
-def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:
-    """Nonzero rows spanning a . b: the products u . v over the two bases.
+def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> list[dict[int, int]]:
+    """Nonzero dict rows spanning a . b: the products u . v over the two bases.
 
     The full space's canonical basis is the identity, so for b = L the
     products u . e_j are taken as they are (see _products).
@@ -422,8 +469,13 @@ def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> np.ndarray:
         raise ValueError("ambient mismatch")
     if a.field != alg.field or b.field != alg.field:
         raise ValueError("field mismatch")
-    right = None if b.dim == alg.dim else b.basis
-    return _products(alg, a.basis, np.arange(alg.dim), right)
+    right = None if b.dim == alg.dim else _dict_rows(b.basis)
+    return _products(alg, _dict_rows(a.basis), range(alg.dim), right)
+
+
+def _spans_rows(s: Subspace, rows: list[dict[int, int]]) -> bool:
+    """True iff every dict row lies in s (see Subspace._spans)."""
+    return s._spans(_rows_array(rows, (len(rows), s.ambient_dim)))
 
 
 def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
@@ -432,7 +484,8 @@ def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     The product rows (see _product_rows) reduced to RREF.  Callers that only
     ask whether the product lies in a subspace test the raw rows instead.
     """
-    return Subspace.from_vectors(alg.field, alg.dim, _product_rows(alg, a, b))
+    basis = list(_rref_rows(_product_rows(alg, a, b), alg.field.p).values())
+    return Subspace(alg.field, alg.dim, _rows_array(basis, (len(basis), alg.dim)))
 
 
 @dataclass(frozen=True)
@@ -472,54 +525,70 @@ class SeriesReport:
 def lower_central_series(alg: Algebra) -> SeriesReport:
     """L^1 = L, L^{i+1} = L^i L, computed until stabilization.
 
-    L^{i+1} lies in L^i, whose RREF basis B has pivot columns P, and a
-    vector v of L^i equals v[P] @ B.  So each step reduces the nonzero
-    products of B's rows with the basis vectors on the columns P alone
-    (_products, sparse for sparse tables), to an RREF C with pivots c, and
-    L^{i+1} is spanned by C @ B.  That product is already the canonical
-    basis, with pivots P[c]: on the columns P it is C, and a row of C
-    starting at column c_t combines rows of B that vanish before column
-    P[c_t].  The series has stabilized when C has full rank, and ends when
-    no pivots remain.
+    L^{i+1} lies in L^i, whose RREF basis B, held as dict rows, has pivot
+    columns P, and a vector v of L^i equals v[P] @ B.  So each step reduces
+    the nonzero products of B's rows with the basis vectors on the columns
+    P alone (_products; for L^1 = L, whose B is the identity, the products
+    e_i . e_j with i < j), by one _rref_rows elimination, to an RREF C with
+    pivots c, and L^{i+1} is spanned by C @ B, summed on the dict rows.
+    That product is already the canonical basis, with pivots P[c]: on the
+    columns P it is C, and a row of C starting at column c_t combines rows
+    of B that vanish before column P[c_t].  The series has stabilized when
+    C has full rank, and ends when no pivots remain.
     """
     p, dim = alg.field.p, alg.dim
     terms = [full_space(alg)]
-    basis, pivots = terms[0].basis, list(range(dim))
+    basis, pivots = None, list(range(dim))
     while pivots:
-        coeffs, coeff_pivots = _rref_array(_products(alg, basis, pivots), p)
-        if len(coeff_pivots) == len(pivots):
+        coeffs = _rref_rows(_products(alg, basis, pivots), p)
+        if len(coeffs) == len(pivots):
             break
-        basis = _dot_mod(coeffs[: len(coeff_pivots)], basis, p)
-        pivots = [pivots[c] for c in coeff_pivots]
-        terms.append(Subspace(alg.field, dim, basis))
+        if basis is None:
+            basis = list(coeffs.values())
+        else:
+            basis = [
+                _reduced(_combine([(c, basis[t]) for t, c in row.items()]), p)
+                for row in coeffs.values()
+            ]
+        pivots = [pivots[c] for c in coeffs]
+        terms.append(Subspace(alg.field, dim, _rows_array(basis, (len(basis), dim))))
     cls = len(terms) - 1 if terms[-1].is_zero() else None
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
 
-def _centralizer_step(alg: Algebra, spanning: np.ndarray) -> tuple[Subspace, np.ndarray]:
+def _twisted(rows, dim: int, p: int) -> list[dict[int, int]]:
+    """Each dict row times the form G, its columns then reversed: G takes
+    the entry at c to c ^ 1, its sign flipped on odd c, and the reversal
+    takes c ^ 1 to dim - 1 - (c ^ 1).  The map keeps the parity of c, so it
+    is its own inverse: a row in reversed columns goes back to the row
+    times G^T = G^-1 in the original ones."""
+    return [{dim - 1 - (c ^ 1): p - v if c & 1 else v for c, v in row.items()} for row in rows]
+
+
+def _centralizer_step(alg: Algebra, spanning: np.ndarray | None) -> tuple[Subspace, np.ndarray]:
     """C = {v : v . e_k lies in z for every basis vector e_k}, given rows
     spanning perp(z), and read-only rows spanning perp(C); one elimination.
 
     The form is non-degenerate, so z = perp(perp(z)), and it is invariant,
     (v e_k, w) = (v, e_k w).  So v . e_k lies in z for every k iff v is
     orthogonal to every product w . e_k with w in perp(z).  Those products
-    span S, and their nonzero rows (_products, sparse for sparse tables),
-    times the form, are the conditions on v, so C = perp(S).  One
-    elimination of the conditions (_reversed_kernel) yields both C's
-    canonical basis and rows spanning S G, which times G^T = G^-1 span
-    S = perp(C).  G is a signed permutation, so each entry of a product
-    with G or G^T is one product of residues and stays exact in int64 for
-    every accepted p.  The identity holds for every subspace z, and for an
-    ideal z (z L <= z), as every upper-series and chain term is, z lies
-    in C.  No rows span perp(L) = 0, and then C = L without an elimination.
+    span S, and their nonzero dict rows (_products), times the form, are
+    the conditions on v, so C = perp(S).  One elimination of the conditions
+    with reversed columns (_reversed_kernel) yields both C's canonical
+    basis and RREF rows spanning S G, which times G^T = G^-1 span
+    S = perp(C).  G is a signed permutation, so the product with G and the
+    reversal are one relabelling of the dict keys (_twisted), and so is the
+    way back.  The identity holds for every subspace z, and for an ideal z
+    (z L <= z), as every upper-series and chain term is, z lies in C.
+    spanning None stands for the identity rows, which span perp(0) = L.
+    No rows span perp(L) = 0, and then C = L without an elimination.
     """
     p, dim = alg.field.p, alg.dim
-    if not len(spanning):
+    if spanning is not None and not len(spanning):
         return full_space(alg), spanning
-    gram = alg.gram.data
-    conditions = _products(alg, spanning, np.arange(dim)) @ gram % p
-    kernel, row_space = _reversed_kernel(conditions, p)
-    above = row_space @ gram.T % p
+    left = None if spanning is None else _dict_rows(spanning)
+    kernel, row_space = _reversed_kernel(_twisted(_products(alg, left, range(dim)), dim, p), dim, p)
+    above = _rows_array(_twisted(row_space.values(), dim, p), (len(row_space), dim))
     above.flags.writeable = False
     return Subspace(alg.field, dim, kernel), above
 
@@ -544,7 +613,7 @@ def _center(alg: Algebra) -> tuple[Subspace, np.ndarray]:
     The rows are held for upper_central_series, so the centre is eliminated
     once whether rank, the chain or the upper series asks first.
     """
-    return _centralizer_step(alg, np.eye(alg.dim, dtype=np.int64))
+    return _centralizer_step(alg, None)
 
 
 @_held
@@ -598,7 +667,7 @@ def series_report(alg: Algebra) -> SeriesReport:
 
 
 def is_ideal(alg: Algebra, s: Subspace) -> bool:
-    return s._spans(_product_rows(alg, s, full_space(alg)))
+    return _spans_rows(s, _product_rows(alg, s, full_space(alg)))
 
 
 def is_isotropic(alg: Algebra, s: Subspace) -> bool:
@@ -693,7 +762,7 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     if len(_product_rows(alg, chain[m], L)):
         raise RuntimeError(f"isotropic ideal chain fails (i) I_{m} L = 0 for n={n}")
     for k in range(2, n):
-        if not chain[k]._spans(_product_rows(alg, chain[k + 1], L)):
+        if not _spans_rows(chain[k], _product_rows(alg, chain[k + 1], L)):
             raise RuntimeError(
                 f"isotropic ideal chain fails (ii) I_{k + 1} L <= I_{k} at k={k} for n={n}"
             )

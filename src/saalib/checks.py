@@ -234,6 +234,9 @@ class ScanConfig:
         object.__setattr__(self, "field", PrimeField(self.p))
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        # numpy's SeedSequence refuses a negative entropy, mid-scan
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def sample_presentation(cfg: ScanConfig, index: int) -> Presentation:

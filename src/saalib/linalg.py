@@ -3,6 +3,8 @@
 Vectors and matrices are numpy int64 arrays of residues reduced mod p,
 and every subspace holds its read-only reduced row echelon basis, so
 equality, hashing and chain comparisons are exact and deterministic.
+Eliminations run on sparse rows, one {column: residue} dict of Python
+ints per row (_rref_rows).
 The fixed coordinate convention everywhere in this package is
 
     x_1, y_1, x_2, y_2, ..., x_n, y_n  ->  coordinates 0, 1, ..., 2n-1
@@ -122,32 +124,24 @@ def _clear(row: dict[int, int], c: int, pivot_row: dict[int, int], p: int) -> No
             del row[j]
 
 
-def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an integer array mod p.
+def _rref_rows(rows, p: int) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form mod p of sparse rows: {pivot column: row}.
 
-    Returns (rref, pivot_columns): a new array of the input's shape, its
-    zero rows at the bottom.  The inputs are sparse, a few nonzeros per
-    row, so per-call numpy overhead would outweigh the arithmetic.  After
-    one reduction mod p, the nonzeros are read once into one
-    {column: residue} dict of Python ints per row, which keeps every step
-    exact for any p, and zero rows cost nothing.  The rows are then taken
-    one at a time.  The basis found so far is in RREF, each of its rows
-    zero on the other pivot columns, so clearing a row on the pivot columns
-    where it has a nonzero leaves it zero on every pivot column.  A row
-    that is not then zero brings a new pivot, its first nonzero: it is
-    scaled to 1 there and cleared from the basis rows that have a nonzero
-    in that column.  Each step thus touches only rows with a nonzero where
-    it works, and a redundant row costs one clearing per nonzero pivot
-    column it meets.  RREF is unique, so the row order does not change the
-    result, which is written back by one fancy-index assignment.
+    rows is an iterable of {column: residue} dicts of nonzero residues of
+    Python ints, which keeps every step exact for any p; the rows are
+    consumed, and the basis is returned in increasing pivot order.  The
+    inputs are sparse, a few nonzeros per row, so the rows are taken one
+    at a time.  The basis found so far is in RREF, each of its rows zero on
+    the other pivot columns, so clearing a row on the pivot columns where
+    it has a nonzero leaves it zero on every pivot column.  A row that is
+    not then zero brings a new pivot, its first nonzero: it is scaled to 1
+    there and cleared from the basis rows that have a nonzero in that
+    column.  Each step thus touches only rows with a nonzero where it
+    works, and a redundant row costs one clearing per nonzero pivot column
+    it meets.  RREF is unique, so the row order does not change the result.
     """
-    a = np.asarray(a, dtype=np.int64) % p
-    ri, ci = np.nonzero(a)
-    rows: dict[int, dict[int, int]] = {}
-    for i, j, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
-        rows.setdefault(i, {})[j] = v
-    basis: dict[int, dict[int, int]] = {}  # pivot column -> its row
-    for row in rows.values():
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
         for c in [c for c in row if c in basis]:
             _clear(row, c, basis[c], p)
         if not row:
@@ -161,13 +155,41 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             if c in other:
                 _clear(other, c, row, p)
         basis[c] = row
-    pivots = sorted(basis)
-    a[:] = 0
-    a[
-        [i for i, c in enumerate(pivots) for _ in basis[c]],
-        [j for c in pivots for j in basis[c]],
-    ] = [v for c in pivots for v in basis[c].values()]
-    return a, pivots
+    return {c: basis[c] for c in sorted(basis)}
+
+
+def _dict_rows(a: np.ndarray) -> list[dict[int, int]]:
+    """The nonzero rows of a 2-D residue array as {column: residue} dicts
+    of Python ints, read through one np.nonzero; zero rows are dropped."""
+    ri, ci = np.nonzero(a)
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
+        rows.setdefault(i, {})[j] = v
+    return list(rows.values())
+
+
+def _rows_array(rows: list[dict[int, int]], shape) -> np.ndarray:
+    """A zero int64 array of the given shape with the dict rows written
+    into its first rows by one fancy-index assignment."""
+    out = np.zeros(shape, dtype=np.int64)
+    out[
+        [i for i, row in enumerate(rows) for _ in row],
+        [j for row in rows for j in row],
+    ] = [v for row in rows for v in row.values()]
+    return out
+
+
+def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of an integer array mod p.
+
+    Returns (rref, pivot_columns): a new array of the input's shape, its
+    zero rows at the bottom.  After one reduction mod p the nonzeros are
+    read into dict rows (_dict_rows), so zero rows cost nothing, and
+    eliminated by _rref_rows.
+    """
+    a = np.asarray(a, dtype=np.int64) % p
+    basis = _rref_rows(_dict_rows(a), p)
+    return _rows_array(list(basis.values()), a.shape), list(basis)
 
 
 def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
@@ -185,20 +207,30 @@ def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
     return ker
 
 
-def _reversed_kernel(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(K, R) from one elimination: K the canonical RREF basis of the right
-    kernel {x : rows @ x = 0 (mod p)}, and R rows spanning the row space.
+def _reversed_kernel(
+    rows, ncols: int, p: int
+) -> tuple[np.ndarray, dict[int, dict[int, int]]]:
+    """(K, R) from one elimination of dict rows whose columns come reversed,
+    column c at key ncols - 1 - c: K the canonical RREF basis of the right
+    kernel {x : rows @ x = 0 (mod p)} in the original column order, and R
+    the RREF {pivot: row} of the reversed rows, which spans their row space.
 
-    The elimination runs on the columns in reverse order.  There a kernel
-    row (_kernel_rows) has its 1 at a free column and its other entries at
-    the pivot columns of RREF rows that start before it, so flipped back it
-    leads with that 1 and is nonzero elsewhere only at pivot columns to its
-    right.  Taken in increasing order of their free columns, the flipped
-    rows are thus the RREF of the kernel, and no second elimination is
-    needed.  R is the nonzero RREF rows, flipped back.
+    In the reversed order a kernel row (see _kernel_rows) has its 1 at a
+    free column and its other entries at the pivot columns of RREF rows
+    that start before it, so flipped back it leads with that 1 and is
+    nonzero elsewhere only at pivot columns to its right.  Taken in
+    increasing order of their flipped free columns, these rows are thus the
+    RREF of the kernel, and no second elimination is needed.  Each RREF row
+    is zero on the other pivot columns, so its entries other than its
+    pivot lie on free columns.
     """
-    a, pivots = _rref_array(rows[:, ::-1], p)
-    return _kernel_rows(a, pivots, p)[::-1, ::-1], a[: len(pivots), ::-1]
+    basis = _rref_rows(rows, p)
+    kernel = {f: {ncols - 1 - f: 1} for f in range(ncols - 1, -1, -1) if f not in basis}
+    for q, row in basis.items():
+        for f, v in row.items():
+            if f != q:
+                kernel[f][ncols - 1 - q] = p - v
+    return _rows_array(list(kernel.values()), (len(kernel), ncols)), basis
 
 
 def nullspace(rows: np.ndarray, p: int) -> np.ndarray:

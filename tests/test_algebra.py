@@ -258,7 +258,7 @@ def test_each_series_computed_once_per_algebra(monkeypatch):
     # series takes one elimination per step, and during verify_report no
     # other elimination runs in algebra, directly or through linalg
     steps, lower_steps, inside = [], [], []
-    step, eliminate = algebra_module._centralizer_step, linalg_module._rref_array
+    step, eliminate = algebra_module._centralizer_step, linalg_module._rref_rows
 
     def counted_step(alg, spanning):
         inside.append([])
@@ -274,8 +274,8 @@ def test_each_series_computed_once_per_algebra(monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr(algebra_module, "_centralizer_step", counted_step)
-    monkeypatch.setattr(algebra_module, "_rref_array", counted_eliminate)
-    monkeypatch.setattr(linalg_module, "_rref_array", counted_eliminate)
+    monkeypatch.setattr(algebra_module, "_rref_rows", counted_eliminate)
+    monkeypatch.setattr(linalg_module, "_rref_rows", counted_eliminate)
     for name, upper_dims in (
         ("P8-2-1", [2, 3, 5, 6, 8]),
         ("P16-2-1", [2, 3, 5, 11, 13, 14, 16]),

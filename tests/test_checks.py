@@ -161,6 +161,8 @@ def test_scan_config_validation():
         ScanConfig(n=4, p=4, samples=10, seed=0)
     with pytest.raises(ValueError):
         ScanConfig(n=4, p=3, samples=0, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ScanConfig(n=4, p=3, samples=10, seed=-5)
 
 
 def test_scan_tests_the_prime_once_per_config(monkeypatch):

@@ -359,6 +359,8 @@ def test_scan_cli_rejects_bad_config(capsys):
     capsys.readouterr()
     assert main(["scan", "--n", "4", "--p", "3", "--samples", "0", "--seed", "0"]) == 2
     capsys.readouterr()
+    assert main(["scan", "--n", "4", "--p", "3", "--samples", "5", "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
 def test_parser_built_once_across_commands(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+
+import saalib.algebra as algebra_module
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from saalib.algebra import (
     _centralizer_above,
     _dense_products,
     _independent,
-    _sparse_products,
+    _products,
     _table_nonzeros,
     build_algebra,
     full_space,
@@ -41,8 +43,11 @@ from saalib.linalg import (
     GramMatrix,
     PrimeField,
     Subspace,
+    _dict_rows,
     _reversed_kernel,
+    _rows_array,
     _rref_array,
+    _rref_rows,
     nullspace,
     orthogonal,
     perp,
@@ -161,6 +166,33 @@ def test_rref_of_sparse_rows_matches_python_int_reference(
     arr, pivots = _rref_array(a, p)
     assert pivots == expected_pivots
     assert arr.shape == shape and arr.tolist() == expected
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=50)
+@given(
+    shape=st.tuples(st.integers(0, 150), st.integers(1, 40)),
+    seed=seeds,
+    density=st.floats(0.01, 0.3),
+    zero_rows=st.sampled_from([0.0, 0.2, 0.6]),
+)
+@example(shape=(0, 12), seed=1, density=0.1, zero_rows=0.0)
+@example(shape=(150, 12), seed=3, density=0.3, zero_rows=0.2)
+def test_rref_rows_matches_python_int_reference(p, shape, seed, density, zero_rows):
+    # dict rows with their keys in random order, as products emit them; the
+    # RREF comes keyed by increasing pivot
+    a = sparse_rows(p, *shape, seed, density, zero_rows, 0.0)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for row in a.tolist():
+        nonzero = [c for c, v in enumerate(row) if v]
+        rows.append({c: row[c] % p for c in rng.permutation(nonzero).tolist()})
+    expected, expected_pivots = reference_rref(a.tolist(), shape[1], p)
+    basis = _rref_rows(rows, p)
+    assert list(basis) == expected_pivots
+    assert all(all(v for v in row.values()) for row in basis.values())
+    got = [[row.get(c, 0) for c in range(shape[1])] for row in basis.values()]
+    assert got == expected[: len(expected_pivots)]
 
 
 @given(
@@ -302,11 +334,14 @@ def test_reversed_kernel_matches_python_int_kernel(p, ncols, seed, bands):
     # no rows at all
     bands = [(m, min(k, ncols)) for m, k in sorted(bands, key=lambda band: band[1])]
     rows = banded_rows(p, ncols, seed, bands)
+    # the dict rows come with their columns reversed, and so does the RREF
     field = PrimeField(p)
-    kernel, row_space = _reversed_kernel(np.array(rows, dtype=np.int64).reshape(-1, ncols), p)
+    reversed_rows = [{ncols - 1 - c: v % p for c, v in enumerate(row) if v % p} for row in rows]
+    kernel, row_space = _reversed_kernel(reversed_rows, ncols, p)
     expected = reference_span(field, ncols, reference_kernel(rows, ncols, p))
     assert Subspace(field, ncols, kernel) == expected
-    assert reference_span(field, ncols, row_space.tolist()) == reference_span(field, ncols, rows)
+    spanning = [[row.get(ncols - 1 - c, 0) for c in range(ncols)] for row in row_space.values()]
+    assert reference_span(field, ncols, spanning) == reference_span(field, ncols, rows)
     assert len(row_space) + len(kernel) == ncols
 
 
@@ -473,7 +508,9 @@ def test_chain_exists_iff_nilpotent(p, n, seed, shape):
 @given(n=st.integers(2, 6), seed=seeds, sparse=st.booleans(), nrows=st.integers(0, 6))
 def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     # left holds a row of p - 1 and random residues; the columns come in any
-    # order, as the centralizer's paired columns do
+    # order, as the lower series' pivot columns do.  The dict rows read off
+    # the row table, forced for the dense tables too, are the nonzero rows
+    # of the matmul, in the same (u, j) order
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
     make = sparse_nilpotent_presentation if sparse else random_nilpotent_presentation
@@ -482,10 +519,24 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     if sparse:
         assert len(_table_nonzeros(alg)[3]) < _SPARSE_SHARE * dim**3
     left = np.vstack([np.full(dim, p - 1), rng.integers(0, p, size=(nrows, dim))])
+    right = rng.integers(0, p, size=(int(rng.integers(1, 4)), dim))
     cols = rng.permutation(dim)[: int(rng.integers(1, dim + 1))]
-    expected = _dense_products(alg, left, cols)
-    assert expected.shape == (nrows + 1, dim, len(cols))
-    assert np.array_equal(_sparse_products(alg, left, cols), expected)
+    dense = _dense_products(alg, left, cols)
+    assert dense.shape == (nrows + 1, dim, len(cols))
+    pairs = alg.table[np.triu_indices(dim, 1)][:, cols]
+    contracted = np.stack([right @ block % p for block in dense.astype(object)]).astype(np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "_SPARSE_SHARE", 2)
+        for expected, rows in (
+            (dense, _products(alg, _dict_rows(left), cols)),
+            (pairs, _products(alg, None, cols)),
+            (contracted, _products(alg, _dict_rows(left), cols, _dict_rows(right))),
+        ):
+            expected = expected.reshape(-1, len(cols))
+            expected = expected[expected.any(axis=1)]
+            assert all(all(v for v in row.values()) for row in rows)
+            assert np.array_equal(_rows_array(rows, expected.shape), expected)
+            assert len(rows) == len(expected)
 
 
 def reference_scaling_search(a, b):
