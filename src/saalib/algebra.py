@@ -16,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cache, wraps
+from itertools import compress
 
 import numpy as np
 
@@ -23,15 +24,15 @@ from .linalg import (
     GramMatrix,
     PrimeField,
     Subspace,
+    _combine,
     _dict_rows,
-    _dot_mod,
-    _kernel_rows,
-    _pairing_matrix,
+    _free_kernel,
+    _pairing_rows,
+    _perp_rows,
+    _reduced,
     _reversed_kernel,
     _rows_array,
-    _rref_array,
     _rref_rows,
-    nullspace,
     orthogonal,
 )
 
@@ -353,54 +354,16 @@ def zero_space(alg: Algebra) -> Subspace:
     return Subspace.zero(alg.field, alg.dim)
 
 
-# Below this share of nonzero table entries the products are read off the
-# row table T (_row_table) as dict rows; above it they come from one matmul
-# and are read into dict rows after.  Constructions (0.3-3.5 % nonzero at
-# dim 8-32) ran faster on T, the scan's random samples (about 10 % at
-# dim 12) on the matmul.
-_SPARSE_SHARE = 1 / 16
-
-
-@_held
-def _table_nonzeros(alg: Algebra) -> tuple[np.ndarray, ...]:
-    """The table's nonzero entries as (i, j, k, value) arrays, in C order."""
-    i, j, k = np.nonzero(alg.table)
-    return i, j, k, alg.table[i, j, k]
-
-
 @_held
 def _row_table(alg: Algebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """T[i] = ((j, k, value), ...): the nonzero entries table[i, j, k], as
-    Python ints.  Read from the table, not the tensor, so the products see
-    exactly what the table holds."""
+    Python ints, in C order.  Read from the table, not the tensor, so the
+    products see exactly what the table holds."""
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
-    for i, j, k, v in zip(*(x.tolist() for x in _table_nonzeros(alg))):
+    nonzero = np.nonzero(alg.table)
+    for i, j, k, v in zip(*(x.tolist() for x in nonzero), alg.table[nonzero].tolist()):
         rows[i].append((j, k, v))
     return tuple(map(tuple, rows))
-
-
-def _dense_products(alg: Algebra, left: np.ndarray, cols) -> np.ndarray:
-    """(u . e_j)[cols] for the rows u of left and every j: one _dot_mod matmul.
-
-    Shape (len(left), dim, len(cols)).
-    """
-    p, dim = alg.field.p, alg.dim
-    on_cols = alg.table[:, :, cols].reshape(dim, -1)
-    return _dot_mod(left, on_cols, p).reshape(len(left), dim, len(cols))
-
-
-def _combine(terms) -> dict[int, int]:
-    """sum c * row over the (c, row) pairs of dict rows, unreduced."""
-    out: dict[int, int] = {}
-    for c, row in terms:
-        for j, v in row.items():
-            out[j] = out.get(j, 0) + c * v
-    return out
-
-
-def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
-    """A dict row reduced mod p, its zeros dropped."""
-    return {j: r for j, x in row.items() if (r := x % p)}
 
 
 def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
@@ -411,25 +374,14 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
     every basis vector e_j when right is None.  left None stands for the
     basis vectors, and then only e_i . e_j with i < j is taken: build_algebra
     makes table[j, i] = -table[i, j] (check_axioms tests it), so the pairs
-    span the same space with half the rows.  When fewer than _SPARSE_SHARE
-    of the dim**3 table entries are nonzero, as in every minimal
-    construction, each u . e_j is summed from the row table T, entry
-    (j, k, value) of T[i] adding u_i * value at k; a right factor w then
-    combines them, sum w_j (u . e_j).  The sums run on Python ints and are
-    reduced once, exact for any p, and no dense array is built.  Otherwise
-    they come from _dense_products, a right factor is contracted by one
-    _dot_mod, and the nonzeros are read into dict rows.  Zero rows are
-    dropped, so callers that want a span never eliminate them.
+    span the same space with half the rows.  Each u . e_j is summed from
+    the row table T (_row_table), entry (j, k, value) of T[i] adding
+    u_i * value at k, and a right factor w then combines them,
+    sum w_j (u . e_j).  The sums run on Python ints and are reduced once,
+    exact for any p, and no dense array is built.  Zero rows are dropped,
+    so callers that want a span never eliminate them.
     """
     p, dim = alg.field.p, alg.dim
-    if len(_table_nonzeros(alg)[3]) >= _SPARSE_SHARE * dim**3:
-        if left is None:
-            prods = alg.table[np.triu_indices(dim, 1)][:, cols]
-        else:
-            prods = _dense_products(alg, _rows_array(left, (len(left), dim)), cols)
-            if right is not None:
-                prods = _dot_mod(_rows_array(right, (len(right), dim)), prods, p)
-        return _dict_rows(prods.reshape(-1, len(cols)))
     table = _row_table(alg)
     position = {k: t for t, k in enumerate(cols)}
     if left is None:
@@ -462,20 +414,16 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
 def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> list[dict[int, int]]:
     """Nonzero dict rows spanning a . b: the products u . v over the two bases.
 
-    The full space's canonical basis is the identity, so for b = L the
-    products u . e_j are taken as they are (see _products).
+    The bases are read as their dict rows.  The full space's canonical
+    basis is the identity, so for b = L the products u . e_j are taken as
+    they are (see _products).
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("ambient mismatch")
     if a.field != alg.field or b.field != alg.field:
         raise ValueError("field mismatch")
-    right = None if b.dim == alg.dim else _dict_rows(b.basis)
-    return _products(alg, _dict_rows(a.basis), range(alg.dim), right)
-
-
-def _spans_rows(s: Subspace, rows: list[dict[int, int]]) -> bool:
-    """True iff every dict row lies in s (see Subspace._spans)."""
-    return s._spans(_rows_array(rows, (len(rows), s.ambient_dim)))
+    right = None if b.dim == alg.dim else b.rows
+    return _products(alg, a.rows, range(alg.dim), right)
 
 
 def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
@@ -484,8 +432,8 @@ def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     The product rows (see _product_rows) reduced to RREF.  Callers that only
     ask whether the product lies in a subspace test the raw rows instead.
     """
-    basis = list(_rref_rows(_product_rows(alg, a, b), alg.field.p).values())
-    return Subspace(alg.field, alg.dim, _rows_array(basis, (len(basis), alg.dim)))
+    basis = _rref_rows(_product_rows(alg, a, b), alg.field.p)
+    return Subspace._from_rows(alg.field, alg.dim, basis.values())
 
 
 @dataclass(frozen=True)
@@ -551,7 +499,7 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
                 for row in coeffs.values()
             ]
         pivots = [pivots[c] for c in coeffs]
-        terms.append(Subspace(alg.field, dim, _rows_array(basis, (len(basis), dim))))
+        terms.append(Subspace._from_rows(alg.field, dim, basis))
     cls = len(terms) - 1 if terms[-1].is_zero() else None
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
@@ -565,9 +513,12 @@ def _twisted(rows, dim: int, p: int) -> list[dict[int, int]]:
     return [{dim - 1 - (c ^ 1): p - v if c & 1 else v for c, v in row.items()} for row in rows]
 
 
-def _centralizer_step(alg: Algebra, spanning: np.ndarray | None) -> tuple[Subspace, np.ndarray]:
-    """C = {v : v . e_k lies in z for every basis vector e_k}, given rows
-    spanning perp(z), and read-only rows spanning perp(C); one elimination.
+def _centralizer_step(
+    alg: Algebra, spanning: tuple[dict[int, int], ...] | None
+) -> tuple[Subspace, tuple[dict[int, int], ...]]:
+    """C = {v : v . e_k lies in z for every basis vector e_k}, given dict
+    rows spanning perp(z), and a tuple of dict rows spanning perp(C); one
+    elimination.
 
     The form is non-degenerate, so z = perp(perp(z)), and it is invariant,
     (v e_k, w) = (v, e_k w).  So v . e_k lies in z for every k iff v is
@@ -584,30 +535,26 @@ def _centralizer_step(alg: Algebra, spanning: np.ndarray | None) -> tuple[Subspa
     No rows span perp(L) = 0, and then C = L without an elimination.
     """
     p, dim = alg.field.p, alg.dim
-    if spanning is not None and not len(spanning):
+    if spanning is not None and not spanning:
         return full_space(alg), spanning
-    left = None if spanning is None else _dict_rows(spanning)
-    kernel, row_space = _reversed_kernel(_twisted(_products(alg, left, range(dim)), dim, p), dim, p)
-    above = _rows_array(_twisted(row_space.values(), dim, p), (len(row_space), dim))
-    above.flags.writeable = False
-    return Subspace(alg.field, dim, kernel), above
+    kernel, row_space = _reversed_kernel(_twisted(_products(alg, spanning, range(dim)), dim, p), dim, p)
+    return Subspace._from_rows(alg.field, dim, kernel), tuple(_twisted(row_space.values(), dim, p))
 
 
 def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
     """{v : v . e_k lies in z for every basis vector e_k} (_centralizer_step).
 
     The kernel rows of z's RREF basis, times the form, span perp(z) (see
-    perp).  Only isotropic_ideal_chain calls it: the upper series carries
-    each step's rows spanning perp(Z_i) forward instead.
+    perp); they are read off z's dict rows with no elimination
+    (linalg._perp_rows).  Only isotropic_ideal_chain calls it: the upper
+    series carries each step's rows spanning perp(Z_i) forward instead.
     """
-    p = alg.field.p
-    spanning = _kernel_rows(z.basis, z._pivot_columns, p) @ alg.gram.data % p
-    return _centralizer_step(alg, spanning)[0]
+    return _centralizer_step(alg, tuple(_perp_rows(z)))[0]
 
 
 @_held
-def _center(alg: Algebra) -> tuple[Subspace, np.ndarray]:
-    """Z_1 = {v : v L = 0}, and read-only rows spanning perp(Z_1).
+def _center(alg: Algebra) -> tuple[Subspace, tuple[dict[int, int], ...]]:
+    """Z_1 = {v : v L = 0}, and dict rows spanning perp(Z_1).
 
     One _centralizer_step from the identity rows, which span perp(0) = L.
     The rows are held for upper_central_series, so the centre is eliminated
@@ -667,12 +614,12 @@ def series_report(alg: Algebra) -> SeriesReport:
 
 
 def is_ideal(alg: Algebra, s: Subspace) -> bool:
-    return _spans_rows(s, _product_rows(alg, s, full_space(alg)))
+    return s._spans(_product_rows(alg, s, full_space(alg)))
 
 
 def is_isotropic(alg: Algebra, s: Subspace) -> bool:
-    """True iff s lies in perp(s), that is orthogonal(s, s): one pairing
-    matrix of s's basis with itself, and no perp built."""
+    """True iff s lies in perp(s), that is orthogonal(s, s): the pairings
+    of s's basis with itself, and no perp built."""
     return orthogonal(s, s, alg.gram)
 
 
@@ -687,12 +634,14 @@ def _priority_permutation(n: int) -> list[int]:
     return [2 * (i - 1) for i in range(n, 0, -1)] + [2 * i - 1 for i in range(n, 0, -1)]
 
 
-def _candidate_rows(w: np.ndarray, perm: list[int], p: int) -> np.ndarray:
-    """The canonical basis of the span of w's rows in the priority coordinate
-    order, mapped back to coordinate order.  RREF is unique, so any rows
-    spanning the same space give the same candidates."""
-    arr, pivots = _rref_array(w[:, perm], p)
-    return arr[: len(pivots)][:, np.argsort(perm)]
+def _candidate_rows(w, perm: list[int], p: int) -> list[dict[int, int]]:
+    """The canonical basis of the span of the dict rows w in the priority
+    coordinate order, mapped back to coordinate order, in the order of its
+    pivots.  RREF is unique, so any rows spanning the same space give the
+    same candidates."""
+    position = {c: t for t, c in enumerate(perm)}
+    basis = _rref_rows([{position[c]: v for c, v in row.items()} for row in w], p)
+    return [{perm[t]: v for t, v in row.items()} for row in basis.values()]
 
 
 def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
@@ -731,14 +680,15 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     whenever any path does.  ChainError names the step k at which no
     candidate extends I_k.
 
-    No step builds perp(I_k): c @ C lies in perp(I_k) iff c M = 0, with M
-    the pairing matrix of C's basis with I_k's (see orthogonal), so w is
-    spanned by the left kernel of M mapped back through C's basis.  The
-    first candidate not in I_k is the first with a nonzero residual against
-    I_k's basis, one residual for all of them (see Subspace._residuals).
-    After the loop (i) and (ii) are checked on the product rows and (iii) on one
-    pairing matrix; a failure, which the argument above rules out, raises
-    RuntimeError naming the condition and k.
+    No step builds perp(I_k): c @ C lies in perp(I_k) iff c is orthogonal
+    to the pairings of I_k's basis with C's (_pairing_rows, see
+    orthogonal), so w is spanned by the kernel of those pairings
+    (_free_kernel) mapped back through C's basis.  The first candidate not
+    in I_k is the first with a nonzero residual against I_k's basis (see
+    Subspace._residuals).  Every step runs on dict rows.  After the loop
+    (i) and (ii) are checked on the product rows and (iii) on the pairings
+    of I_n with itself; a failure, which the argument above rules out,
+    raises RuntimeError naming the condition and k.
     """
     n, p = alg.n, alg.field.p
     perm = _priority_permutation(n)
@@ -746,23 +696,26 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     for k in range(n):
         current = chain[k]
         above = _center(alg)[0] if k < 2 else _centralizer_above(alg, current)
-        coeffs = nullspace(_pairing_matrix(above, current, alg.gram).T, p)
-        w = _dot_mod(coeffs, above.basis, p)
+        pairings = _rref_rows(_pairing_rows(current.rows, above.rows, p), p)
+        w = [
+            _reduced(_combine([(c, above.rows[t]) for t, c in row.items()]), p)
+            for row in _free_kernel(pairings, range(above.dim), p)
+        ]
         candidates = _candidate_rows(w, perm, p)
-        outside = current._residuals(candidates).any(axis=1)
-        if not outside.any():
+        row = next(compress(candidates, current._residuals(candidates)), None)
+        if row is None:
             raise ChainError(
                 f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
                 f"no candidate extends I_{k}"
             )
-        row = candidates[outside.argmax()]
-        chain.append(Subspace.from_vectors(alg.field, alg.dim, np.vstack([current.basis, row])))
+        basis = _rref_rows([*map(dict, current.rows), row], p)
+        chain.append(Subspace._from_rows(alg.field, alg.dim, basis.values()))
     L = full_space(alg)
     m = min(n, 2)
     if len(_product_rows(alg, chain[m], L)):
         raise RuntimeError(f"isotropic ideal chain fails (i) I_{m} L = 0 for n={n}")
     for k in range(2, n):
-        if not _spans_rows(chain[k], _product_rows(alg, chain[k + 1], L)):
+        if not chain[k]._spans(_product_rows(alg, chain[k + 1], L)):
             raise RuntimeError(
                 f"isotropic ideal chain fails (ii) I_{k + 1} L <= I_{k} at k={k} for n={n}"
             )
@@ -826,7 +779,7 @@ def maximal_class_structure_check(alg: Algebra) -> bool:
     series report's index rule (L^0 = L, Z_{-1} = 0 and Z_j = L for j past
     the class) closes the index range.  The form is non-degenerate, so
     L^k = perp(Z_{k-1}) iff dim L^k + dim Z_{k-1} = 2n and L^k is
-    orthogonal to Z_{k-1}, which one pairing matrix decides (see
+    orthogonal to Z_{k-1}, which the pairings of their bases decide (see
     orthogonal); no perp is built.
     """
     if alg.dim < 8:

@@ -102,8 +102,8 @@ def check_duality(alg: Algebra, subject: str = "algebra") -> CheckResult:
     """Z_i equals perp(L^{i+1}) for every i up to the class.
 
     The form is non-degenerate, so Z_i = perp(L^{i+1}) iff
-    dim Z_i + dim L^{i+1} = 2n and Z_i is orthogonal to L^{i+1}, which one
-    pairing matrix decides (see orthogonal); no perp is built.
+    dim Z_i + dim L^{i+1} = 2n and Z_i is orthogonal to L^{i+1}, which the
+    pairings of their bases decide (see orthogonal); no perp is built.
     """
     rep = series_report(alg)
     if rep.nilpotency_class is None:

@@ -1,10 +1,12 @@
 """Exact linear algebra over prime fields GF(p).
 
-Vectors and matrices are numpy int64 arrays of residues reduced mod p,
-and every subspace holds its read-only reduced row echelon basis, so
-equality, hashing and chain comparisons are exact and deterministic.
-Eliminations run on sparse rows, one {column: residue} dict of Python
-ints per row (_rref_rows).
+Vectors and matrices are numpy int64 arrays of residues reduced mod p.
+Eliminations, kernels and pairings run on sparse rows, one
+{column: residue} dict of nonzero Python-int residues per row, exact
+for any p (_rref_rows).  Every subspace holds its reduced row echelon
+basis as such rows, checked on construction, so equality, hashing and
+chain comparisons are exact and deterministic; its int64 array is built
+only when read.
 The fixed coordinate convention everywhere in this package is
 
     x_1, y_1, x_2, y_2, ..., x_n, y_n  ->  coordinates 0, 1, ..., 2n-1
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from dataclasses import field as dc_field
 
 import numpy as np
 
@@ -124,6 +125,20 @@ def _clear(row: dict[int, int], c: int, pivot_row: dict[int, int], p: int) -> No
             del row[j]
 
 
+def _combine(terms) -> dict[int, int]:
+    """sum c * row over the (c, row) pairs of dict rows, unreduced."""
+    out: dict[int, int] = {}
+    for c, row in terms:
+        for j, v in row.items():
+            out[j] = out.get(j, 0) + c * v
+    return out
+
+
+def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
+    """A dict row reduced mod p, its zeros dropped."""
+    return {j: r for j, x in row.items() if (r := x % p)}
+
+
 def _rref_rows(rows, p: int) -> dict[int, dict[int, int]]:
     """Reduced row echelon form mod p of sparse rows: {pivot column: row}.
 
@@ -192,152 +207,196 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return _rows_array(list(basis.values()), a.shape), list(basis)
 
 
-def _kernel_rows(rref: np.ndarray, pivots, p: int) -> np.ndarray:
-    """Rows spanning the right kernel of an RREF array with the given pivots.
+def _free_kernel(basis: dict[int, dict[int, int]], labels, p: int) -> list[dict[int, int]]:
+    """Dict rows spanning the right kernel of an RREF {pivot: row} with
+    len(labels) columns, the entry at column c written at key labels[c].
 
-    One row per free column f, in increasing order: 1 at f, and minus
-    rref[r, f] at the pivot column of row r.
+    One row per free column f, in increasing order: 1 at f, and minus the
+    entry at f of the row with pivot q at q.  Each RREF row is zero on the
+    other pivot columns, so its entries other than its pivot lie on free
+    columns.
     """
-    free = np.ones(rref.shape[1], dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    ker = np.zeros((free.size, rref.shape[1]), dtype=np.int64)
-    ker[np.arange(free.size), free] = 1
-    ker[:, pivots] = -rref[: len(pivots), free].T % p
-    return ker
+    kernel = {f: {labels[f]: 1} for f in range(len(labels)) if f not in basis}
+    for q, row in basis.items():
+        for f, v in row.items():
+            if f != q:
+                kernel[f][labels[q]] = p - v
+    return list(kernel.values())
 
 
 def _reversed_kernel(
     rows, ncols: int, p: int
-) -> tuple[np.ndarray, dict[int, dict[int, int]]]:
+) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
     """(K, R) from one elimination of dict rows whose columns come reversed,
-    column c at key ncols - 1 - c: K the canonical RREF basis of the right
-    kernel {x : rows @ x = 0 (mod p)} in the original column order, and R
-    the RREF {pivot: row} of the reversed rows, which spans their row space.
+    column c at key ncols - 1 - c: K the canonical RREF basis, as dict rows,
+    of the right kernel {x : rows @ x = 0 (mod p)} in the original column
+    order, and R the RREF {pivot: row} of the reversed rows, which spans
+    their row space.
 
-    In the reversed order a kernel row (see _kernel_rows) has its 1 at a
+    In the reversed order a kernel row (see _free_kernel) has its 1 at a
     free column and its other entries at the pivot columns of RREF rows
     that start before it, so flipped back it leads with that 1 and is
     nonzero elsewhere only at pivot columns to its right.  Taken in
     increasing order of their flipped free columns, these rows are thus the
-    RREF of the kernel, and no second elimination is needed.  Each RREF row
-    is zero on the other pivot columns, so its entries other than its
-    pivot lie on free columns.
+    RREF of the kernel, and no second elimination is needed.
     """
     basis = _rref_rows(rows, p)
-    kernel = {f: {ncols - 1 - f: 1} for f in range(ncols - 1, -1, -1) if f not in basis}
-    for q, row in basis.items():
-        for f, v in row.items():
-            if f != q:
-                kernel[f][ncols - 1 - q] = p - v
-    return _rows_array(list(kernel.values()), (len(kernel), ncols)), basis
+    return _free_kernel(basis, range(ncols - 1, -1, -1), p)[::-1], basis
 
 
 def nullspace(rows: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning the right kernel {x : rows @ x = 0 (mod p)}.
 
     One elimination, then the free-variable basis read off the RREF
-    (_kernel_rows).
+    (_free_kernel).
     """
-    a, pivots = _rref_array(rows, p)
-    return _kernel_rows(a, pivots, p)
+    a = np.asarray(rows, dtype=np.int64) % p
+    kernel = _free_kernel(_rref_rows(_dict_rows(a), p), range(a.shape[1]), p)
+    return _rows_array(kernel, (len(kernel), a.shape[1]))
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of F^ambient_dim, held as its canonical RREF basis.
 
-    basis is a read-only int64 array of residues, one row per dimension
-    and no zero rows.  A basis passed directly must already be the RREF,
-    and one that is not is refused; from_vectors computes it.  Two
-    subspaces are equal iff their canonical bases agree entrywise, which
-    makes them usable as dict keys and in chain comparisons.
+    rows holds the RREF as a tuple of {column: residue} dicts of nonzero
+    Python-int residues, one per dimension, in increasing pivot order, and
+    pivots holds each row's pivot column.  Every constructor checks that the
+    rows are the RREF (_check_rref), and one that is not is refused; a basis
+    passed as an array must already be the RREF, and from_vectors computes
+    it.  RREF is unique, so two subspaces are equal iff their rows agree,
+    which makes them usable as dict keys and in chain comparisons.  The
+    rows are shared by every reader and must not be changed.
+
+    basis, the same RREF as a read-only int64 array, is built on first read
+    and held, for numpy consumers and outside callers.  Instances are
+    immutable and safe to share across threads: a race on the first read
+    can at worst build the same array twice.
     """
 
-    field: PrimeField
-    ambient_dim: int
-    basis: np.ndarray
-    _pivot_columns: np.ndarray = dc_field(init=False, repr=False)
-
-    def __post_init__(self):
-        basis = self.field.reduce(self.basis)
-        if basis.ndim != 2 or basis.shape[1] != self.ambient_dim:
+    def __init__(self, field: PrimeField, ambient_dim: int, basis):
+        arr = field.reduce(basis)
+        if arr.ndim != 2 or arr.shape[1] != ambient_dim:
             raise ValueError(
-                f"basis must be two-dimensional of width {self.ambient_dim}, got {basis.shape}"
+                f"basis must be two-dimensional of width {ambient_dim}, got {arr.shape}"
             )
-        # argmax reads the first nonzero column of each row.  With increasing
-        # pivots, basis[:, pivots] is upper triangular, and it is the identity
-        # iff its diagonal is 1 and it has no other nonzero.  A zero row reads
-        # column 0 and puts a zero on the diagonal (a zero-width basis reads
-        # no pivots, so any row of it fails the count).
-        pivots = (basis != 0).argmax(axis=1) if basis.size else np.zeros(0, dtype=np.intp)
-        order = pivots.tolist()
-        block = basis[:, pivots]
-        if not (
-            all(map(operator.lt, order, order[1:]))
-            and np.count_nonzero(block) == len(basis)
-            and (block.diagonal() == 1).all()
-        ):
-            raise ValueError("basis must be in reduced row echelon form, without zero rows")
-        pivots.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivot_columns", pivots)
+        rows = tuple({j: v for j, v in enumerate(row) if v} for row in arr.tolist())
+        self._set(field, ambient_dim, rows, arr)
+
+    @classmethod
+    def _from_rows(cls, field: PrimeField, ambient_dim: int, rows) -> "Subspace":
+        """The subspace whose RREF is the given dict rows, refused unless
+        they are one (_check_rref).  The rows are held, not copied."""
+        space = cls.__new__(cls)
+        space._set(field, ambient_dim, tuple(rows), None)
+        return space
+
+    def _set(self, field, ambient_dim, rows, basis) -> None:
+        pivots = _check_rref(rows, ambient_dim, field.p)
+        vars(self).update(
+            field=field, ambient_dim=ambient_dim, rows=rows, pivots=pivots, _basis=basis
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Subspace is immutable: cannot set {name}")
 
     @classmethod
     def from_vectors(cls, field: PrimeField, ambient_dim: int, vectors) -> "Subspace":
-        rows = np.asarray(vectors, dtype=np.int64).reshape(-1, ambient_dim)
-        arr, pivots = _rref_array(rows, field.p)
-        return cls(field, ambient_dim, arr[: len(pivots)])
+        rows = np.asarray(vectors, dtype=np.int64).reshape(-1, ambient_dim) % field.p
+        return cls._from_rows(field, ambient_dim, _rref_rows(_dict_rows(rows), field.p).values())
 
     @classmethod
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64))
+        return cls._from_rows(field, ambient_dim, ())
 
     @classmethod
     def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, np.eye(ambient_dim, dtype=np.int64))
+        return cls._from_rows(field, ambient_dim, ({c: 1} for c in range(ambient_dim)))
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The RREF as a read-only int64 array, built on first read."""
+        basis = self._basis
+        if basis is None:
+            basis = _rows_array(self.rows, (len(self.rows), self.ambient_dim))
+            basis.flags.writeable = False
+            vars(self)["_basis"] = basis
+        return basis
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.rows
 
-    def _residuals(self, rows: np.ndarray) -> np.ndarray:
-        """The residual v - v[pivots] @ basis of each residue row v.
+    def _residuals(self, rows):
+        """The residual row - row[pivots] @ rows of each dict row, reduced,
+        one at a time.
 
         A row lies in the span of the RREF basis iff it equals its pivot
-        entries times the basis, so iff its residual vanishes.
+        entries times the basis, so iff its residual is empty.
         """
         p = self.field.p
-        return (rows - _dot_mod(rows[:, self._pivot_columns], self.basis, p)) % p
+        by_pivot = dict(zip(self.pivots, self.rows))
+        for row in rows:
+            terms = [(-f, by_pivot[c]) for c, f in row.items() if c in by_pivot]
+            yield _reduced(_combine([(1, row), *terms]), p)
 
-    def _spans(self, rows: np.ndarray) -> bool:
-        """True iff every residue row lies in the subspace (see _residuals)."""
-        return not self._residuals(rows).any()
+    def _spans(self, rows) -> bool:
+        """True iff every dict row lies in the subspace (see _residuals)."""
+        return not any(self._residuals(rows))
 
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)
-        return self._spans(vec[None, :])
+        return self._spans(_dict_rows(vec[None, :]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         _require_same_ambient(self, other)
-        return self._spans(other.basis)
+        return self._spans(other.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and np.array_equal(self.basis, other.basis)
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.ambient_dim, self.basis.shape, self.basis.tobytes()))
+        rows = tuple(frozenset(row.items()) for row in self.rows)
+        return hash((self.field.p, self.ambient_dim, rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, {self.field!r})"
+
+
+def _check_rref(rows, ambient_dim: int, p: int) -> tuple[int, ...]:
+    """The pivot columns of dict rows that are an RREF of width ambient_dim
+    mod p; anything else raises ValueError.
+
+    Each row must be nonzero with residues in [1, p) on columns in
+    [0, ambient_dim), its pivot, its first nonzero column, must hold 1, the
+    pivots must increase, and no row may have an entry on another row's
+    pivot column.  Each row meets its own pivot column, so the last holds
+    iff the rows meet pivot columns exactly len(rows) times.
+    """
+    if not all(rows):
+        raise ValueError("basis must be in reduced row echelon form, without zero rows")
+    pivots = tuple(map(min, rows))
+    columns = set(pivots)
+    if not (
+        all(map(operator.lt, pivots, pivots[1:]))
+        and all(row[c] == 1 for row, c in zip(rows, pivots))
+        and sum(len(columns & row.keys()) for row in rows) == len(rows)
+    ):
+        raise ValueError("basis must be in reduced row echelon form, without zero rows")
+    if not rows:
+        return pivots
+    if pivots[0] < 0 or max(map(max, rows)) >= ambient_dim:
+        raise ValueError(f"basis columns must lie in [0, {ambient_dim})")
+    if min(min(row.values()) for row in rows) < 1 or max(max(row.values()) for row in rows) >= p:
+        raise ValueError(f"basis entries must be residues mod {p}")
+    return pivots
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -403,46 +462,66 @@ class GramMatrix:
         return f"GramMatrix(n={self.n}, {self.field!r})"
 
 
+def _perp_rows(s: Subspace) -> list[dict[int, int]]:
+    """Dict rows spanning perp(s) under the standard form G: the kernel
+    rows of s's RREF (_free_kernel), times G (see perp), which takes the
+    entry at column c to c ^ 1, its sign flipped on odd c."""
+    p = s.field.p
+    kernel = _free_kernel(dict(zip(s.pivots, s.rows)), range(s.ambient_dim), p)
+    return [{c ^ 1: p - v if c & 1 else v for c, v in row.items()} for row in kernel]
+
+
 def perp(s: Subspace, g: GramMatrix) -> Subspace:
     """The orthogonal complement {v : (u, v) = 0 for all u in s}.
 
     dim s + dim perp(s) = 2n and perp(perp(s)) = s since the form is
     non-degenerate.  With B the RREF basis of s and G the standard form,
     G^-1 = -G = G^T, so v lies in perp(s) iff v = w G with B w = 0.  The
-    kernel rows w are read off B itself, and one elimination of w G gives
-    the canonical basis.  G is a signed permutation, so each entry of w G
-    is one product and stays exact in int64.
+    kernel rows w are read off B itself (_perp_rows), and one elimination
+    of w G gives the canonical basis.  G is a signed permutation, so w G
+    is a relabelling of w's columns.
     """
     if s.ambient_dim != g.dim or s.field != g.field:
         raise ValueError("ambient mismatch")
-    if s.dim == 0:
-        return Subspace.full(s.field, s.ambient_dim)
-    p = s.field.p
-    ker = _kernel_rows(s.basis, s._pivot_columns, p)
-    return Subspace.from_vectors(s.field, s.ambient_dim, ker @ g.data % p)
+    rows = _rref_rows(_perp_rows(s), s.field.p)
+    return Subspace._from_rows(s.field, s.ambient_dim, rows.values())
 
 
-def _pairing_matrix(a: Subspace, b: Subspace, g: GramMatrix) -> np.ndarray:
-    """The pairings (u, v) for u over a's basis rows and v over b's.
+def _pairing_rows(a_rows, b_rows, p: int) -> list[dict[int, int]]:
+    """The pairings (u, v) under the standard form, one dict row
+    {t: (u, b_t)} of nonzero residues per dict row u of a_rows, with b_t
+    the rows of b_rows.
 
-    One matmul, A G B^T mod p.  G is a signed permutation, so each entry
-    of A G is one product of residues, and _dot_mod keeps the second
-    product exact in int64 for every accepted p.
+    (u, v) = u G v^T, and u G moves u's entry at c to c ^ 1, its sign
+    flipped on odd c (see _perp_rows).  So b's entries are indexed by the
+    column c ^ 1 they pair with, and each pairing sums only the products
+    of entries that meet, on Python ints, exact for any p.
     """
-    for s in (a, b):
-        if s.ambient_dim != g.dim or s.field != g.field:
-            raise ValueError("ambient mismatch")
-    p = g.field.p
-    return _dot_mod(a.basis @ g.data % p, b.basis.T, p)
+    meets: dict[int, list[tuple[int, int]]] = {}
+    for t, v in enumerate(b_rows):
+        for j, y in v.items():
+            meets.setdefault(j ^ 1, []).append((t, y))
+    out = []
+    for u in a_rows:
+        sums: dict[int, int] = {}
+        for c, x in u.items():
+            if c & 1:
+                x = -x
+            for t, y in meets.get(c, ()):
+                sums[t] = sums.get(t, 0) + x * y
+        out.append(_reduced(sums, p))
+    return out
 
 
 def orthogonal(a: Subspace, b: Subspace, g: GramMatrix) -> bool:
     """True iff every vector of a pairs to zero with every vector of b.
 
-    That is, a lies in perp(b), read off one pairing matrix of the two
-    bases (see _pairing_matrix) instead of building the perp.  The form is
+    That is, a lies in perp(b), read off the pairings of the two bases'
+    dict rows (_pairing_rows) instead of building the perp.  The form is
     non-degenerate, so dim perp(b) = 2n - dim b, and a = perp(b) holds
     exactly when dim a + dim b = 2n and orthogonal(a, b, g).
     """
-    return not _pairing_matrix(a, b, g).any()
-
+    for s in (a, b):
+        if s.ambient_dim != g.dim or s.field != g.field:
+            raise ValueError("ambient mismatch")
+    return not any(_pairing_rows(a.rows, b.rows, g.field.p))

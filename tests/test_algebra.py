@@ -39,7 +39,7 @@ from saalib.algebra import (
 from saalib.checks import random_nilpotent_presentation
 from saalib.cli import verify_report
 from saalib.construct import catalog, catalog_entry, construct_minimal
-from saalib.linalg import PrimeField, Subspace, perp
+from saalib.linalg import PrimeField, Subspace, _rows_array, perp
 from saalib.presfile import emit_presentation, parse_presentation_file
 
 F3 = PrimeField(3)
@@ -296,33 +296,47 @@ def test_each_series_computed_once_per_algebra(monkeypatch):
 
 
 def test_held_centre_rows_are_read_only_and_span_its_perp():
-    # the rows _center holds for the upper series are shared like every held
-    # value, so they refuse writes; each step's rows span the perp of its term
+    # the dict rows _center holds for the upper series are shared like every
+    # held value, so they come in a tuple, which refuses writes; each step's
+    # rows span the perp of its term
     alg = build_algebra(catalog_entry("P12-2-1").presentation(F3))
     center, rows = algebra_module._center(alg)
-    with pytest.raises(ValueError):
-        rows[0, 0] = 1
+    with pytest.raises(TypeError):
+        rows[0] = {}
     assert algebra_module._center(alg)[1] is rows
     for term in upper_central_series(alg).upper[1:]:
-        assert Subspace.from_vectors(F3, alg.dim, rows) == perp(term, alg.gram)
+        spanning = _rows_array(rows, (len(rows), alg.dim))
+        assert Subspace.from_vectors(F3, alg.dim, spanning) == perp(term, alg.gram)
         following, rows = algebra_module._centralizer_step(alg, rows)
-        assert not rows.flags.writeable
-    assert following == full_space(alg) and rows.shape == (0, alg.dim)
+        assert isinstance(rows, tuple)
+    assert following == full_space(alg) and rows == ()
 
 
 def test_held_series_shared_across_threads():
+    # then every thread reads each term's basis array, which no one has read
+    # before, at once: the first reads all agree with the rows
     pres = catalog_entry("P16-2-1").presentation(F3)
     expected = series_report(build_algebra(pres))
     shared = build_algebra(pres)
+
+    def bases(rep):
+        return [s.basis for s in rep.lower + rep.upper]
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(series_report, shared) for _ in range(32)]
             reports = [f.result(timeout=60) for f in futures]
+            futures = [pool.submit(bases, reports[0]) for _ in range(32)]
+            read = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert all(rep == expected for rep in reports)
+    terms = expected.lower + expected.upper
+    for arrays in read:
+        for s, arr in zip(terms, arrays):
+            assert np.array_equal(arr, _rows_array(s.rows, (s.dim, s.ambient_dim)))
 
 
 def test_p8_series_dims():
@@ -456,12 +470,11 @@ def test_chain_builds_no_perp(monkeypatch):
 
 
 def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
-    # every pairing reads zero and y_3 comes right after x_3, so the loop
-    # takes I_2 = <x_3, y_3>; the abelian algebra makes every doubled chain
-    # central, and only (iii) sees that I_3 is not isotropic
-    monkeypatch.setattr(
-        algebra_module, "_pairing_matrix", lambda a, b, g: np.zeros((a.dim, b.dim), np.int64)
-    )
+    # every pairing the loop reads is zero and y_3 comes right after x_3, so
+    # the loop takes I_2 = <x_3, y_3>; the abelian algebra makes every doubled
+    # chain central, and only (iii), which reads the pairings through
+    # orthogonal, sees that I_3 is not isotropic
+    monkeypatch.setattr(algebra_module, "_pairing_rows", lambda a, b, p: [])
     monkeypatch.setattr(
         algebra_module,
         "_priority_permutation",

@@ -8,6 +8,7 @@ from saalib.linalg import (
     GramMatrix,
     PrimeField,
     Subspace,
+    _rows_array,
     _rref_array,
     is_prime,
     nullspace,
@@ -201,6 +202,39 @@ def test_gram_matrix_standard_pairings():
     assert g.pairing(x1, x2) == 0
     assert np.array_equal(g.data.T % 7, -g.data % 7)
     assert not np.diagonal(g.data).any()
+
+
+def test_basis_is_built_once_read_only_from_the_rows():
+    # a subspace held as dict rows builds its basis array on first read and
+    # holds it; the subspace itself refuses writes
+    field = PrimeField(5)
+    s = Subspace.from_vectors(field, 4, [[1, 2, 0, 3], [2, 4, 1, 1]])
+    g = GramMatrix(field, 2)
+    for space in (s, perp(s, g), Subspace.zero(field, 3), Subspace.full(field, 3)):
+        first = space.basis
+        assert space.basis is first
+        assert first.dtype == np.int64 and not first.flags.writeable
+        assert np.array_equal(first, _rows_array(space.rows, (space.dim, space.ambient_dim)))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0:1] = 0
+    assert s.rows == ({0: 1, 1: 2, 3: 3}, {2: 1}) and s.pivots == (0, 2)
+    with pytest.raises(AttributeError):
+        s.rows = ()
+
+
+def test_subspace_from_rows_refuses_entries_out_of_range():
+    # dict rows are not reduced on the way in, so an entry that is no residue
+    # mod p, or a column outside the ambient space, is refused
+    field = PrimeField(5)
+    for rows, match in (
+        ([{0: 1, 2: 5}], "residues mod 5"),
+        ([{0: 1, 2: 0}], "residues mod 5"),
+        ([{0: 1, 2: -1}], "residues mod 5"),
+        ([{0: 1, 3: 2}], r"columns must lie in \[0, 3\)"),
+        ([{-1: 1}], r"columns must lie in \[0, 3\)"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Subspace._from_rows(field, 3, rows)
 
 
 def test_subspace_basis_validation():

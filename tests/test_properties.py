@@ -5,22 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-import saalib.algebra as algebra_module
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from saalib.algebra import (
-    _SPARSE_SHARE,
     BasisVector,
     ChainError,
     Presentation,
     PresentationTriple,
     StructureTensor,
     _centralizer_above,
-    _dense_products,
     _independent,
     _products,
-    _table_nonzeros,
     build_algebra,
     full_space,
     isotropic_ideal_chain,
@@ -44,6 +40,8 @@ from saalib.linalg import (
     PrimeField,
     Subspace,
     _dict_rows,
+    _dot_mod,
+    _pairing_rows,
     _reversed_kernel,
     _rows_array,
     _rref_array,
@@ -244,8 +242,8 @@ def random_presentation(n, field, rng):
 def sparse_nilpotent_presentation(n, field, rng):
     """Random unit values on 1..n-1 random nilpotent-shape triples.
 
-    Less than _SPARSE_SHARE of the table is then nonzero, as in a minimal
-    construction, so its products take the sparse path.
+    Few of the table's entries are then nonzero, as in a minimal
+    construction; the scan's random nilpotent draw fills about a tenth.
     """
     items = {}
     for _ in range(int(rng.integers(1, n)) if n >= 3 else 0):
@@ -339,7 +337,7 @@ def test_reversed_kernel_matches_python_int_kernel(p, ncols, seed, bands):
     reversed_rows = [{ncols - 1 - c: v % p for c, v in enumerate(row) if v % p} for row in rows]
     kernel, row_space = _reversed_kernel(reversed_rows, ncols, p)
     expected = reference_span(field, ncols, reference_kernel(rows, ncols, p))
-    assert Subspace(field, ncols, kernel) == expected
+    assert Subspace._from_rows(field, ncols, kernel) == expected
     spanning = [[row.get(ncols - 1 - c, 0) for c in range(ncols)] for row in row_space.values()]
     assert reference_span(field, ncols, spanning) == reference_span(field, ncols, rows)
     assert len(row_space) + len(kernel) == ncols
@@ -389,6 +387,93 @@ def test_orthogonal_matches_perp(p, n, seed, span, count, draw):
     assert orthogonal(a, b, g) == b_perp.contains_subspace(a)
     assert orthogonal(b, a, g) == orthogonal(a, b, g)
     assert (a.dim + b.dim == 2 * n and orthogonal(a, b, g)) == (a == b_perp)
+
+
+@given(p=primes, ambient=st.integers(1, 16), seed=seeds, span=st.integers(0, 16))
+def test_subspace_from_rows_matches_subspace_from_array(p, ambient, seed, span):
+    # the Python-int RREF of random rows, held once from its dict rows, their
+    # keys in random order as eliminations leave them, and once from its array
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    gens = rng.integers(0, p, size=(span, ambient), dtype=np.uint64).astype(object).tolist()
+    rref, pivots = reference_rref(gens, ambient, p)
+    rref = rref[: len(pivots)]
+    order = rng.permutation(ambient).tolist()
+    from_rows = Subspace._from_rows(field, ambient, [{c: row[c] for c in order if row[c]} for row in rref])
+    from_array = Subspace(field, ambient, np.array(rref, dtype=np.int64).reshape(-1, ambient))
+    assert from_rows == from_array and hash(from_rows) == hash(from_array)
+    assert from_rows.dim == from_array.dim == len(pivots)
+    assert from_rows.pivots == from_array.pivots == tuple(pivots)
+    assert np.array_equal(from_rows.basis, from_array.basis)
+    assert from_rows.basis.tolist() == [list(row) for row in rref]
+    assert Subspace.from_vectors(field, ambient, gens) == from_rows
+
+
+@given(
+    p=primes,
+    ambient=st.integers(2, 16),
+    seed=seeds,
+    span=st.integers(2, 16),
+    broken=st.sampled_from(["empty row", "pivot not 1", "pivots not increasing", "pivot column"]),
+)
+def test_subspace_from_rows_refuses_each_broken_rref_condition(p, ambient, seed, span, broken):
+    # one condition is broken in a valid RREF of at least two rows: a zero row
+    # inserted, one row scaled by a unit other than 1, two rows swapped, or an
+    # entry put on the pivot column of a later row, which keeps the pivots
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    s = Subspace.from_vectors(field, ambient, rng.integers(0, p, size=(span, ambient)))
+    assume(s.dim >= 2 and (p > 2 or broken != "pivot not 1"))
+    rows = [dict(row) for row in s.rows]
+    i, j = sorted(rng.choice(len(rows), size=2, replace=False).tolist())
+    if broken == "empty row":
+        rows.insert(int(rng.integers(0, len(rows) + 1)), {})
+    elif broken == "pivot not 1":
+        unit = int(rng.integers(2, p))
+        rows[i] = {c: v * unit % p for c, v in rows[i].items()}
+    elif broken == "pivots not increasing":
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        rows[i][s.pivots[j]] = int(rng.integers(1, p))
+    with pytest.raises(ValueError, match="reduced row echelon form"):
+        Subspace._from_rows(field, ambient, rows)
+    assert Subspace._from_rows(field, ambient, [dict(row) for row in s.rows]) == s
+
+
+def pairing_matrix(a, b, g):
+    """The pairings (u, v) for u over a's basis rows and v over b's, as one
+    matmul A G B^T mod p of the basis arrays; _dot_mod keeps the second
+    product exact in int64 for every accepted p."""
+    p = g.field.p
+    return _dot_mod(a.basis @ g.data % p, b.basis.T, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=30)
+@given(
+    n=st.integers(1, 6),
+    seed=seeds,
+    spans=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    inside=st.booleans(),
+)
+def test_pairing_rows_match_pairing_matrix(p, n, seed, spans, inside):
+    # a is drawn at random or inside perp(b), so both answers of orthogonal
+    # occur; the dict-row pairings are the matrix's rows, zeros dropped
+    field = PrimeField(p)
+    g = GramMatrix(field, n)
+    rng = np.random.default_rng(seed)
+    b = Subspace.from_vectors(field, 2 * n, rng.integers(0, p, size=(spans[1], 2 * n)))
+    rows = rng.integers(0, p, size=(spans[0], 2 * n)).tolist()
+    b_perp = perp(b, g)
+    if inside:
+        rows = combinations(rng, spans[0], b_perp.basis.tolist(), p) if b_perp.dim else []
+    a = Subspace.from_vectors(field, 2 * n, rows)
+    matrix = pairing_matrix(a, b, g)
+    pairings = _pairing_rows(a.rows, b.rows, p)
+    assert len(pairings) == a.dim
+    assert all(all(v for v in row.values()) for row in pairings)
+    assert np.array_equal(_rows_array(pairings, matrix.shape), matrix)
+    assert orthogonal(a, b, g) == (not matrix.any())
 
 
 @given(
@@ -509,34 +594,32 @@ def test_chain_exists_iff_nilpotent(p, n, seed, shape):
 def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     # left holds a row of p - 1 and random residues; the columns come in any
     # order, as the lower series' pivot columns do.  The dict rows read off
-    # the row table, forced for the dense tables too, are the nonzero rows
-    # of the matmul, in the same (u, j) order
+    # the row table, on sparse and dense tables alike, are the nonzero rows
+    # of the reference contraction of the table on Python ints, in the same
+    # (u, j) order
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
     make = sparse_nilpotent_presentation if sparse else random_nilpotent_presentation
     alg = build_algebra(make(n, field, rng))
     dim = alg.dim
-    if sparse:
-        assert len(_table_nonzeros(alg)[3]) < _SPARSE_SHARE * dim**3
     left = np.vstack([np.full(dim, p - 1), rng.integers(0, p, size=(nrows, dim))])
     right = rng.integers(0, p, size=(int(rng.integers(1, 4)), dim))
     cols = rng.permutation(dim)[: int(rng.integers(1, dim + 1))]
-    dense = _dense_products(alg, left, cols)
+    on_cols = alg.table[:, :, cols].astype(object)
+    dense = np.tensordot(left.astype(object), on_cols, axes=(1, 0)) % p
     assert dense.shape == (nrows + 1, dim, len(cols))
     pairs = alg.table[np.triu_indices(dim, 1)][:, cols]
-    contracted = np.stack([right @ block % p for block in dense.astype(object)]).astype(np.int64)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra_module, "_SPARSE_SHARE", 2)
-        for expected, rows in (
-            (dense, _products(alg, _dict_rows(left), cols)),
-            (pairs, _products(alg, None, cols)),
-            (contracted, _products(alg, _dict_rows(left), cols, _dict_rows(right))),
-        ):
-            expected = expected.reshape(-1, len(cols))
-            expected = expected[expected.any(axis=1)]
-            assert all(all(v for v in row.values()) for row in rows)
-            assert np.array_equal(_rows_array(rows, expected.shape), expected)
-            assert len(rows) == len(expected)
+    contracted = np.stack([right.astype(object) @ block % p for block in dense])
+    for expected, rows in (
+        (dense, _products(alg, _dict_rows(left), cols)),
+        (pairs, _products(alg, None, cols)),
+        (contracted, _products(alg, _dict_rows(left), cols, _dict_rows(right))),
+    ):
+        expected = expected.reshape(-1, len(cols)).astype(np.int64)
+        expected = expected[expected.any(axis=1)]
+        assert all(all(v for v in row.values()) for row in rows)
+        assert np.array_equal(_rows_array(rows, expected.shape), expected)
+        assert len(rows) == len(expected)
 
 
 def reference_scaling_search(a, b):
