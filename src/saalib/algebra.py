@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cache, wraps
-from itertools import compress
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -255,15 +255,6 @@ class StructureTensor:
     def support(self) -> frozenset[tuple[int, int, int]]:
         return frozenset(self._data)
 
-    def dense(self) -> np.ndarray:
-        """The full (2n, 2n, 2n) array of values."""
-        dim = 2 * self.n
-        g = np.zeros((dim, dim, dim), dtype=np.int64)
-        for (a, b, c), v in self._data.items():
-            g[a, b, c] = g[b, c, a] = g[c, a, b] = v
-            g[b, a, c] = g[a, c, b] = g[c, b, a] = -v % self.field.p
-        return g
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StructureTensor)
@@ -278,22 +269,23 @@ class StructureTensor:
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """An algebra: symplectic space, structure tensor and product table.
+    """An algebra: symplectic space and structure tensor, which determine
+    every product (see _row_table).
 
-    table[i, j] holds the coordinates of e_i . e_j.  The table's nonzero
-    entries, the lower central series, the centre Z_1 (with read-only rows
-    spanning its perp), the upper central series and the series report
-    are each computed at most once per instance, on first use, and held in
-    _series.  Instances are immutable after construction and safe to share
-    across threads: every held value is deterministic and immutable, so a
-    race can at worst compute the same value twice.
+    Its size is that of the tensor's stored triples; no dim**3 array is
+    built.  The row table of the nonzero basis products, the lower central
+    series, the centre Z_1 (with read-only rows spanning its perp), the
+    upper central series and the series report are each computed at most
+    once per instance, on first use, and held in _series.  Instances are
+    immutable after construction and safe to share across threads: every
+    held value is deterministic and immutable, so a race can at worst
+    compute the same value twice.
     """
 
     n: int
     field: PrimeField
     gram: GramMatrix
     tensor: StructureTensor
-    table: np.ndarray
     presentation: Presentation | None = None
     _series: dict = dc_field(default_factory=dict, init=False, repr=False)
 
@@ -320,19 +312,13 @@ def _held(compute):
 def build_algebra(pres: Presentation) -> Algebra:
     """The unique algebra with (u_i u_j, u_k) equal to the given values.
 
-    Every basis product is recovered from its pairings via the form.
+    The algebra holds the form and the structure tensor alone, in
+    O(triples) space; every basis product is recovered from its pairings
+    via the form when first asked for (_row_table).
     """
     field = pres.field
-    gram = GramMatrix(field, pres.n)
     tensor = StructureTensor.from_presentation(pres)
-    gamma = tensor.dense()
-    dim = 2 * pres.n
-    table = np.zeros((dim, dim, dim), dtype=np.int64)
-    # the module docstring's closed form of u . v, for every basis pair at once
-    table[:, :, 0::2] = gamma[:, :, 1::2]
-    table[:, :, 1::2] = -gamma[:, :, 0::2] % field.p
-    table.flags.writeable = False
-    return Algebra(pres.n, field, gram, tensor, table, pres)
+    return Algebra(pres.n, field, GramMatrix(field, pres.n), tensor, pres)
 
 
 def multiply(alg: Algebra, u, v) -> np.ndarray:
@@ -356,14 +342,26 @@ def zero_space(alg: Algebra) -> Subspace:
 
 @_held
 def _row_table(alg: Algebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """T[i] = ((j, k, value), ...): the nonzero entries table[i, j, k], as
-    Python ints, in C order.  Read from the table, not the tensor, so the
-    products see exactly what the table holds."""
+    """T[i] = ((j, k, value), ...): the nonzero coordinates k of e_i . e_j,
+    as Python ints, sorted by (j, k): the C order of a dense (i, j, k) table.
+
+    Read off the tensor's stored triples by the module docstring's closed
+    form: coordinate k of e_i . e_j is gamma(i, j, k ^ 1), negated for odd
+    k.  Each stored triple with value v gives its six permutations
+    (i, j, k') with sign s, and each puts (j, k' ^ 1, w) into T[i], with
+    w = s v for odd k' and -s v for even k'.  Every (i, j, k') comes from
+    one triple alone, so no entry is summed and none is zero.
+    """
+    p = alg.field.p
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
-    nonzero = np.nonzero(alg.table)
-    for i, j, k, v in zip(*(x.tolist() for x in nonzero), alg.table[nonzero].tolist()):
-        rows[i].append((j, k, v))
-    return tuple(map(tuple, rows))
+    for (a, b, c), v in alg.tensor.items():
+        neg = p - v
+        for i, j, k, w in (
+            (a, b, c, v), (b, c, a, v), (c, a, b, v),
+            (b, a, c, neg), (a, c, b, neg), (c, b, a, neg),
+        ):
+            rows[i].append((j, k ^ 1, w if k & 1 else p - w))
+    return tuple(tuple(sorted(row)) for row in rows)
 
 
 def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
@@ -372,12 +370,12 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
 
     u runs over the dict rows left and v over the dict rows right, or over
     every basis vector e_j when right is None.  left None stands for the
-    basis vectors, and then only e_i . e_j with i < j is taken: build_algebra
-    makes table[j, i] = -table[i, j] (check_axioms tests it), so the pairs
-    span the same space with half the rows.  Each u . e_j is summed from
-    the row table T (_row_table), entry (j, k, value) of T[i] adding
-    u_i * value at k, and a right factor w then combines them,
-    sum w_j (u . e_j).  The sums run on Python ints and are reduced once,
+    basis vectors, and then only e_i . e_j with i < j is taken: the tensor
+    is alternating, so _row_table gives e_j . e_i = -e_i . e_j (check_axioms
+    tests it), and the pairs span the same space with half the rows.  Each
+    u . e_j is summed from the row table T (_row_table), entry (j, k, value)
+    of T[i] adding u_i * value at k, and a right factor w then combines
+    them, sum w_j (u . e_j).  The sums run on Python ints and are reduced once,
     exact for any p, and no dense array is built.  Zero rows are dropped,
     so callers that want a span never eliminate them.
     """
@@ -665,8 +663,8 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
       perp(I_k), so the chain has (i) I_m L = 0 for m = min(n, 2),
       (ii) I_{k+1} L <= I_k for 2 <= k < n and (iii) I_n isotropic.  These
       make the doubled chain central by invariance, (xy, z) = (yz, x), which
-      holds for every algebra build_algebra makes, its table being read off
-      an alternating gamma (check_axioms tests it).  By (iii) the doubled
+      holds for every algebra build_algebra makes, its products being read
+      off an alternating gamma (check_axioms tests it).  By (iii) the doubled
       chain ascends, and by (i) and (ii) its lower half is central.  (ii)
       gives perp(I_k) L <= perp(I_{k+1}), as (a l, b) = -(b l, a).  By
       (iii), perp(I_{n-1}) = I_n + <v>, and gamma(a, l, b) = (a l, b)
@@ -746,30 +744,38 @@ def is_maximal_class_criterion(alg: Algebra) -> bool:
 
     For an algebra of dimension 2n >= 8 given by a nilpotent presentation:
     x_i y_{i+1} != 0 for i = 2, ..., n-2, and x_1 y_2, y_1 y_2 are linearly
-    independent.
+    independent.  Each product is read off the row table as a dict row.
     """
     if alg.dim < 8:
         raise NotApplicable("criterion requires dimension at least 8")
     if alg.presentation is None or not validate_nilpotent_presentation(alg.presentation):
         raise NotApplicable("criterion requires a nilpotent presentation")
-    n = alg.n
-    for i in range(2, n - 1):
-        xi = BasisVector("x", i).coordinate
-        yi1 = BasisVector("y", i + 1).coordinate
-        if not alg.table[xi, yi1].any():
+    table = _row_table(alg)
+
+    def product(a: BasisVector, b: BasisVector) -> dict[int, int]:
+        j = b.coordinate
+        return {k: v for jj, k, v in table[a.coordinate] if jj == j}
+
+    for i in range(2, alg.n - 1):
+        if not product(BasisVector("x", i), BasisVector("y", i + 1)):
             return False
-    u = alg.table[BasisVector("x", 1).coordinate, BasisVector("y", 2).coordinate]
-    v = alg.table[BasisVector("y", 1).coordinate, BasisVector("y", 2).coordinate]
+    u = product(BasisVector("x", 1), BasisVector("y", 2))
+    v = product(BasisVector("y", 1), BasisVector("y", 2))
     return _independent(u, v, alg.field.p)
 
 
-def _independent(u: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """True iff the residue vectors u and v are linearly independent mod p.
+def _independent(u: dict[int, int], v: dict[int, int], p: int) -> bool:
+    """True iff the dict rows u and v are linearly independent mod p.
 
-    They are iff their wedge u ^ v, with entries u_i v_j - u_j v_i, is not
-    zero mod p.  Each entry is exact in int64, since (p - 1)**2 < 2**63.
+    They are iff their wedge u ^ v, with entries u_a v_b - u_b v_a for
+    a < b, is not zero mod p; only columns where u or v is nonzero can
+    give a nonzero entry.  The entries are Python ints, exact for any p.
     """
-    return bool(((np.outer(u, v) - np.outer(v, u)) % p).any())
+    columns = sorted(u.keys() | v.keys())
+    return any(
+        (u.get(a, 0) * v.get(b, 0) - u.get(b, 0) * v.get(a, 0)) % p
+        for a, b in combinations(columns, 2)
+    )
 
 
 def maximal_class_structure_check(alg: Algebra) -> bool:

@@ -22,6 +22,7 @@ from .algebra import (
     NotNilpotentError,
     Presentation,
     PresentationTriple,
+    _row_table,
     build_algebra,
     is_maximal_class_criterion,
     lower_central_series,
@@ -61,39 +62,60 @@ class CheckResult:
 def check_axioms(alg: Algebra, subject: str = "algebra") -> CheckResult:
     """Alternation, cyclic symmetry, self-adjointness and non-degeneracy.
 
-    Verified against the stored multiplication table over all basis
-    triples, so a corrupted table is caught with a witness triple.
+    Verified on Python ints against the held row table of basis products
+    (algebra._row_table), entry (j, k, v) of row i read as
+    table[i, j, k] = v, over all basis triples, so a corrupted table is
+    caught with the first witness triple (i, j, k) in C order.  The
+    pairings (e_i e_j, e_k) recomputed from the table are checked against
+    the tensor's gamma(i, j, k).  gamma is alternating and the form is the
+    standard one, so once they agree, cyclic symmetry and
+    self-adjointness, (e_i e_j, e_k) = (e_i, e_k e_j), hold as well; both
+    are still checked, but no corruption of the table alone can reach
+    their messages.
     """
     p = alg.field.p
-    dim = alg.dim
     g = alg.gram.data
-    table = alg.table
+    g_rows = [{k: v for k, v in enumerate(row) if v} for row in g.tolist()]
+    g_cols = [{i: v for i, v in enumerate(col) if v} for col in g.T.tolist()]
+    table = {}
+    for i, entries in enumerate(_row_table(alg)):
+        for j, k, v in entries:
+            if j == i and v % p:
+                return CheckResult("axioms", subject, False, f"alternation fails at ({i}, {i})")
+            table[i, j, k] = v
 
-    def witness(diff: np.ndarray, label: str) -> CheckResult:
-        idx = tuple(int(v) for v in np.argwhere(diff)[0])
-        return CheckResult("axioms", subject, False, f"{label} fails at {idx}")
+    def summed(terms) -> dict[tuple[int, int, int], int]:
+        out: dict[tuple[int, int, int], int] = {}
+        for key, v in terms:
+            out[key] = out.get(key, 0) + v
+        return out
 
-    for i in range(dim):
-        if table[i, i].any():
-            return CheckResult("axioms", subject, False, f"alternation fails at ({i}, {i})")
-    diff = (table + table.transpose(1, 0, 2)) % p
-    if diff.any():
-        return witness(diff, "anticommutativity")
+    swapped = {(j, i, k): -v for (i, j, k), v in table.items()}
     # pairings (e_i e_j, e_k) recomputed from the table must match the tensor
-    pair = np.einsum("ijc,ck->ijk", table, g) % p
-    diff = (pair - alg.tensor.dense()) % p
-    if diff.any():
-        return witness(diff, "table/tensor consistency")
-    diff = (pair - np.transpose(pair, (1, 2, 0))) % p
-    if diff.any():
-        return witness(diff, "cyclic symmetry")
+    pair = summed(
+        ((i, j, k), v * w) for (i, j, c), v in table.items() for k, w in g_rows[c].items()
+    )
+    gamma = {
+        key: alg.tensor.value_at(*key)
+        for triple, _ in alg.tensor.items()
+        for key in itertools.permutations(triple)
+    }
+    rotated = {(k, i, j): v for (i, j, k), v in pair.items()}
     # self-adjointness: (e_i e_j, e_k) = (e_i, e_k e_j)
-    right = np.einsum("ic,kjc->ijk", g, table) % p
-    diff = (pair - right) % p
-    if diff.any():
-        return witness(diff, "self-adjointness")
+    right = summed(
+        ((i, j, k), w * v) for (k, j, c), v in table.items() for i, w in g_cols[c].items()
+    )
+    for label, a, b in (
+        ("anticommutativity", table, swapped),
+        ("table/tensor consistency", pair, gamma),
+        ("cyclic symmetry", pair, rotated),
+        ("self-adjointness", pair, right),
+    ):
+        bad = [key for key in a.keys() | b.keys() if (a.get(key, 0) - b.get(key, 0)) % p]
+        if bad:
+            return CheckResult("axioms", subject, False, f"{label} fails at {min(bad)}")
     _, pivots = _rref_array(g, p)
-    if len(pivots) != dim:
+    if len(pivots) != alg.dim:
         return CheckResult("axioms", subject, False, "degenerate form")
     return CheckResult("axioms", subject, True)
 

@@ -10,6 +10,7 @@ from saalib import linalg
 from saalib.algebra import (
     NotNilpotentError,
     Presentation,
+    _row_table,
     build_algebra,
     nilpotency_class,
     rank,
@@ -33,11 +34,17 @@ from saalib.presfile import parse_presentation
 F3 = PrimeField(3)
 
 
-def corrupted(alg):
-    table = alg.table.copy()
-    table[0, 3, 2] = (table[0, 3, 2] + 1) % alg.field.p
-    table.flags.writeable = False
-    return dataclasses.replace(alg, table=table)
+def corrupted(alg, changes):
+    """alg with each change {(i, j, k): delta} added to table[i, j, k] in
+    the row table it holds, which check_axioms reads."""
+    p = alg.field.p
+    rows = [{(j, k): v for j, k, v in entries} for entries in _row_table(alg)]
+    for (i, j, k), delta in changes.items():
+        rows[i][j, k] = (rows[i].get((j, k), 0) + delta) % p
+    alg._series["_row_table"] = tuple(
+        tuple(sorted((j, k, v) for (j, k), v in row.items() if v)) for row in rows
+    )
+    return alg
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -48,11 +55,26 @@ def test_axioms_pass_on_catalog(p):
         assert result.passed, result.details
 
 
-def test_axioms_detect_corruption():
+@pytest.mark.parametrize(
+    "changes, details",
+    [
+        # a one-sided entry: e_x1 . e_y2 changes and e_y2 . e_x1 does not
+        ({(0, 3, 2): 1}, "anticommutativity fails at (0, 3, 2)"),
+        # a diagonal entry: e_y3 . e_y3 != 0
+        ({(5, 5, 2): 1}, "alternation fails at (5, 5)"),
+        # an antisymmetric pair that disagrees with gamma at (x1, y2, y2)
+        ({(0, 3, 2): 1, (3, 0, 2): -1}, "table/tensor consistency fails at (0, 3, 3)"),
+    ],
+    ids=["anticommutativity", "alternation", "consistency"],
+)
+def test_axioms_detect_corruption(changes, details):
+    # consistency with an alternating gamma implies cyclic symmetry and
+    # self-adjointness, so no table corruption reaches those messages
     alg = build_algebra(catalog_entry("P14-2-1").presentation(F3))
-    result = check_axioms(corrupted(alg))
+    assert check_axioms(alg).passed
+    result = check_axioms(corrupted(alg, changes))
     assert not result.passed
-    assert "at (" in result.details  # witness triple present
+    assert result.details == details
 
 
 def test_duality_on_catalog_and_randoms():

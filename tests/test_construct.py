@@ -143,6 +143,19 @@ def test_base_assignments_first_yield_is_lazy():
     assert len(base) == 1 + 2 + 7 + 56
 
 
+def test_minimal_algebra_at_dimension_400_stays_small():
+    # the algebra holds its tensor's 330 triples; a dense gamma and product
+    # table, each of 400**3 int64 entries, would take about 1 GB
+    tracemalloc.start()
+    try:
+        _, alg = minimal_algebra(200, F3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert (nilpotency_class(alg), rank(alg)) == (predict_min_class(200).predicted_class, 2)
+
+
 def test_construct_sweep_self_verifies():
     for n in range(4, 41):
         predicted = predict_min_class(n).predicted_class

@@ -147,7 +147,7 @@ def test_emit_normalizes_entry_order_with_sign():
     back = parse_presentation(text)
     alg_a = build_algebra(scrambled)
     alg_b = build_algebra(back)
-    assert np.array_equal(alg_a.table, alg_b.table)
+    assert alg_a.tensor == alg_b.tensor
 
 
 def test_roundtrip_catalog():

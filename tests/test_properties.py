@@ -17,6 +17,7 @@ from saalib.algebra import (
     _centralizer_above,
     _independent,
     _products,
+    _row_table,
     build_algebra,
     full_space,
     isotropic_ideal_chain,
@@ -31,6 +32,7 @@ from saalib.construct import (
     ScalingWitness,
     _transform_values,
     catalog,
+    construct_minimal,
     minimal_algebra,
     try_scaling_isomorphism,
     verify_scaling_witness,
@@ -51,6 +53,8 @@ from saalib.linalg import (
     perp,
 )
 from saalib.presfile import emit_presentation, parse_presentation
+
+from references import EXACT_PRIMES, reference_table
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
 # prime with p * (p - 1) < 2**63
@@ -493,7 +497,8 @@ def test_wedge_decides_independence(p, dim, seed, draw):
     elif draw == "zero second":
         v = np.zeros(dim, dtype=np.int64)
     span = Subspace.from_vectors(PrimeField(p), dim, np.vstack([u, v]))
-    assert _independent(u, v, p) == (span.dim == 2)
+    u_row, v_row = ({c: int(a) for c, a in enumerate(x) if a} for x in (u, v))
+    assert _independent(u_row, v_row, p) == (span.dim == 2)
 
 
 def reference_centralizer(alg, z):
@@ -504,7 +509,7 @@ def reference_centralizer(alg, z):
     conditions is reduced once more to the canonical basis.
     """
     p, dim = alg.field.p, alg.dim
-    table = alg.table.tolist()
+    table = reference_table(alg)
     basis = z.basis.tolist()
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
 
@@ -595,7 +600,7 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     # left holds a row of p - 1 and random residues; the columns come in any
     # order, as the lower series' pivot columns do.  The dict rows read off
     # the row table, on sparse and dense tables alike, are the nonzero rows
-    # of the reference contraction of the table on Python ints, in the same
+    # of the reference table's contraction on Python ints, in the same
     # (u, j) order
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
@@ -605,10 +610,10 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     left = np.vstack([np.full(dim, p - 1), rng.integers(0, p, size=(nrows, dim))])
     right = rng.integers(0, p, size=(int(rng.integers(1, 4)), dim))
     cols = rng.permutation(dim)[: int(rng.integers(1, dim + 1))]
-    on_cols = alg.table[:, :, cols].astype(object)
-    dense = np.tensordot(left.astype(object), on_cols, axes=(1, 0)) % p
+    table = np.array(reference_table(alg), dtype=object)
+    dense = np.tensordot(left.astype(object), table[:, :, cols], axes=(1, 0)) % p
     assert dense.shape == (nrows + 1, dim, len(cols))
-    pairs = alg.table[np.triu_indices(dim, 1)][:, cols]
+    pairs = table[np.triu_indices(dim, 1)][:, cols]
     contracted = np.stack([right.astype(object) @ block % p for block in dense])
     for expected, rows in (
         (dense, _products(alg, _dict_rows(left), cols)),
@@ -620,6 +625,31 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
         assert all(all(v for v in row.values()) for row in rows)
         assert np.array_equal(_rows_array(rows, expected.shape), expected)
         assert len(rows) == len(expected)
+
+
+def reference_row_table(alg):
+    """The nonzero entries (j, k, value) of each plane i of the reference
+    table, in C order."""
+    return tuple(
+        tuple((j, k, v) for j, row in enumerate(plane) for k, v in enumerate(row) if v)
+        for plane in reference_table(alg)
+    )
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+@settings(max_examples=20)
+@given(n=st.integers(1, 6), seed=seeds, shape=shapes)
+def test_row_table_is_the_reference_in_c_order(p, n, seed, shape):
+    # random nilpotent (dense and sparse) and kind general presentations
+    alg = build_algebra(MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
+    assert _row_table(alg) == reference_row_table(alg)
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+@pytest.mark.parametrize("n", [4, 9, 16, 24])
+def test_row_table_of_constructions_is_the_reference_in_c_order(n, p):
+    alg = build_algebra(construct_minimal(n, PrimeField(p))[1])
+    assert _row_table(alg) == reference_row_table(alg)
 
 
 def reference_scaling_search(a, b):
