@@ -328,7 +328,7 @@ def multiply(alg: Algebra, u, v) -> np.ndarray:
 
 
 def form(alg: Algebra, u, v) -> int:
-    """Value of the alternating form (u, v), exact while p * (p - 1) < 2**63."""
+    """Value of the alternating form (u, v), exact on Python ints for every p."""
     return alg.gram.pairing(u, v)
 
 

@@ -30,7 +30,7 @@ from .algebra import (
     series_report,
 )
 from .construct import predict_min_class
-from .linalg import PrimeField, _rref_array, orthogonal
+from .linalg import PrimeField, _reduced, _rref_rows, orthogonal
 from .presfile import emit_presentation
 
 __all__ = [
@@ -114,8 +114,8 @@ def check_axioms(alg: Algebra, subject: str = "algebra") -> CheckResult:
         bad = [key for key in a.keys() | b.keys() if (a.get(key, 0) - b.get(key, 0)) % p]
         if bad:
             return CheckResult("axioms", subject, False, f"{label} fails at {min(bad)}")
-    _, pivots = _rref_array(g, p)
-    if len(pivots) != alg.dim:
+    # _rref_rows consumes its rows, so it eliminates reduced copies
+    if len(_rref_rows([_reduced(row, p) for row in g_rows], p)) != alg.dim:
         return CheckResult("axioms", subject, False, "degenerate form")
     return CheckResult("axioms", subject, True)
 

@@ -1,12 +1,13 @@
 """Exact linear algebra over prime fields GF(p).
 
-Vectors and matrices are numpy int64 arrays of residues reduced mod p.
-Eliminations, kernels and pairings run on sparse rows, one
-{column: residue} dict of nonzero Python-int residues per row, exact
-for any p (_rref_rows).  Every subspace holds its reduced row echelon
-basis as such rows, checked on construction, so equality, hashing and
-chain comparisons are exact and deterministic; its int64 array is built
-only when read.
+All arithmetic runs on sparse rows, one {column: residue} dict of
+nonzero Python-int residues per row, so it is exact for every p
+(_rref_rows).  numpy int64 arrays appear only at the public boundary:
+vectors and bases passed in are read into dict rows once, and
+Subspace.basis and the array adapters (nullspace, _rref_array) write
+them back out.  Every subspace holds its reduced row echelon basis as
+such rows, checked on construction, so equality, hashing and chain
+comparisons are exact and deterministic.
 The fixed coordinate convention everywhere in this package is
 
     x_1, y_1, x_2, y_2, ..., x_n, y_n  ->  coordinates 0, 1, ..., 2n-1
@@ -53,8 +54,9 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """The prime field GF(p), for primes with p * (p - 1) < 2**63.
 
-    Residues live in int64, and every contraction (see _dot_mod) is exact
-    only below that bound; the largest such prime is 3037000493.
+    Arithmetic runs on Python ints and is exact for every p; the bound,
+    whose largest prime is 3037000493, is kept for compatibility, so the
+    same field orders are accepted and refused as before.
     """
 
     p: int = 3
@@ -92,26 +94,6 @@ class PrimeField:
         if length is not None and vec.shape[0] != length:
             raise ValueError(f"expected vector of length {length}, got {vec.shape[0]}")
         return vec
-
-
-def _dot_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue arrays, exact in int64 while p * (p - 1) < 2**63.
-
-    The inner dimension is split into steps of s terms with
-    s * (p - 1)**2 + (p - 1) < 2**63, and the running sum is reduced after
-    each step, so no partial sum leaves int64.  b may carry leading batch
-    axes, as in numpy's matmul.
-    """
-    inner = a.shape[-1]
-    step = (2**63 - p) // (p - 1) ** 2
-    if step == 0:
-        raise ValueError(f"no exact int64 products mod {p}: needs p * (p - 1) < 2**63")
-    if inner <= step:
-        return a @ b % p
-    out = a[..., :step] @ b[..., :step, :] % p
-    for start in range(step, inner, step):
-        out = (out + a[..., start : start + step] @ b[..., start : start + step, :]) % p
-    return out
 
 
 def _clear(row: dict[int, int], c: int, pivot_row: dict[int, int], p: int) -> None:
@@ -407,18 +389,18 @@ def _require_same_ambient(a: Subspace, b: Subspace) -> None:
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of row spaces.
 
-    A vector lies in both spans iff it can be written c @ A = d @ B, so the
-    kernel of [A^T | -B^T] yields the coefficient pairs.
+    A row space is the kernel of its annihilator, the rows spanning the
+    right kernel of its RREF (_free_kernel), so a and b meet in the kernel
+    of both annihilators stacked: one elimination, its free-variable
+    basis, and one more elimination for the canonical basis.
     """
     _require_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.field, a.ambient_dim)
-    p = a.field.p
-    ker = nullspace(np.hstack([a.basis.T, -b.basis.T % p]), p)
-    if ker.shape[0] == 0:
-        return Subspace.zero(a.field, a.ambient_dim)
-    vectors = _dot_mod(ker[:, : a.dim], a.basis, p)
-    return Subspace.from_vectors(a.field, a.ambient_dim, vectors)
+    p, labels = a.field.p, range(a.ambient_dim)
+    annihilators = [
+        row for s in (a, b) for row in _free_kernel(dict(zip(s.pivots, s.rows)), labels, p)
+    ]
+    kernel = _free_kernel(_rref_rows(annihilators, p), labels, p)
+    return Subspace._from_rows(a.field, a.ambient_dim, _rref_rows(kernel, p).values())
 
 
 class GramMatrix:
@@ -445,12 +427,11 @@ class GramMatrix:
         return 2 * self.n
 
     def pairing(self, u, v) -> int:
-        """(u, v) = u @ G @ v, reduced after each contraction (see _dot_mod)."""
-        p = self.field.p
-        uu = self.field.vector(u, self.dim)
-        vv = self.field.vector(v, self.dim)
-        value = _dot_mod(_dot_mod(uu[None, :], self.data, p), vv[:, None], p)
-        return int(value[0, 0])
+        """(u, v) = u G v^T, on u and v read as dict rows (_pairing_rows)."""
+        u_rows, v_rows = (_dict_rows(self.field.vector(w, self.dim)[None, :]) for w in (u, v))
+        if not (u_rows and v_rows):
+            return 0
+        return _pairing_rows(u_rows, v_rows, self.field.p)[0].get(0, 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GramMatrix) and self.field == other.field and self.n == other.n

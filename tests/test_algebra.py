@@ -238,10 +238,17 @@ def test_multiply_exact_against_python_ints(p):
 def test_form_exact_against_python_ints(p):
     field = PrimeField(p)
     rng = np.random.default_rng(p)
-    for _ in range(20):
+    for draw in range(24):
         n = int(rng.integers(3, 17))
         alg = build_algebra(random_nilpotent_presentation(n, field, rng))
         u, v = rng.integers(0, p, size=(2, alg.dim)).tolist()
+        if draw == 20:
+            u = [0] * alg.dim
+        elif draw == 21:
+            v = [0] * alg.dim
+        elif draw >= 22:
+            # entries that are not residues: negative, or p and above
+            u, v = rng.integers(-2 * p, 3 * p, size=(2, alg.dim)).tolist()
         gram = alg.gram.data.tolist()
         expected = sum(u[i] * gram[i][j] * v[j] for i in range(alg.dim) for j in range(alg.dim))
         assert form(alg, u, v) == expected % p, n

@@ -77,6 +77,25 @@ def test_axioms_detect_corruption(changes, details):
     assert result.details == details
 
 
+@pytest.mark.parametrize(
+    "triples",
+    [[], [("x1", "y2", "y3", 1), ("x2", "y3", "y1", 2)]],
+    ids=["abelian", "nonabelian"],
+)
+def test_axioms_detect_degenerate_form(triples):
+    # no triple meets x_4 or y_4, so the table checks pass with their pair
+    # zeroed in the form, and only its rank can refuse it
+    alg = build_algebra(Presentation.build(4, F3, triples))
+    gram = linalg.GramMatrix(F3, 4)
+    data = gram.data.copy()
+    data[6, 7] = data[7, 6] = 0
+    data.flags.writeable = False
+    gram.data = data
+    result = check_axioms(dataclasses.replace(alg, gram=gram))
+    assert not result.passed
+    assert result.details == "degenerate form"
+
+
 def test_duality_on_catalog_and_randoms():
     rng = np.random.default_rng(101)
     for entry in catalog():

@@ -97,13 +97,6 @@ def test_prime_field_refuses_primes_above_int64_bound(monkeypatch):
     assert tested == []
 
 
-def test_dot_mod_refuses_primes_above_exact_bound():
-    ones = np.ones((1, 2), dtype=np.int64)
-    assert linalg._dot_mod(ones, ones.T, 3037000493).tolist() == [[2]]
-    with pytest.raises(ValueError):
-        linalg._dot_mod(ones, ones.T, 3037000507)
-
-
 def test_nullspace_annihilates():
     field = PrimeField(5)
     rng = np.random.default_rng(42)
@@ -150,7 +143,7 @@ def test_ambient_mismatch_errors():
         orthogonal(a, a, GramMatrix(PrimeField(5), 2))
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", [*PRIMES, 2147483647, 3037000493])
 def test_grassmann_identity(p):
     field = PrimeField(p)
     rng = np.random.default_rng(500 + p)

@@ -42,7 +42,6 @@ from saalib.linalg import (
     PrimeField,
     Subspace,
     _dict_rows,
-    _dot_mod,
     _pairing_rows,
     _reversed_kernel,
     _rows_array,
@@ -446,10 +445,9 @@ def test_subspace_from_rows_refuses_each_broken_rref_condition(p, ambient, seed,
 
 def pairing_matrix(a, b, g):
     """The pairings (u, v) for u over a's basis rows and v over b's, as one
-    matmul A G B^T mod p of the basis arrays; _dot_mod keeps the second
-    product exact in int64 for every accepted p."""
-    p = g.field.p
-    return _dot_mod(a.basis @ g.data % p, b.basis.T, p)
+    matmul A G B^T mod p of the basis arrays, on Python ints (object dtype)."""
+    basis_a, gram, basis_b = (m.astype(object) for m in (a.basis, g.data, b.basis))
+    return basis_a @ gram @ basis_b.T % g.field.p
 
 
 @pytest.mark.parametrize("p", PRIMES)
