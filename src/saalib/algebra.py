@@ -26,8 +26,6 @@ from .linalg import (
     Subspace,
     _combine,
     _dict_rows,
-    _free_kernel,
-    _pairing_rows,
     _perp_rows,
     _reduced,
     _reversed_kernel,
@@ -502,13 +500,12 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
 
-def _twisted(rows, dim: int, p: int) -> list[dict[int, int]]:
-    """Each dict row times the form G, its columns then reversed: G takes
-    the entry at c to c ^ 1, its sign flipped on odd c, and the reversal
-    takes c ^ 1 to dim - 1 - (c ^ 1).  The map keeps the parity of c, so it
-    is its own inverse: a row in reversed columns goes back to the row
-    times G^T = G^-1 in the original ones."""
-    return [{dim - 1 - (c ^ 1): p - v if c & 1 else v for c, v in row.items()} for row in rows]
+def _twisted(rows, key, p: int) -> list[dict[int, int]]:
+    """Each dict row times the form G (the entry at c goes to c ^ 1, its
+    sign flipped on odd c), the entry at column j then moved to key[j].
+    For the reversal j -> dim - 1 - j the map keeps the parity of c, so it
+    is its own inverse, taking reversed rows back to rows times G^T = G^-1."""
+    return [{key[c ^ 1]: p - v if c & 1 else v for c, v in row.items()} for row in rows]
 
 
 def _centralizer_step(
@@ -535,18 +532,16 @@ def _centralizer_step(
     p, dim = alg.field.p, alg.dim
     if spanning is not None and not spanning:
         return full_space(alg), spanning
-    kernel, row_space = _reversed_kernel(_twisted(_products(alg, spanning, range(dim)), dim, p), dim, p)
-    return Subspace._from_rows(alg.field, dim, kernel), tuple(_twisted(row_space.values(), dim, p))
+    flip = range(dim - 1, -1, -1)
+    kernel, row_space = _reversed_kernel(_twisted(_products(alg, spanning, range(dim)), flip, p), dim, p)
+    return Subspace._from_rows(alg.field, dim, kernel), tuple(_twisted(row_space.values(), flip, p))
 
 
 def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
-    """{v : v . e_k lies in z for every basis vector e_k} (_centralizer_step).
-
-    The kernel rows of z's RREF basis, times the form, span perp(z) (see
-    perp); they are read off z's dict rows with no elimination
-    (linalg._perp_rows).  Only isotropic_ideal_chain calls it: the upper
-    series carries each step's rows spanning perp(Z_i) forward instead.
-    """
+    """{v : v . e_k lies in z for every basis vector e_k}: _centralizer_step
+    from z's kernel rows times the form, which span perp(z) (_perp_rows).
+    No package code calls it: the upper series and the chain build their
+    rows spanning perp themselves."""
     return _centralizer_step(alg, tuple(_perp_rows(z)))[0]
 
 
@@ -632,14 +627,13 @@ def _priority_permutation(n: int) -> list[int]:
     return [2 * (i - 1) for i in range(n, 0, -1)] + [2 * i - 1 for i in range(n, 0, -1)]
 
 
-def _candidate_rows(w, perm: list[int], p: int) -> list[dict[int, int]]:
-    """The canonical basis of the span of the dict rows w in the priority
-    coordinate order, mapped back to coordinate order, in the order of its
-    pivots.  RREF is unique, so any rows spanning the same space give the
-    same candidates."""
-    position = {c: t for t, c in enumerate(perm)}
-    basis = _rref_rows([{position[c]: v for c, v in row.items()} for row in w], p)
-    return [{perm[t]: v for t, v in row.items()} for row in basis.values()]
+def _step_candidates(spanning, ideal, perm: list[int], p: int) -> list[dict[int, int]]:
+    """The RREF in the priority order perm, mapped back to coordinates, of
+    the vectors orthogonal to the dict rows spanning and ideal: the kernel
+    of the rows times the form, keyed at reversed priority positions."""
+    key = dict(zip(perm, reversed(range(len(perm)))))
+    kernel, _ = _reversed_kernel(_twisted((*spanning, *ideal), key, p), len(key), p)
+    return [{perm[t]: v for t, v in row.items()} for row in kernel]
 
 
 def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
@@ -678,10 +672,10 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     whenever any path does.  ChainError names the step k at which no
     candidate extends I_k.
 
-    No step builds perp(I_k): c @ C lies in perp(I_k) iff c is orthogonal
-    to the pairings of I_k's basis with C's (_pairing_rows, see
-    orthogonal), so w is spanned by the kernel of those pairings
-    (_free_kernel) mapped back through C's basis.  The first candidate not
+    Each step is one kernel: C = perp(S), S spanned by the held rows
+    spanning perp(Z) for k < 2 (_center) and by perp(I_k) L after that (by
+    invariance, see _centralizer_step), so w is the set of vectors
+    orthogonal to S and to I_k (_step_candidates).  The first candidate not
     in I_k is the first with a nonzero residual against I_k's basis (see
     Subspace._residuals).  Every step runs on dict rows.  After the loop
     (i) and (ii) are checked on the product rows and (iii) on the pairings
@@ -693,13 +687,8 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     chain = [zero_space(alg)]
     for k in range(n):
         current = chain[k]
-        above = _center(alg)[0] if k < 2 else _centralizer_above(alg, current)
-        pairings = _rref_rows(_pairing_rows(current.rows, above.rows, p), p)
-        w = [
-            _reduced(_combine([(c, above.rows[t]) for t, c in row.items()]), p)
-            for row in _free_kernel(pairings, range(above.dim), p)
-        ]
-        candidates = _candidate_rows(w, perm, p)
+        spanning = _center(alg)[1] if k < 2 else _products(alg, _perp_rows(current), range(alg.dim))
+        candidates = _step_candidates(spanning, current.rows, perm, p)
         row = next(compress(candidates, current._residuals(candidates)), None)
         if row is None:
             raise ChainError(

@@ -33,10 +33,10 @@ from .algebra import (
     _nilpotent_shape,
     build_algebra,
     is_isotropic,
+    lower_central_series,
     nilpotency_class,
     product_space,
     rank,
-    series_report,
 )
 from .linalg import PrimeField
 
@@ -578,15 +578,18 @@ def try_scaling_isomorphism(a: Presentation, b: Presentation) -> ScalingWitness 
 
 
 def fingerprint(alg: Algebra) -> tuple:
-    """Isomorphism invariants; unequal fingerprints certify non-isomorphism."""
-    report = series_report(alg)
-    lsq = report.lower_term(2)
+    """Isomorphism invariants; unequal fingerprints certify non-isomorphism.
+
+    Upper dims come off the lower series: by invariance Z_i = perp(L^{i+1}),
+    nilpotent or not, with as many terms (see checks.check_duality)."""
+    low = lower_central_series(alg)
+    lsq = low.lower_term(2)
     sq_product = product_space(alg, lsq, lsq)
     return (
-        report.lower_dims,
-        report.upper_dims,
+        low.lower_dims,
+        tuple(alg.dim - d for d in low.lower_dims),
         sq_product.dim,
-        tuple(is_isotropic(alg, term) for term in report.lower),
-        report.nilpotency_class,
-        report.rank,
+        tuple(is_isotropic(alg, term) for term in low.lower),
+        low.nilpotency_class,
+        None if low.nilpotency_class is None else rank(alg),
     )

@@ -132,12 +132,14 @@ def _rref_rows(rows, p: int) -> dict[int, dict[int, int]]:
     the other pivot columns, so clearing a row on the pivot columns where
     it has a nonzero leaves it zero on every pivot column.  A row that is
     not then zero brings a new pivot, its first nonzero: it is scaled to 1
-    there and cleared from the basis rows that have a nonzero in that
-    column.  Each step thus touches only rows with a nonzero where it
-    works, and a redundant row costs one clearing per nonzero pivot column
-    it meets.  RREF is unique, so the row order does not change the result.
+    there and cleared from the basis rows with a nonzero in that column,
+    found among the pivots holders[c] lists under each column a row gains.
+    Each step thus touches only rows with a nonzero where it works, and a
+    redundant row costs one clearing per nonzero pivot column it meets.
+    RREF is unique, so the row order does not change the result.
     """
     basis: dict[int, dict[int, int]] = {}
+    holders: dict[int, list[int]] = {}
     for row in rows:
         for c in [c for c in row if c in basis]:
             _clear(row, c, basis[c], p)
@@ -148,9 +150,14 @@ def _rref_rows(rows, p: int) -> dict[int, dict[int, int]]:
         if inv != 1:
             for j, v in row.items():
                 row[j] = v * inv % p
-        for other in basis.values():
-            if c in other:
+        columns = [j for j in row if j != c]
+        for q in holders.pop(c, ()):
+            if c in (other := basis[q]):
                 _clear(other, c, row, p)
+                for j in columns:
+                    holders.setdefault(j, []).append(q)
+        for j in columns:
+            holders.setdefault(j, []).append(c)
         basis[c] = row
     return {c: basis[c] for c in sorted(basis)}
 

@@ -1,6 +1,15 @@
-"""Independent Python-int references that several test modules share."""
+"""Independent references that several test modules share."""
 
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
+
+from saalib.algebra import (
+    ChainError,
+    _center,
+    _centralizer_above,
+    _priority_permutation,
+    zero_space,
+)
+from saalib.linalg import Subspace, _combine, _free_kernel, _pairing_rows, _reduced, _rref_rows
 
 # 268435399 is the largest prime below 2**28, 2147483647 is 2**31 - 1, and
 # 3037000493 is the largest prime with p * (p - 1) < 2**63
@@ -29,3 +38,40 @@ def reference_table(alg):
             for k, g in form_cols[l]:
                 table[i][j][k] = (table[i][j][k] + sign * v * g) % p
     return table
+
+
+def reference_chain(alg):
+    """The greedy isotropic ideal chain, each step solved for C apart.
+
+    C_k is the centre for k < 2 and the centralizer above I_k after that
+    (_center, _centralizer_above), each a subspace of its own.  The
+    candidates are the kernel of the pairings of I_k's basis with C_k's,
+    mapped back through C_k's basis, then reduced to RREF in the priority
+    order x_n, ..., x_1, y_n, ..., y_1: three eliminations per step.  The
+    first candidate not in I_k extends it; when there is none, ChainError
+    carries isotropic_ideal_chain's message.  The checks the chain runs
+    after its loop are left out.
+    """
+    n, p, dim = alg.n, alg.field.p, alg.dim
+    perm = _priority_permutation(n)
+    position = {c: t for t, c in enumerate(perm)}
+    chain = [zero_space(alg)]
+    for k in range(n):
+        current = chain[k]
+        above = _center(alg)[0] if k < 2 else _centralizer_above(alg, current)
+        pairings = _rref_rows(_pairing_rows(current.rows, above.rows, p), p)
+        w = [
+            _reduced(_combine([(c, above.rows[t]) for t, c in row.items()]), p)
+            for row in _free_kernel(pairings, range(above.dim), p)
+        ]
+        ordered = _rref_rows([{position[c]: v for c, v in row.items()} for row in w], p)
+        candidates = [{perm[t]: v for t, v in row.items()} for row in ordered.values()]
+        row = next(compress(candidates, current._residuals(candidates)), None)
+        if row is None:
+            raise ChainError(
+                f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
+                f"no candidate extends I_{k}"
+            )
+        basis = _rref_rows([*map(dict, current.rows), row], p)
+        chain.append(Subspace._from_rows(alg.field, dim, basis.values()))
+    return chain

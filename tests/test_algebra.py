@@ -459,7 +459,7 @@ def test_isotropic_ideal_chain_on_catalog():
 
 
 def test_chain_builds_no_perp(monkeypatch):
-    # the extension steps read orthogonality off pairing matrices, and the
+    # each step reads the rows spanning perp(I_k) off I_k's basis, and the
     # chain is checked by (i)-(iii); algebra holds no perp, and the patch
     # catches any call from inside linalg
     def refused(s, g):
@@ -474,11 +474,16 @@ def test_chain_builds_no_perp(monkeypatch):
 
 
 def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
-    # every pairing the loop reads is zero and y_3 comes right after x_3, so
-    # the loop takes I_2 = <x_3, y_3>; the abelian algebra makes every doubled
-    # chain central, and only (iii), which reads the pairings through
-    # orthogonal, sees that I_3 is not isotropic
-    monkeypatch.setattr(algebra_module, "_pairing_rows", lambda a, b, p: [])
+    # each step's kernel drops I_k's rows from its conditions and y_3 comes
+    # right after x_3, so the loop takes I_2 = <x_3, y_3>; the abelian
+    # algebra makes every doubled chain central, and only (iii), which reads
+    # the pairings through orthogonal, sees that I_3 is not isotropic
+    candidates = algebra_module._step_candidates
+    monkeypatch.setattr(
+        algebra_module,
+        "_step_candidates",
+        lambda spanning, ideal, perm, p: candidates(spanning, (), perm, p),
+    )
     monkeypatch.setattr(
         algebra_module,
         "_priority_permutation",
@@ -501,14 +506,14 @@ def relabelled(pres):
     [(False, r"fails \(i\) I_2 L = 0 for n="), (True, r"fails \(ii\) I_3 L <= I_2 at k=2 for n=")],
 )
 def test_chain_check_refuses_a_chain_outside_the_centralizers(monkeypatch, above_zero, failing):
-    # _centralizer_above returns L, and so does _center unless above_zero
-    # keeps the centre right; with the indices reversed the priority order
-    # then takes vectors whose products leave the chain
-    monkeypatch.setattr(algebra_module, "_centralizer_above", lambda alg, z: full_space(alg))
+    # no rows span perp(I_k) for k >= 2, so those steps take no product rows
+    # and their candidates range over perp(I_k), not C; the centre's rows
+    # are dropped too unless above_zero keeps them; with the indices
+    # reversed the priority order then takes vectors whose products leave
+    # the chain
+    monkeypatch.setattr(algebra_module, "_perp_rows", lambda s: [])
     if not above_zero:
-        monkeypatch.setattr(
-            algebra_module, "_center", lambda alg: (full_space(alg), np.zeros((0, alg.dim), np.int64))
-        )
+        monkeypatch.setattr(algebra_module, "_center", lambda alg: (full_space(alg), ()))
     for entry in catalog():
         alg = build_algebra(relabelled(entry.presentation(F3, r=1)))
         with pytest.raises(RuntimeError, match=failing) as info:

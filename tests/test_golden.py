@@ -9,7 +9,7 @@ case TWO and an algebra of dimension 240, the stdout of four seeded
 scans, the stdout of `saa verify` on seeded random nilpotent
 presentations for n = 5..8, and the canonical bases of
 `isotropic_ideal_chain` on the minimal constructions over GF(3) for
-n = 8..12, 14..16, 24 (case ONE) and 41 and 68 (case TWO), and on every
+n = 8..12, 14..16, 24 (case ONE) and 41, 68 and 120 (case TWO), and on every
 catalog entry over GF(3) with r = 1.  Two hand-written verify
 files pin the report's other branches: the n = 3 file over GF(3) with no
 triples, whose centre is all of L and so not isotropic (the only case
@@ -131,7 +131,7 @@ def _chain_catalog(name: str) -> dict[str, str]:
 
 CONSTRUCT_N = [*range(4, 13), 14, 15, 16]
 LARGE_CONSTRUCT_N = [24, 40, 41, 68, 120]
-CHAIN_CONSTRUCT_N = [n for n in CONSTRUCT_N if n >= 8] + [24, 41, 68]
+CHAIN_CONSTRUCT_N = [n for n in CONSTRUCT_N if n >= 8] + [24, 41, 68, 120]
 RANDOM = [(n, 3, i) for n in range(5, 9) for i in range(4)] + [(8, 2147483647, i) for i in (0, 1)]
 SCANS = [(3, 3, 40, 5, None), (4, 2, 60, 5, None), (5, 3, 60, 5, 3)]
 VERIFY = [(e.name, r) for e in catalog() for r in ((1, 2) if e.parameterized else (None,))]

@@ -1,6 +1,7 @@
 """Property tests of the exact kernels against pure Python-int references."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from saalib.algebra import (
     lower_central_series,
     nilpotency_class,
     product_space,
+    series_report,
     upper_central_series,
     zero_space,
 )
@@ -33,6 +35,7 @@ from saalib.construct import (
     _transform_values,
     catalog,
     construct_minimal,
+    fingerprint,
     minimal_algebra,
     try_scaling_isomorphism,
     verify_scaling_witness,
@@ -53,7 +56,7 @@ from saalib.linalg import (
 )
 from saalib.presfile import emit_presentation, parse_presentation
 
-from references import EXACT_PRIMES, reference_table
+from references import EXACT_PRIMES, reference_chain, reference_table
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
 # prime with p * (p - 1) < 2**63
@@ -589,6 +592,29 @@ def test_chain_exists_iff_nilpotent(p, n, seed, shape):
     for lower, upper in zip(doubled, doubled[1:]):
         assert upper.contains_subspace(lower)
         assert lower.contains_subspace(product_space(alg, upper, L))
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+@settings(max_examples=40)
+@given(n=st.integers(1, 6), seed=seeds, shape=shapes)
+def test_fingerprint_and_chain_match_references(p, n, seed, shape):
+    # the fingerprint's upper dims, read off the lower series by duality,
+    # are those of the upper series computed apart, nilpotent or not; the
+    # chain's one kernel per step gives the chain, or the ChainError, that
+    # solving each C_k apart gives
+    alg = build_algebra(MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
+    invariants = fingerprint(alg)
+    series = (lower_central_series(alg).lower_dims, upper_central_series(alg).upper_dims)
+    assert invariants[:2] == series
+    report = series_report(alg)
+    assert invariants[4:] == (report.nilpotency_class, report.rank)
+    try:
+        expected = reference_chain(alg)
+    except ChainError as error:
+        with pytest.raises(ChainError, match=re.escape(str(error))):
+            isotropic_ideal_chain(alg)
+        return
+    assert isotropic_ideal_chain(alg) == expected
 
 
 @pytest.mark.parametrize("p", PRIMES)
