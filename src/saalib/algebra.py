@@ -26,11 +26,12 @@ from .linalg import (
     Subspace,
     _combine,
     _dict_rows,
+    _orthogonal,
     _perp_rows,
     _reduced,
-    _reversed_kernel,
     _rows_array,
     _rref_rows,
+    _times_form,
     orthogonal,
 )
 
@@ -267,22 +268,22 @@ class StructureTensor:
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """An algebra: symplectic space and structure tensor, which determine
-    every product (see _row_table).
+    """An algebra: a structure tensor on the standard symplectic space, which
+    determine every product (see _row_table).
 
-    Its size is that of the tensor's stored triples; no dim**3 array is
-    built.  The row table of the nonzero basis products, the lower central
-    series, the centre Z_1 (with read-only rows spanning its perp), the
-    upper central series and the series report are each computed at most
-    once per instance, on first use, and held in _series.  Instances are
-    immutable after construction and safe to share across threads: every
-    held value is deterministic and immutable, so a race can at worst
-    compute the same value twice.
+    Its size is that of the tensor's stored triples; no dim**3 or dim**2
+    array is built.  Its form, gram, is made from field and n on each read,
+    so it is always the form the products use.  The row table of the
+    nonzero basis products, the lower central series, the centre Z_1 (with
+    read-only rows spanning its perp), the upper central series and the
+    series report are each computed at most once per instance, on first
+    use, and held in _series.  Instances are immutable after construction
+    and safe to share across threads: every held value is deterministic and
+    immutable, so a race can at worst compute the same value twice.
     """
 
     n: int
     field: PrimeField
-    gram: GramMatrix
     tensor: StructureTensor
     presentation: Presentation | None = None
     _series: dict = dc_field(default_factory=dict, init=False, repr=False)
@@ -290,6 +291,10 @@ class Algebra:
     @property
     def dim(self) -> int:
         return 2 * self.n
+
+    @property
+    def gram(self) -> GramMatrix:
+        return GramMatrix(self.field, self.n)
 
 
 def _held(compute):
@@ -310,13 +315,11 @@ def _held(compute):
 def build_algebra(pres: Presentation) -> Algebra:
     """The unique algebra with (u_i u_j, u_k) equal to the given values.
 
-    The algebra holds the form and the structure tensor alone, in
-    O(triples) space; every basis product is recovered from its pairings
-    via the form when first asked for (_row_table).
+    The algebra holds the structure tensor alone, in O(triples) space;
+    every basis product is recovered from its pairings via the standard
+    form when first asked for (_row_table).
     """
-    field = pres.field
-    tensor = StructureTensor.from_presentation(pres)
-    return Algebra(pres.n, field, GramMatrix(field, pres.n), tensor, pres)
+    return Algebra(pres.n, pres.field, StructureTensor.from_presentation(pres), pres)
 
 
 def multiply(alg: Algebra, u, v) -> np.ndarray:
@@ -500,14 +503,6 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
 
-def _twisted(rows, key, p: int) -> list[dict[int, int]]:
-    """Each dict row times the form G (the entry at c goes to c ^ 1, its
-    sign flipped on odd c), the entry at column j then moved to key[j].
-    For the reversal j -> dim - 1 - j the map keeps the parity of c, so it
-    is its own inverse, taking reversed rows back to rows times G^T = G^-1."""
-    return [{key[c ^ 1]: p - v if c & 1 else v for c, v in row.items()} for row in rows]
-
-
 def _centralizer_step(
     alg: Algebra, spanning: tuple[dict[int, int], ...] | None
 ) -> tuple[Subspace, tuple[dict[int, int], ...]]:
@@ -519,22 +514,23 @@ def _centralizer_step(
     (v e_k, w) = (v, e_k w).  So v . e_k lies in z for every k iff v is
     orthogonal to every product w . e_k with w in perp(z).  Those products
     span S, and their nonzero dict rows (_products), times the form, are
-    the conditions on v, so C = perp(S).  One elimination of the conditions
-    with reversed columns (_reversed_kernel) yields both C's canonical
-    basis and RREF rows spanning S G, which times G^T = G^-1 span
-    S = perp(C).  G is a signed permutation, so the product with G and the
-    reversal are one relabelling of the dict keys (_twisted), and so is the
-    way back.  The identity holds for every subspace z, and for an ideal z
-    (z L <= z), as every upper-series and chain term is, z lies in C.
-    spanning None stands for the identity rows, which span perp(0) = L.
-    No rows span perp(L) = 0, and then C = L without an elimination.
+    the conditions on v, so C = perp(S).  One elimination (_orthogonal, in
+    the natural order) yields both C's canonical basis and RREF rows
+    spanning S G with reversed columns, j at dim - 1 - j.  The reversal
+    after c -> c ^ 1 keeps the parity of c, so it is its own inverse, and
+    _times_form with it as key takes those rows back to rows times
+    G^T = G^-1, which span S = perp(C).  The identity holds for every
+    subspace z, and for an ideal z (z L <= z), as every upper-series and
+    chain term is, z lies in C.  spanning None stands for the identity
+    rows, which span perp(0) = L.  No rows span perp(L) = 0, and then
+    C = L without an elimination.
     """
     p, dim = alg.field.p, alg.dim
     if spanning is not None and not spanning:
         return full_space(alg), spanning
-    flip = range(dim - 1, -1, -1)
-    kernel, row_space = _reversed_kernel(_twisted(_products(alg, spanning, range(dim)), flip, p), dim, p)
-    return Subspace._from_rows(alg.field, dim, kernel), tuple(_twisted(row_space.values(), flip, p))
+    kernel, row_space = _orthogonal(_products(alg, spanning, range(dim)), range(dim), p)
+    back = _times_form(row_space.values(), p, range(dim - 1, -1, -1))
+    return Subspace._from_rows(alg.field, dim, kernel), tuple(back)
 
 
 def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
@@ -627,15 +623,6 @@ def _priority_permutation(n: int) -> list[int]:
     return [2 * (i - 1) for i in range(n, 0, -1)] + [2 * i - 1 for i in range(n, 0, -1)]
 
 
-def _step_candidates(spanning, ideal, perm: list[int], p: int) -> list[dict[int, int]]:
-    """The RREF in the priority order perm, mapped back to coordinates, of
-    the vectors orthogonal to the dict rows spanning and ideal: the kernel
-    of the rows times the form, keyed at reversed priority positions."""
-    key = dict(zip(perm, reversed(range(len(perm)))))
-    kernel, _ = _reversed_kernel(_twisted((*spanning, *ideal), key, p), len(key), p)
-    return [{perm[t]: v for t, v in row.items()} for row in kernel]
-
-
 def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     """An ascending chain {0} = I_0 < I_1 < ... < I_n of isotropic ideals
     whose doubled chain
@@ -675,9 +662,9 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     Each step is one kernel: C = perp(S), S spanned by the held rows
     spanning perp(Z) for k < 2 (_center) and by perp(I_k) L after that (by
     invariance, see _centralizer_step), so w is the set of vectors
-    orthogonal to S and to I_k (_step_candidates).  The first candidate not
-    in I_k is the first with a nonzero residual against I_k's basis (see
-    Subspace._residuals).  Every step runs on dict rows.  After the loop
+    orthogonal to S and to I_k, in RREF in the priority order (_orthogonal).
+    The first candidate not in I_k is the first with a nonzero residual
+    against I_k's basis (see Subspace._residuals).  Every step runs on dict rows.  After the loop
     (i) and (ii) are checked on the product rows and (iii) on the pairings
     of I_n with itself; a failure, which the argument above rules out,
     raises RuntimeError naming the condition and k.
@@ -688,7 +675,7 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     for k in range(n):
         current = chain[k]
         spanning = _center(alg)[1] if k < 2 else _products(alg, _perp_rows(current), range(alg.dim))
-        candidates = _step_candidates(spanning, current.rows, perm, p)
+        candidates, _ = _orthogonal((*spanning, *current.rows), perm, p)
         row = next(compress(candidates, current._residuals(candidates)), None)
         if row is None:
             raise ChainError(

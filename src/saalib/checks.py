@@ -67,11 +67,12 @@ def check_axioms(alg: Algebra, subject: str = "algebra") -> CheckResult:
     table[i, j, k] = v, over all basis triples, so a corrupted table is
     caught with the first witness triple (i, j, k) in C order.  The
     pairings (e_i e_j, e_k) recomputed from the table are checked against
-    the tensor's gamma(i, j, k).  gamma is alternating and the form is the
-    standard one, so once they agree, cyclic symmetry and
-    self-adjointness, (e_i e_j, e_k) = (e_i, e_k e_j), hold as well; both
-    are still checked, but no corruption of the table alone can reach
-    their messages.
+    the tensor's gamma(i, j, k), the form read as the dense GramMatrix.data,
+    an encoding apart from the one the package computes with (_times_form).
+    gamma is alternating and the form is the standard one, so once they
+    agree, cyclic symmetry and self-adjointness, (e_i e_j, e_k) =
+    (e_i, e_k e_j), hold as well; both are still checked, but no corruption
+    of the table alone can reach their messages.
     """
     p = alg.field.p
     g = alg.gram.data

@@ -4,15 +4,18 @@ All arithmetic runs on sparse rows, one {column: residue} dict of
 nonzero Python-int residues per row, so it is exact for every p
 (_rref_rows).  numpy int64 arrays appear only at the public boundary:
 vectors and bases passed in are read into dict rows once, and
-Subspace.basis and the array adapters (nullspace, _rref_array) write
-them back out.  Every subspace holds its reduced row echelon basis as
-such rows, checked on construction, so equality, hashing and chain
-comparisons are exact and deterministic.
+Subspace.basis, the array adapters (nullspace, _rref_array) and
+GramMatrix.data, built on each read, write them back out.  Every subspace
+holds its reduced row echelon basis as such rows, checked on
+construction, so equality, hashing and chain comparisons are exact and
+deterministic.
 The fixed coordinate convention everywhere in this package is
 
     x_1, y_1, x_2, y_2, ..., x_n, y_n  ->  coordinates 0, 1, ..., 2n-1
 
-(x_i at 2(i-1), y_i at 2i-1 in 0-based indexing).
+(x_i at 2(i-1), y_i at 2i-1 in 0-based indexing).  The standard form
+GramMatrix(field, n) acts on dict rows in one place (_times_form), and
+every orthogonal complement is one elimination (_orthogonal).
 """
 
 from __future__ import annotations
@@ -213,26 +216,6 @@ def _free_kernel(basis: dict[int, dict[int, int]], labels, p: int) -> list[dict[
     return list(kernel.values())
 
 
-def _reversed_kernel(
-    rows, ncols: int, p: int
-) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
-    """(K, R) from one elimination of dict rows whose columns come reversed,
-    column c at key ncols - 1 - c: K the canonical RREF basis, as dict rows,
-    of the right kernel {x : rows @ x = 0 (mod p)} in the original column
-    order, and R the RREF {pivot: row} of the reversed rows, which spans
-    their row space.
-
-    In the reversed order a kernel row (see _free_kernel) has its 1 at a
-    free column and its other entries at the pivot columns of RREF rows
-    that start before it, so flipped back it leads with that 1 and is
-    nonzero elsewhere only at pivot columns to its right.  Taken in
-    increasing order of their flipped free columns, these rows are thus the
-    RREF of the kernel, and no second elimination is needed.
-    """
-    basis = _rref_rows(rows, p)
-    return _free_kernel(basis, range(ncols - 1, -1, -1), p)[::-1], basis
-
-
 def nullspace(rows: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning the right kernel {x : rows @ x = 0 (mod p)}.
 
@@ -410,24 +393,29 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace._from_rows(a.field, a.ambient_dim, _rref_rows(kernel, p).values())
 
 
+@dataclass(frozen=True)
 class GramMatrix:
-    """The standard symplectic form on 2n coordinates.
+    """The standard symplectic form on 2n coordinates, held as field and n.
 
     Pairings on the standard basis: (x_i, y_i) = 1, (y_i, x_i) = -1 and all
-    other basis pairings vanish; the matrix is invertible by construction.
+    other basis pairings vanish; the form is non-degenerate by construction.
+    The package applies it as a relabelling of dict rows (_times_form).
     """
 
-    def __init__(self, field: PrimeField, n: int):
-        if n < 1:
+    field: PrimeField
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("half-dimension n must be at least 1")
-        self.field = field
-        self.n = n
-        data = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        for i in range(n):
-            data[2 * i, 2 * i + 1] = 1
-            data[2 * i + 1, 2 * i] = -1 % field.p
+
+    @property
+    def data(self) -> np.ndarray:
+        """The read-only matrix G, built on each read and not held: the
+        block [[0, 1], [-1, 0]] on the diagonal at x_i, y_i for each i."""
+        data = np.kron(np.eye(self.n, dtype=np.int64), [[0, 1], [-1 % self.field.p, 0]])
         data.flags.writeable = False
-        self.data = data
+        return data
 
     @property
     def dim(self) -> int:
@@ -440,39 +428,62 @@ class GramMatrix:
             return 0
         return _pairing_rows(u_rows, v_rows, self.field.p)[0].get(0, 0)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GramMatrix) and self.field == other.field and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.n))
-
     def __repr__(self) -> str:
         return f"GramMatrix(n={self.n}, {self.field!r})"
 
 
+def _times_form(rows, p: int, key=None) -> list[dict[int, int]]:
+    """Each dict row u times the standard form G, its entry at column j
+    then written at key[j] when a key is given.
+
+    G is a signed permutation: u G moves u's entry at c to c ^ 1, its sign
+    flipped on odd c.  This is the one place the package applies the form;
+    GramMatrix.data writes it out densely for independent checks.
+    """
+    if key is None:
+        return [{c ^ 1: p - v if c & 1 else v for c, v in row.items()} for row in rows]
+    return [{key[c ^ 1]: p - v if c & 1 else v for c, v in row.items()} for row in rows]
+
+
+def _orthogonal(rows, order, p: int) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
+    """(K, R) from one elimination: K the canonical RREF basis, as dict rows,
+    of the vectors orthogonal to every dict row, with the columns ranked by
+    order (order[0] first); R the RREF {pivot: row} of the rows times G, the
+    column order[t] keyed at len(order) - 1 - t.
+
+    v is orthogonal to u iff (u G) v = 0, so K is the right kernel of the
+    rows times G (_times_form).  Keyed at reversed ranks, a kernel row (see
+    _free_kernel) has its 1 at a free column and its other entries at the
+    pivot columns of RREF rows that start before it, so read in rank order
+    it leads with that 1 and is nonzero elsewhere only at pivot columns
+    ranked after it.  Taken in increasing rank of their free columns, these
+    rows are thus the RREF in that order, and no second elimination is
+    needed.
+    """
+    key = dict(zip(order, reversed(range(len(order)))))
+    basis = _rref_rows(_times_form(rows, p, key), p)
+    return _free_kernel(basis, order[::-1], p)[::-1], basis
+
+
 def _perp_rows(s: Subspace) -> list[dict[int, int]]:
-    """Dict rows spanning perp(s) under the standard form G: the kernel
-    rows of s's RREF (_free_kernel), times G (see perp), which takes the
-    entry at column c to c ^ 1, its sign flipped on odd c."""
-    p = s.field.p
-    kernel = _free_kernel(dict(zip(s.pivots, s.rows)), range(s.ambient_dim), p)
-    return [{c ^ 1: p - v if c & 1 else v for c, v in row.items()} for row in kernel]
+    """Dict rows spanning perp(s): w G for the kernel rows w of s's RREF B
+    (_free_kernel), since G^-1 = -G = G^T puts v in perp(s) iff v = w G
+    with B w = 0."""
+    kernel = _free_kernel(dict(zip(s.pivots, s.rows)), range(s.ambient_dim), s.field.p)
+    return _times_form(kernel, s.field.p)
 
 
 def perp(s: Subspace, g: GramMatrix) -> Subspace:
     """The orthogonal complement {v : (u, v) = 0 for all u in s}.
 
     dim s + dim perp(s) = 2n and perp(perp(s)) = s since the form is
-    non-degenerate.  With B the RREF basis of s and G the standard form,
-    G^-1 = -G = G^T, so v lies in perp(s) iff v = w G with B w = 0.  The
-    kernel rows w are read off B itself (_perp_rows), and one elimination
-    of w G gives the canonical basis.  G is a signed permutation, so w G
-    is a relabelling of w's columns.
+    non-degenerate.  One elimination of s's basis rows times the form, in
+    the natural column order, gives the canonical basis (_orthogonal).
     """
     if s.ambient_dim != g.dim or s.field != g.field:
         raise ValueError("ambient mismatch")
-    rows = _rref_rows(_perp_rows(s), s.field.p)
-    return Subspace._from_rows(s.field, s.ambient_dim, rows.values())
+    kernel, _ = _orthogonal(s.rows, range(s.ambient_dim), s.field.p)
+    return Subspace._from_rows(s.field, s.ambient_dim, kernel)
 
 
 def _pairing_rows(a_rows, b_rows, p: int) -> list[dict[int, int]]:
@@ -480,21 +491,18 @@ def _pairing_rows(a_rows, b_rows, p: int) -> list[dict[int, int]]:
     {t: (u, b_t)} of nonzero residues per dict row u of a_rows, with b_t
     the rows of b_rows.
 
-    (u, v) = u G v^T, and u G moves u's entry at c to c ^ 1, its sign
-    flipped on odd c (see _perp_rows).  So b's entries are indexed by the
-    column c ^ 1 they pair with, and each pairing sums only the products
-    of entries that meet, on Python ints, exact for any p.
+    (u, v) = (u G) v^T, with u G read off _times_form.  b's entries are
+    indexed by their column, and each pairing sums only the products of
+    entries that meet, on Python ints, exact for any p.
     """
     meets: dict[int, list[tuple[int, int]]] = {}
     for t, v in enumerate(b_rows):
         for j, y in v.items():
-            meets.setdefault(j ^ 1, []).append((t, y))
+            meets.setdefault(j, []).append((t, y))
     out = []
-    for u in a_rows:
+    for u in _times_form(a_rows, p):
         sums: dict[int, int] = {}
         for c, x in u.items():
-            if c & 1:
-                x = -x
             for t, y in meets.get(c, ()):
                 sums[t] = sums.get(t, 0) + x * y
         out.append(_reduced(sums, p))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -255,6 +256,20 @@ def test_form_exact_against_python_ints(p):
         assert alg.gram.pairing(u, v) == expected % p, n
 
 
+def test_build_algebra_holds_no_dense_form():
+    # an algebra is its tensor, and its form is field and n, read on demand:
+    # at n = 1000 a held 2000 x 2000 int64 Gram matrix took 30.5 MiB
+    tracemalloc.start()
+    try:
+        alg = build_algebra(Presentation.build(1000, F3, []))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "gram" not in [f.name for f in dataclasses.fields(alg)]
+    assert alg.gram == linalg_module.GramMatrix(F3, 1000)
+
+
 def test_each_series_computed_once_per_algebra(monkeypatch):
     # the upper series takes one centralizer step per term, each with exactly
     # one elimination, on Z_1, ..., Z_cls = L, and one more that reads the
@@ -474,16 +489,13 @@ def test_chain_builds_no_perp(monkeypatch):
 
 
 def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
-    # each step's kernel drops I_k's rows from its conditions and y_3 comes
-    # right after x_3, so the loop takes I_2 = <x_3, y_3>; the abelian
-    # algebra makes every doubled chain central, and only (iii), which reads
-    # the pairings through orthogonal, sees that I_3 is not isotropic
-    candidates = algebra_module._step_candidates
-    monkeypatch.setattr(
-        algebra_module,
-        "_step_candidates",
-        lambda spanning, ideal, perm, p: candidates(spanning, (), perm, p),
-    )
+    # every kernel drops its rows, which on the abelian algebra are I_k's
+    # rows alone (it has no products), and y_3 comes right after x_3, so the
+    # loop takes I_2 = <x_3, y_3>; the abelian algebra makes every doubled
+    # chain central, and only (iii), which reads the pairings through
+    # orthogonal, sees that I_3 is not isotropic
+    kernel = algebra_module._orthogonal
+    monkeypatch.setattr(algebra_module, "_orthogonal", lambda rows, order, p: kernel((), order, p))
     monkeypatch.setattr(
         algebra_module,
         "_priority_permutation",

@@ -1,4 +1,5 @@
-"""The public surface: each module's __all__ and the package exports agree."""
+"""The public surface: each module's __all__ and the package exports agree;
+and the one place the source applies the symplectic form."""
 
 import ast
 import importlib
@@ -36,3 +37,33 @@ def test_package_reexports_every_public_name(name):
     module = importlib.import_module(f"saalib.{name}")
     missing = [n for n in module.__all__ if getattr(saalib, n, None) is not getattr(module, n)]
     assert missing == []
+
+
+def form_index_sites(tree, module):
+    """module.function for each BinOp x ^ 1 or 1 ^ x in the tree, named by
+    the innermost function or class around it, or by the module alone."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{module}.{node.name}"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor):
+            if any(isinstance(side, ast.Constant) and side.value == 1 for side in (node.left, node.right)):
+                sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return sites
+
+
+def test_form_index_rule_lives_in_two_places():
+    # the standard form pairs coordinate c with c ^ 1; linalg applies it to
+    # rows in one helper, and the row table reads the product off the
+    # tensor by the same rule, which check_axioms tests against the dense
+    # GramMatrix.data
+    sites = set()
+    for name in MODULES:
+        path = Path(importlib.import_module(f"saalib.{name}").__file__)
+        sites.update(form_index_sites(ast.parse(path.read_text(encoding="utf-8")), name))
+    assert sorted(sites) == ["algebra._row_table", "linalg._times_form"]

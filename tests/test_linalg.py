@@ -1,5 +1,7 @@
 """Exact linear algebra: the field, RREF, subspaces, the form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,28 @@ def test_gram_matrix_standard_pairings():
     assert g.pairing(x1, x2) == 0
     assert np.array_equal(g.data.T % 7, -g.data % 7)
     assert not np.diagonal(g.data).any()
+
+
+def test_gram_matrix_is_field_and_n_alone():
+    # the form holds no array: data is built from the definition on each
+    # read, and every attribute refuses writes, so no form can disagree with
+    # the standard one that perp, orthogonal and pairing apply
+    field = PrimeField(7)
+    g = GramMatrix(field, 3)
+    assert [f.name for f in dataclasses.fields(g)] == ["field", "n"]
+    first = g.data
+    assert g.data is not first and np.array_equal(g.data, first)
+    assert first.dtype == np.int64 and not first.flags.writeable
+    for name, value in (("data", np.zeros((6, 6), dtype=np.int64)), ("n", 4), ("field", PrimeField(5))):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert (g.field, g.n, g.dim) == (field, 3, 6)
+    assert g == GramMatrix(PrimeField(7), 3) and hash(g) == hash(GramMatrix(PrimeField(7), 3))
+    assert g != GramMatrix(field, 2) and g != GramMatrix(PrimeField(5), 3) and g != (field, 3)
+    assert len({g, GramMatrix(field, 3), GramMatrix(field, 2)}) == 2
+    assert repr(g) == "GramMatrix(n=3, GF(7))"
+    with pytest.raises(ValueError, match="at least 1"):
+        GramMatrix(field, 0)
 
 
 def test_basis_is_built_once_read_only_from_the_rows():

@@ -45,8 +45,8 @@ from saalib.linalg import (
     PrimeField,
     Subspace,
     _dict_rows,
+    _orthogonal,
     _pairing_rows,
-    _reversed_kernel,
     _rows_array,
     _rref_array,
     _rref_rows,
@@ -324,28 +324,34 @@ def test_nullspace_matches_python_int_kernel(p, ncols, seed, bands):
 
 @given(
     p=primes,
-    ncols=st.integers(1, 24),
+    order=st.integers(1, 12).flatmap(lambda n: st.permutations(range(2 * n))),
     seed=seeds,
     bands=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), min_size=1, max_size=3),
 )
-@example(p=3037000493, ncols=9, seed=1, bands=[(12, 0)])
-@example(p=3037000493, ncols=6, seed=2, bands=[(4, 0), (30, 6)])
-@example(p=2, ncols=12, seed=3, bands=[(0, 0)])
-def test_reversed_kernel_matches_python_int_kernel(p, ncols, seed, bands):
-    # the kernel is already the canonical basis (Subspace refuses any other),
-    # and the second output spans the row space; the examples are all-zero
-    # rows (kernel = identity), zero rows then full rank (empty kernel), and
-    # no rows at all
+@example(p=3037000493, order=list(range(10)), seed=1, bands=[(12, 0)])
+@example(p=3037000493, order=[5, 4, 3, 2, 1, 0], seed=2, bands=[(4, 0), (30, 6)])
+@example(p=2, order=list(range(12)), seed=3, bands=[(0, 0)])
+def test_orthogonal_matches_python_int_kernel(p, order, seed, bands):
+    # the kernel, read with its columns ranked by order, is already the
+    # canonical basis (Subspace refuses any other), and the second output,
+    # keyed at reversed ranks, spans the rows times the form; the examples
+    # are all-zero rows (kernel = everything), zero rows then full rank
+    # (empty kernel), and no rows at all
+    ncols = len(order)
     bands = [(m, min(k, ncols)) for m, k in sorted(bands, key=lambda band: band[1])]
     rows = banded_rows(p, ncols, seed, bands)
-    # the dict rows come with their columns reversed, and so does the RREF
     field = PrimeField(p)
-    reversed_rows = [{ncols - 1 - c: v % p for c, v in enumerate(row) if v % p} for row in rows]
-    kernel, row_space = _reversed_kernel(reversed_rows, ncols, p)
-    expected = reference_span(field, ncols, reference_kernel(rows, ncols, p))
-    assert Subspace._from_rows(field, ncols, kernel) == expected
-    spanning = [[row.get(ncols - 1 - c, 0) for c in range(ncols)] for row in row_space.values()]
-    assert reference_span(field, ncols, spanning) == reference_span(field, ncols, rows)
+    g = GramMatrix(field, ncols // 2)
+    twisted = (np.array(rows, dtype=object).reshape(-1, ncols) @ g.data.astype(object) % p).tolist()
+    kernel, row_space = _orthogonal([{c: v for c, v in enumerate(row) if v} for row in rows], order, p)
+    rank = {c: t for t, c in enumerate(order)}
+    ranked = [{rank[c]: v for c, v in row.items()} for row in kernel]
+    by_rank = [[row[c] for c in order] for row in twisted]
+    assert Subspace._from_rows(field, ncols, ranked) == reference_span(
+        field, ncols, reference_kernel(by_rank, ncols, p)
+    )
+    spanning = [[row.get(ncols - 1 - rank[c], 0) for c in range(ncols)] for row in row_space.values()]
+    assert reference_span(field, ncols, spanning) == reference_span(field, ncols, twisted)
     assert len(row_space) + len(kernel) == ncols
 
 
