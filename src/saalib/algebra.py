@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cache, wraps
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .linalg import (
     GramMatrix,
     PrimeField,
     Subspace,
+    _clear,
     _combine,
     _dict_rows,
     _orthogonal,
@@ -374,13 +375,13 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
     basis vectors, and then only e_i . e_j with i < j is taken: the tensor
     is alternating, so _row_table gives e_j . e_i = -e_i . e_j (check_axioms
     tests it), and the pairs span the same space with half the rows.  Each
-    u . e_j is summed from the row table T (_row_table), entry (j, k, value)
+    u . e_j is summed from the row table T (_by_basis), entry (j, k, value)
     of T[i] adding u_i * value at k, and a right factor w then combines
     them, sum w_j (u . e_j).  The sums run on Python ints and are reduced once,
     exact for any p, and no dense array is built.  Zero rows are dropped,
     so callers that want a span never eliminate them.
     """
-    p, dim = alg.field.p, alg.dim
+    p = alg.field.p
     table = _row_table(alg)
     position = {k: t for t, k in enumerate(cols)}
     if left is None:
@@ -395,19 +396,27 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
         return out
     out = []
     for u in left:
-        by_j = {}
-        for i, ui in u.items():
-            for j, k, v in table[i]:
-                t = position.get(k)
-                if t is not None:
-                    row = by_j.setdefault(j, {})
-                    row[t] = row.get(t, 0) + ui * v
+        by_j = _by_basis(table, u, position)
         if right is None:
             prods = (by_j[j] for j in sorted(by_j))
         else:
             prods = (_combine([(wj, by_j[j]) for j, wj in w.items() if j in by_j]) for w in right)
         out += filter(None, (_reduced(row, p) for row in prods))
     return out
+
+
+def _by_basis(table, u: dict[int, int], position: dict[int, int]) -> dict[int, dict[int, int]]:
+    """{j: u . e_j} over the basis vectors e_j with a product entry, each
+    an unreduced dict row {position[k]: coordinate k}, read off the row
+    table (_row_table) on the columns k that position holds."""
+    by_j: dict[int, dict[int, int]] = {}
+    for i, ui in u.items():
+        for j, k, v in table[i]:
+            t = position.get(k)
+            if t is not None:
+                row = by_j.setdefault(j, {})
+                row[t] = row.get(t, 0) + ui * v
+    return by_j
 
 
 def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> list[dict[int, int]]:
@@ -663,27 +672,61 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     spanning perp(Z) for k < 2 (_center) and by perp(I_k) L after that (by
     invariance, see _centralizer_step), so w is the set of vectors
     orthogonal to S and to I_k, in RREF in the priority order (_orthogonal).
-    The first candidate not in I_k is the first with a nonzero residual
-    against I_k's basis (see Subspace._residuals).  Every step runs on dict rows.  After the loop
+
+    From k = 2 on, the loop holds rows spanning perp(I_k), made once by
+    _perp_rows(I_2), each with its products by every basis vector e_j, read
+    once off the row table (_perp_products).  When x joins the chain,
+    perp(I_{k+1}) is the hyperplane of perp(I_k) on which (x, .) vanishes;
+    x lies outside I_k = perp(perp(I_k)), so some held row pairs with it,
+    and the held rows are replaced by a basis of the hyperplane
+    (_hyperplane).  Products are bilinear, so no step after k = 2 goes back
+    to the row table.
+
+    The pick compares each candidate with I_k's RREF in the priority order,
+    held and extended by one row per step (_extend_rref).  A candidate whose
+    priority pivot is q lies in I_k iff it equals that RREF's row at q.  The
+    candidate, a row of w's RREF, has 1 at q and 0 on w's other pivots,
+    among which I_k <= w puts I_k's; so if it lies in I_k it is, like I_k's
+    row at q, the one vector of I_k with 1 at q and 0 on I_k's other
+    pivots.  Each new term is checked to have dimension k + 1, so a pick
+    inside I_k, which this argument rules out, raises RuntimeError instead
+    of repeating a term.  Every step runs on dict rows.  After the loop
     (i) and (ii) are checked on the product rows and (iii) on the pairings
     of I_n with itself; a failure, which the argument above rules out,
     raises RuntimeError naming the condition and k.
     """
     n, p = alg.n, alg.field.p
     perm = _priority_permutation(n)
+    rank = {c: t for t, c in enumerate(perm)}
     chain = [zero_space(alg)]
+    ordered: dict[int, dict[int, int]] = {}
     for k in range(n):
         current = chain[k]
-        spanning = _center(alg)[1] if k < 2 else _products(alg, _perp_rows(current), range(alg.dim))
+        if k < 2:
+            spanning = _center(alg)[1]
+        else:
+            if k == 2:
+                held, holders = _perp_products(alg, current)
+            spanning = [row for _, prods in held.values() for row in prods.values()]
         candidates, _ = _orthogonal((*spanning, *current.rows), perm, p)
-        row = next(compress(candidates, current._residuals(candidates)), None)
+        row = next(
+            (c for c in candidates if ordered.get(min(c, key=rank.__getitem__)) != c), None
+        )
         if row is None:
             raise ChainError(
                 f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
                 f"no candidate extends I_{k}"
             )
-        basis = _rref_rows([*map(dict, current.rows), row], p)
+        basis = _rref_rows([*map(dict, current.rows), dict(row)], p)
+        if len(basis) != k + 1:
+            raise RuntimeError(
+                f"isotropic ideal chain step k={k} gives I_{k + 1} of dimension "
+                f"{len(basis)}, not {k + 1}, for n={n}"
+            )
         chain.append(Subspace._from_rows(alg.field, alg.dim, basis.values()))
+        if k >= 2:
+            _hyperplane(held, holders, row, p)
+        _extend_rref(ordered, row, rank, p)
     L = full_space(alg)
     m = min(n, 2)
     if len(_product_rows(alg, chain[m], L)):
@@ -696,6 +739,85 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     if not orthogonal(chain[n], chain[n], alg.gram):
         raise RuntimeError(f"isotropic ideal chain fails (iii) I_{n} isotropic for n={n}")
     return chain
+
+
+def _perp_products(alg: Algebra, s: Subspace) -> tuple[dict, dict[int, set[int]]]:
+    """(held, holders) for _hyperplane: held numbers the rows spanning
+    perp(s) (_perp_rows), each paired with its nonzero products
+    {j: row . e_j} read off the row table, and holders maps each column to
+    the numbers of the rows with a nonzero there."""
+    p, table, position = alg.field.p, _row_table(alg), {c: c for c in range(alg.dim)}
+    held, holders = {}, {}
+    for t, u in enumerate(_perp_rows(s)):
+        prods = _by_basis(table, u, position).items()
+        held[t] = u, {j: r for j, row in prods if (r := _reduced(row, p))}
+        for c in u:
+            holders.setdefault(c, set()).add(t)
+    return held, holders
+
+
+def _hyperplane(held: dict, holders: dict[int, set[int]], x: dict[int, int], p: int) -> None:
+    """Cut the span of the held rows down to the hyperplane on which (x, .)
+    vanishes, in place.
+
+    held maps a number t to a pair (row, {j: row . e_j}), its rows
+    independent, and holders maps each column to the numbers of the rows
+    with a nonzero there (see _perp_products).  (x, r) is read off x G
+    (_times_form), for the rows r that meet its columns alone.  The first
+    row u with (x, u) != 0 is dropped, and every other row r with
+    (x, r) != 0 becomes
+    r - ((x, r)/(x, u)) u, its products the same combination of r's and
+    u's.  The new rows and u span the old span, so the new rows are
+    independent; they lie in the hyperplane, one dimension less, so they
+    span it.  When no row pairs with x the old span lies in the hyperplane,
+    and nothing changes.
+    """
+    xg = _times_form([x], p)[0]
+    pairings = {}
+    for t in sorted({t for c in xg for t in holders.get(c, ())}):
+        r = held[t][0]
+        if a := sum(v * r.get(c, 0) for c, v in xg.items()) % p:
+            pairings[t] = a
+    if not pairings:
+        return
+    first = next(iter(pairings))
+    u, u_prods = held.pop(first)
+    for c in u:
+        holders[c].discard(first)
+    inv = pow(pairings.pop(first), -1, p)
+    for t, a in pairings.items():
+        r, prods = held[t]
+        f = p - a * inv % p
+        new = _reduced(_combine([(1, r), (f, u)]), p)
+        for c in r.keys() - new.keys():
+            holders[c].discard(t)
+        for c in new.keys() - r.keys():
+            holders.setdefault(c, set()).add(t)
+        held[t] = new, {
+            j: row
+            for j in prods.keys() | u_prods.keys()
+            if (row := _reduced(_combine([(1, prods.get(j, {})), (f, u_prods.get(j, {}))]), p))
+        }
+
+
+def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p: int) -> None:
+    """Add a dict row outside the span of basis, an RREF {pivot: row} with
+    the columns ranked by rank, to it in place; the row is consumed.
+
+    As in _rref_rows: the row is cleared on the pivot columns it meets,
+    scaled to 1 at its first column by rank, its new pivot q, and cleared
+    from the basis rows with a nonzero at q.
+    """
+    for c in [c for c in row if c in basis]:
+        _clear(row, c, basis[c], p)
+    q = min(row, key=rank.__getitem__)
+    inv = pow(row[q], -1, p)
+    for j, v in row.items():
+        row[j] = v * inv % p
+    for other in basis.values():
+        if q in other:
+            _clear(other, q, row, p)
+    basis[q] = row
 
 
 def _nilpotent_triple(t: PresentationTriple) -> bool:

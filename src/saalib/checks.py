@@ -67,8 +67,9 @@ def check_axioms(alg: Algebra, subject: str = "algebra") -> CheckResult:
     table[i, j, k] = v, over all basis triples, so a corrupted table is
     caught with the first witness triple (i, j, k) in C order.  The
     pairings (e_i e_j, e_k) recomputed from the table are checked against
-    the tensor's gamma(i, j, k), the form read as the dense GramMatrix.data,
-    an encoding apart from the one the package computes with (_times_form).
+    the tensor's gamma(i, j, k), the form read off the nonzeros of the dense
+    GramMatrix.data, an encoding apart from the one the package computes
+    with (_times_form).
     gamma is alternating and the form is the standard one, so once they
     agree, cyclic symmetry and self-adjointness, (e_i e_j, e_k) =
     (e_i, e_k e_j), hold as well; both are still checked, but no corruption
@@ -76,8 +77,12 @@ def check_axioms(alg: Algebra, subject: str = "algebra") -> CheckResult:
     """
     p = alg.field.p
     g = alg.gram.data
-    g_rows = [{k: v for k, v in enumerate(row) if v} for row in g.tolist()]
-    g_cols = [{i: v for i, v in enumerate(col) if v} for col in g.T.tolist()]
+    # the nonzeros of G, read through one np.nonzero, by row and by column
+    g_rows: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+    g_cols: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+    ri, ci = np.nonzero(g)
+    for i, k, v in zip(ri.tolist(), ci.tolist(), g[ri, ci].tolist()):
+        g_rows[i][k] = g_cols[k][i] = v
     table = {}
     for i, entries in enumerate(_row_table(alg)):
         for j, k, v in entries:

@@ -1,6 +1,8 @@
 """Algebra construction, product axioms, central series, structure tests."""
 
 import dataclasses
+import itertools
+import operator
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -39,11 +41,11 @@ from saalib.algebra import (
 )
 from saalib.checks import random_nilpotent_presentation
 from saalib.cli import verify_report
-from saalib.construct import catalog, catalog_entry, construct_minimal
+from saalib.construct import catalog, catalog_entry, construct_minimal, minimal_algebra
 from saalib.linalg import PrimeField, Subspace, _rows_array, perp
 from saalib.presfile import emit_presentation, parse_presentation_file
 
-from references import EXACT_PRIMES, reference_table
+from references import EXACT_PRIMES, reference_chain, reference_table
 
 F3 = PrimeField(3)
 
@@ -562,6 +564,134 @@ def test_chain_fails_on_non_nilpotent():
     assert upper_central_series(alg).upper[-1].dim == 0
     with pytest.raises(ChainError, match="no candidate extends I_0"):
         isotropic_ideal_chain(alg)
+
+
+def test_chain_reads_the_row_table_only_up_to_step_two(monkeypatch):
+    # from k = 2 on the rows spanning perp(I_k) carry their products, so the
+    # steps after k = 2 read nothing off the row table; every product is
+    # read through _row_table, once per call, so the reads made before each
+    # step's kernel count them (the construction already holds the centre)
+    alg = minimal_algebra(16, F3)[1]
+    reads, per_step = [], []
+    row_table, kernel = algebra_module._row_table, algebra_module._orthogonal
+
+    def counted_table(a):
+        reads.append(a)
+        return row_table(a)
+
+    def counted_kernel(rows, order, p):
+        per_step.append(len(reads))
+        return kernel(rows, order, p)
+
+    monkeypatch.setattr(algebra_module, "_row_table", counted_table)
+    monkeypatch.setattr(algebra_module, "_orthogonal", counted_kernel)
+    assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(17))
+    assert per_step == [0, 0] + [1] * 14
+
+
+@pytest.mark.parametrize("p", [2, 3037000493])
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_chain_matches_reference_on_minimal_algebras(n, p):
+    alg = minimal_algebra(n, PrimeField(p))[1]
+    assert isotropic_ideal_chain(alg) == reference_chain(alg)
+
+
+def scrambled(alg, rng, count=4):
+    """The algebra alg read in the basis e_a A, A a product of count random
+    symplectic transvections u -> u + c (u, v) v, so (e_a A, e_b A) is the
+    standard form and the two algebras are isomorphic.
+
+    gamma'(a, b, c) = gamma(e_a A, e_b A, e_c A), summed on Python ints over
+    the six permutations of each stored triple.  The chain of such an
+    algebra is made of dense vectors, where a minimal construction's are
+    basis vectors.
+    """
+    p, dim = alg.field.p, alg.dim
+    a = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(count):
+        v = [int(x) for x in rng.integers(0, p, dim)]
+        c = int(rng.integers(1, p))
+        gv = [v[j ^ 1] * (-1 if j & 1 else 1) for j in range(dim)]  # G v^T
+        a = [
+            [(row[j] + c * sum(map(operator.mul, row, gv)) * v[j]) % p for j in range(dim)]
+            for row in a
+        ]
+    g = alg.gram.data.tolist()
+    assert all(
+        sum(a[i][s] * g[s][t] * a[j][t] for s in range(dim) for t in range(dim)) % p == g[i][j]
+        for i in range(dim)
+        for j in range(dim)
+    )
+    gamma = {
+        key: alg.tensor.value_at(*key)
+        for triple, _ in alg.tensor.items()
+        for key in itertools.permutations(triple)
+    }
+    values = {
+        key: sum(v * a[key[0]][i] * a[key[1]][j] * a[key[2]][k] for (i, j, k), v in gamma.items())
+        for key in itertools.combinations(range(dim), 3)
+    }
+    return algebra_module.Algebra(alg.n, alg.field, StructureTensor(alg.n, alg.field, values))
+
+
+@pytest.mark.parametrize("p", [2, 3, 3037000493])
+def test_chain_matches_reference_on_scrambled_minimal_algebras(monkeypatch, p):
+    # the rows spanning perp(I_k) are combined whenever several pair with the
+    # new vector, which the dense chains of scrambled algebras make happen;
+    # the pairings are counted to show that they do
+    paired = []
+    hyperplane = algebra_module._hyperplane
+
+    def counted(held, holders, x, q):
+        xg = linalg_module._times_form([x], q)[0]
+        paired.append(sum(any(r.get(c, 0) * v % q for c, v in xg.items()) for r, _ in held.values()))
+        return hyperplane(held, holders, x, q)
+
+    monkeypatch.setattr(algebra_module, "_hyperplane", counted)
+    rng = np.random.default_rng(2024)
+    for n in (4, 6, 8):
+        alg = scrambled(minimal_algebra(n, PrimeField(p))[1], rng)
+        assert isotropic_ideal_chain(alg) == reference_chain(alg)
+    assert max(paired) >= 2
+
+
+def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
+    # every candidate is doubled, so one that lies in I_k no longer equals
+    # I_k's row at its pivot and is picked; the first candidate at k = 0,
+    # which spans I_1, is again the first at k = 1, and the new term's
+    # dimension check refuses it instead of repeating I_1; the centre, whose
+    # kernel is _orthogonal too, is held before the patch
+    kernel = algebra_module._orthogonal
+
+    def doubled(rows, order, p):
+        candidates, basis = kernel(rows, order, p)
+        return [{c: 2 * v % p for c, v in row.items()} for row in candidates], basis
+
+    alg = build_algebra(catalog_entry("P8-2-1").presentation(F3, r=1))
+    algebra_module._center(alg)
+    monkeypatch.setattr(algebra_module, "_orthogonal", doubled)
+    with pytest.raises(RuntimeError, match=r"k=1 gives I_2 of dimension 1, not 2, for n=4") as info:
+        isotropic_ideal_chain(alg)
+    assert not isinstance(info.value, ChainError)
+
+
+def test_chain_memory_stays_small():
+    # the carried products must not grow unnoticed: about 2.1 MiB at n = 120
+    alg = minimal_algebra(120, F3)[1]
+    tracemalloc.start()
+    try:
+        chain = isotropic_ideal_chain(alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [s.dim for s in chain] == list(range(121))
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.slow
+def test_chain_completes_at_n_1000():
+    alg = minimal_algebra(1000, F3)[1]
+    assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(1001))
 
 
 def test_validate_nilpotent_presentation():
