@@ -27,10 +27,12 @@ from .linalg import (
     _clear,
     _combine,
     _dict_rows,
+    _keyed_orthogonal,
     _orthogonal,
     _perp_rows,
     _reduced,
     _rows_array,
+    _reversed_ranks,
     _rref_rows,
     _times_form,
     orthogonal,
@@ -671,16 +673,22 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     Each step is one kernel: C = perp(S), S spanned by the held rows
     spanning perp(Z) for k < 2 (_center) and by perp(I_k) L after that (by
     invariance, see _centralizer_step), so w is the set of vectors
-    orthogonal to S and to I_k, in RREF in the priority order (_orthogonal).
+    orthogonal to S and to I_k, in RREF in the priority order.  The rows of
+    S and I_k, times G and keyed at the reversed priority ranks, are
+    eliminated once (_keyed_orthogonal, the layer under _orthogonal).
 
     From k = 2 on, the loop holds rows spanning perp(I_k), made once by
     _perp_rows(I_2), each with its products by every basis vector e_j, read
-    once off the row table (_perp_products).  When x joins the chain,
-    perp(I_{k+1}) is the hyperplane of perp(I_k) on which (x, .) vanishes;
-    x lies outside I_k = perp(perp(I_k)), so some held row pairs with it,
-    and the held rows are replaced by a basis of the hyperplane
-    (_hyperplane).  Products are bilinear, so no step after k = 2 goes back
-    to the row table.
+    once off the row table and relabelled once into the kernel's key
+    (_perp_products).  When x joins the chain, perp(I_{k+1}) is the
+    hyperplane of perp(I_k) on which (x, .) vanishes; x lies outside
+    I_k = perp(perp(I_k)), so some held row pairs with it, and the held
+    rows are replaced by a basis of the hyperplane (_hyperplane), their
+    products by the same combinations of the keyed rows: products are
+    bilinear and the relabelling is linear.  So no step after k = 2 goes
+    back to the row table or relabels a product; each hands the kernel
+    copies of the keyed products, which it consumes, and I_k's rows
+    relabelled.
 
     The pick compares each candidate with I_k's RREF in the priority order,
     held and extended by one row per step (_extend_rref).  A candidate whose
@@ -690,25 +698,36 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     row at q, the one vector of I_k with 1 at q and 0 on I_k's other
     pivots.  Each new term is checked to have dimension k + 1, so a pick
     inside I_k, which this argument rules out, raises RuntimeError instead
-    of repeating a term.  Every step runs on dict rows.  After the loop
-    (i) and (ii) are checked on the product rows and (iii) on the pairings
-    of I_n with itself; a failure, which the argument above rules out,
-    raises RuntimeError naming the condition and k.
+    of repeating a term.  Every step runs on dict rows.
+
+    After the loop the terms and the picked vectors x_k are checked
+    (_check_chain), and a failure, which the argument above rules out,
+    raises RuntimeError naming the condition and k.  (i) is read off the
+    products of I_m's basis and (iii) off the pairings of I_n with itself.
+    (ii) is checked on each new vector alone: for 2 <= k < n, dim I_k = k,
+    dim I_{k+1} = k + 1, I_k <= I_{k+1}, x_k lies in I_{k+1} and not in
+    I_k, and x_k L <= I_k, with x_k's products read off the row table, not
+    the carried ones, so the check does not rest on the loop's state.  This
+    proves (ii): the first four give I_{k+1} = I_k + <x_k>, so
+    I_{k+1} L = I_k L + x_k L.  At k = 2, I_2 L = 0 by (i), so
+    I_3 L <= I_2.  For k > 2, I_k L <= I_{k-1} <= I_k by (ii) and the
+    containment at k - 1, so I_{k+1} L <= I_k.  This multiplies one vector
+    per step where I_{k+1}'s whole basis would take k + 1.
     """
     n, p = alg.n, alg.field.p
     perm = _priority_permutation(n)
-    rank = {c: t for t, c in enumerate(perm)}
-    chain = [zero_space(alg)]
+    rank, key = {c: t for t, c in enumerate(perm)}, _reversed_ranks(perm)
+    chain, picks = [zero_space(alg)], []
     ordered: dict[int, dict[int, int]] = {}
     for k in range(n):
         current = chain[k]
         if k < 2:
-            spanning = _center(alg)[1]
+            carried = _times_form(_center(alg)[1], p, key)
         else:
             if k == 2:
-                held, holders = _perp_products(alg, current)
-            spanning = [row for _, prods in held.values() for row in prods.values()]
-        candidates, _ = _orthogonal((*spanning, *current.rows), perm, p)
+                held, holders = _perp_products(alg, current, key)
+            carried = [dict(row) for _, prods in held.values() for row in prods.values()]
+        candidates, _ = _keyed_orthogonal([*carried, *_times_form(current.rows, p, key)], perm, p)
         row = next(
             (c for c in candidates if ordered.get(min(c, key=rank.__getitem__)) != c), None
         )
@@ -724,33 +743,68 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
                 f"{len(basis)}, not {k + 1}, for n={n}"
             )
         chain.append(Subspace._from_rows(alg.field, alg.dim, basis.values()))
+        picks.append(dict(row))
         if k >= 2:
             _hyperplane(held, holders, row, p)
         _extend_rref(ordered, row, rank, p)
-    L = full_space(alg)
+    _check_chain(alg, chain, picks)
+    return chain
+
+
+def _check_chain(alg: Algebra, chain: list[Subspace], picks: list[dict[int, int]]) -> None:
+    """Check (i)-(iii) of isotropic_ideal_chain on the terms I_0..I_n and
+    the picked vectors x_0..x_{n-1} alone, (ii) on x_k as its docstring
+    argues; a failure raises RuntimeError naming the condition and k.
+
+    A row of I_k that is I_{k+1}'s row at the same pivot lies in I_{k+1},
+    so only I_k's other rows are reduced to test I_k <= I_{k+1}.
+    """
+    n = alg.n
     m = min(n, 2)
-    if len(_product_rows(alg, chain[m], L)):
+    if _product_rows(alg, chain[m], full_space(alg)):
         raise RuntimeError(f"isotropic ideal chain fails (i) I_{m} L = 0 for n={n}")
     for k in range(2, n):
-        if not chain[k]._spans(_product_rows(alg, chain[k + 1], L)):
+        low, high, x = chain[k], chain[k + 1], picks[k]
+        by_pivot = dict(zip(high.pivots, high.rows))
+        moved = [r for c, r in zip(low.pivots, low.rows) if by_pivot.get(c) != r]
+        if (low.dim, high.dim) != (k, k + 1) or not high._spans(moved):
+            raise RuntimeError(
+                f"isotropic ideal chain fails (ii) I_{k} <= I_{k + 1} of dimensions "
+                f"{k}, {k + 1} at k={k} for n={n}"
+            )
+        if low._spans([x]) or not high._spans([x]):
+            raise RuntimeError(
+                f"isotropic ideal chain fails (ii) x_{k} in I_{k + 1} and not in I_{k} "
+                f"at k={k} for n={n}"
+            )
+        if not low._spans(_products(alg, [x], range(alg.dim))):
             raise RuntimeError(
                 f"isotropic ideal chain fails (ii) I_{k + 1} L <= I_{k} at k={k} for n={n}"
             )
     if not orthogonal(chain[n], chain[n], alg.gram):
         raise RuntimeError(f"isotropic ideal chain fails (iii) I_{n} isotropic for n={n}")
-    return chain
 
 
-def _perp_products(alg: Algebra, s: Subspace) -> tuple[dict, dict[int, set[int]]]:
+def _perp_products(
+    alg: Algebra, s: Subspace, key: dict[int, int]
+) -> tuple[dict, dict[int, set[int]]]:
     """(held, holders) for _hyperplane: held numbers the rows spanning
     perp(s) (_perp_rows), each paired with its nonzero products
-    {j: row . e_j} read off the row table, and holders maps each column to
-    the numbers of the rows with a nonzero there."""
+    {j: (row . e_j) G}, read off the row table and relabelled by the form
+    with key, by one _times_form call, and holders maps each column to the
+    numbers of the rows with a nonzero there.  The relabelling is a signed
+    permutation of the columns, so it commutes with the linear combinations
+    _hyperplane makes, and the products stay relabelled as they are cut."""
     p, table, position = alg.field.p, _row_table(alg), {c: c for c in range(alg.dim)}
+    rows = _perp_rows(s)
+    prods = [
+        {j: r for j, row in _by_basis(table, u, position).items() if (r := _reduced(row, p))}
+        for u in rows
+    ]
+    keyed = iter(_times_form([r for by_j in prods for r in by_j.values()], p, key))
     held, holders = {}, {}
-    for t, u in enumerate(_perp_rows(s)):
-        prods = _by_basis(table, u, position).items()
-        held[t] = u, {j: r for j, row in prods if (r := _reduced(row, p))}
+    for t, (u, by_j) in enumerate(zip(rows, prods)):
+        held[t] = u, {j: next(keyed) for j in by_j}
         for c in u:
             holders.setdefault(c, set()).add(t)
     return held, holders
@@ -760,17 +814,20 @@ def _hyperplane(held: dict, holders: dict[int, set[int]], x: dict[int, int], p: 
     """Cut the span of the held rows down to the hyperplane on which (x, .)
     vanishes, in place.
 
-    held maps a number t to a pair (row, {j: row . e_j}), its rows
+    held maps a number t to a pair (row, {j: product}), its rows
     independent, and holders maps each column to the numbers of the rows
     with a nonzero there (see _perp_products).  (x, r) is read off x G
     (_times_form), for the rows r that meet its columns alone.  The first
     row u with (x, u) != 0 is dropped, and every other row r with
     (x, r) != 0 becomes
     r - ((x, r)/(x, u)) u, its products the same combination of r's and
-    u's.  The new rows and u span the old span, so the new rows are
-    independent; they lie in the hyperplane, one dimension less, so they
-    span it.  When no row pairs with x the old span lies in the hyperplane,
-    and nothing changes.
+    u's, combined as they are held: the products are the rows r . e_j
+    relabelled by the form, a linear map, so the combination of the
+    relabelled products is the relabelled product of the combination.  The
+    new rows and u span the old span, so the new rows are independent;
+    they lie in the hyperplane, one dimension less, so they span it.  When
+    no row pairs with x the old span lies in the hyperplane, and nothing
+    changes.
     """
     xg = _times_form([x], p)[0]
     pairings = {}

@@ -15,7 +15,8 @@ The fixed coordinate convention everywhere in this package is
 
 (x_i at 2(i-1), y_i at 2i-1 in 0-based indexing).  The standard form
 GramMatrix(field, n) acts on dict rows in one place (_times_form), and
-every orthogonal complement is one elimination (_orthogonal).
+every orthogonal complement is one elimination (_keyed_orthogonal, which
+_orthogonal feeds rows it relabels).
 """
 
 from __future__ import annotations
@@ -445,6 +446,11 @@ def _times_form(rows, p: int, key=None) -> list[dict[int, int]]:
     return [{key[c ^ 1]: p - v if c & 1 else v for c, v in row.items()} for row in rows]
 
 
+def _reversed_ranks(order) -> dict[int, int]:
+    """The key that writes column order[t] at len(order) - 1 - t."""
+    return dict(zip(order, reversed(range(len(order)))))
+
+
 def _orthogonal(rows, order, p: int) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
     """(K, R) from one elimination: K the canonical RREF basis, as dict rows,
     of the vectors orthogonal to every dict row, with the columns ranked by
@@ -452,16 +458,28 @@ def _orthogonal(rows, order, p: int) -> tuple[list[dict[int, int]], dict[int, di
     column order[t] keyed at len(order) - 1 - t.
 
     v is orthogonal to u iff (u G) v = 0, so K is the right kernel of the
-    rows times G (_times_form).  Keyed at reversed ranks, a kernel row (see
-    _free_kernel) has its 1 at a free column and its other entries at the
-    pivot columns of RREF rows that start before it, so read in rank order
-    it leads with that 1 and is nonzero elsewhere only at pivot columns
-    ranked after it.  Taken in increasing rank of their free columns, these
-    rows are thus the RREF in that order, and no second elimination is
-    needed.
+    rows times G.  This layer relabels the rows, once, by _times_form with
+    the reversed ranks as key (_reversed_ranks), and _keyed_orthogonal
+    eliminates them; a caller that holds its rows already relabelled calls
+    that layer directly.
     """
-    key = dict(zip(order, reversed(range(len(order)))))
-    basis = _rref_rows(_times_form(rows, p, key), p)
+    return _keyed_orthogonal(_times_form(rows, p, _reversed_ranks(order)), order, p)
+
+
+def _keyed_orthogonal(
+    keyed, order, p: int
+) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
+    """(K, R) of _orthogonal from dict rows already times G and keyed at
+    the reversed ranks of order (_reversed_ranks); the rows are consumed.
+
+    Keyed at reversed ranks, a kernel row (see _free_kernel) has its 1 at a
+    free column and its other entries at the pivot columns of RREF rows that
+    start before it, so read in rank order it leads with that 1 and is
+    nonzero elsewhere only at pivot columns ranked after it.  Taken in
+    increasing rank of their free columns, these rows are thus the RREF in
+    that order, and no second elimination is needed.
+    """
+    basis = _rref_rows(keyed, p)
     return _free_kernel(basis, order[::-1], p)[::-1], basis
 
 

@@ -496,8 +496,10 @@ def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
     # loop takes I_2 = <x_3, y_3>; the abelian algebra makes every doubled
     # chain central, and only (iii), which reads the pairings through
     # orthogonal, sees that I_3 is not isotropic
-    kernel = algebra_module._orthogonal
-    monkeypatch.setattr(algebra_module, "_orthogonal", lambda rows, order, p: kernel((), order, p))
+    kernel = algebra_module._keyed_orthogonal
+    monkeypatch.setattr(
+        algebra_module, "_keyed_orthogonal", lambda rows, order, p: kernel((), order, p)
+    )
     monkeypatch.setattr(
         algebra_module,
         "_priority_permutation",
@@ -573,7 +575,7 @@ def test_chain_reads_the_row_table_only_up_to_step_two(monkeypatch):
     # step's kernel count them (the construction already holds the centre)
     alg = minimal_algebra(16, F3)[1]
     reads, per_step = [], []
-    row_table, kernel = algebra_module._row_table, algebra_module._orthogonal
+    row_table, kernel = algebra_module._row_table, algebra_module._keyed_orthogonal
 
     def counted_table(a):
         reads.append(a)
@@ -584,7 +586,7 @@ def test_chain_reads_the_row_table_only_up_to_step_two(monkeypatch):
         return kernel(rows, order, p)
 
     monkeypatch.setattr(algebra_module, "_row_table", counted_table)
-    monkeypatch.setattr(algebra_module, "_orthogonal", counted_kernel)
+    monkeypatch.setattr(algebra_module, "_keyed_orthogonal", counted_kernel)
     assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(17))
     assert per_step == [0, 0] + [1] * 14
 
@@ -660,8 +662,9 @@ def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
     # I_k's row at its pivot and is picked; the first candidate at k = 0,
     # which spans I_1, is again the first at k = 1, and the new term's
     # dimension check refuses it instead of repeating I_1; the centre, whose
-    # kernel is _orthogonal too, is held before the patch
-    kernel = algebra_module._orthogonal
+    # kernel is _keyed_orthogonal too (through _orthogonal), is held before
+    # the patch
+    kernel = algebra_module._keyed_orthogonal
 
     def doubled(rows, order, p):
         candidates, basis = kernel(rows, order, p)
@@ -669,10 +672,78 @@ def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
 
     alg = build_algebra(catalog_entry("P8-2-1").presentation(F3, r=1))
     algebra_module._center(alg)
-    monkeypatch.setattr(algebra_module, "_orthogonal", doubled)
+    monkeypatch.setattr(algebra_module, "_keyed_orthogonal", doubled)
     with pytest.raises(RuntimeError, match=r"k=1 gives I_2 of dimension 1, not 2, for n=4") as info:
         isotropic_ideal_chain(alg)
     assert not isinstance(info.value, ChainError)
+
+
+def _term_missing_the_chain(alg, chain, picks):
+    # I_3 with its row at I_2's first pivot swapped for a unit vector at a
+    # column that is no pivot of I_3: still of dimension 3, but no vector of
+    # it leads at that pivot, so it misses I_2
+    high, c = chain[3], chain[2].pivots[0]
+    free = next(j for j in range(alg.dim) if j not in high.pivots)
+    rows = [r for q, r in zip(high.pivots, high.rows) if q != c] + [{free: 1}]
+    chain[3] = Subspace.from_vectors(alg.field, alg.dim, _rows_array(rows, (3, alg.dim)))
+
+
+def _pick_inside_the_chain(alg, chain, picks):
+    picks[2] = dict(chain[2].rows[0])
+
+
+def _pick_outside_the_centralizer(alg, chain, picks):
+    # I_3 = I_2 + <e_c> for the first basis vector e_c whose products leave
+    # I_2: a term that holds I_2 and its pick, one dimension up
+    low = chain[2]
+    c = next(
+        c
+        for c in range(alg.dim)
+        if not low._spans(algebra_module._products(alg, [{c: 1}], range(alg.dim)))
+    )
+    rows = [*low.rows, {c: 1}]
+    chain[3] = Subspace.from_vectors(alg.field, alg.dim, _rows_array(rows, (3, alg.dim)))
+    picks[2] = {c: 1}
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        (_term_missing_the_chain, r"fails \(ii\) I_2 <= I_3 of dimensions 2, 3 at k=2 for n=8"),
+        (_pick_inside_the_chain, r"fails \(ii\) x_2 in I_3 and not in I_2 at k=2 for n=8"),
+        (_pick_outside_the_centralizer, r"fails \(ii\) I_3 L <= I_2 at k=2 for n=8"),
+    ],
+)
+def test_chain_check_refuses_each_fault_of_ii(monkeypatch, fault, failing):
+    # each fault breaks one clause of the check on x_k, at k = 2, in the
+    # terms and picks the loop hands the check; the check reads nothing else
+    check = algebra_module._check_chain
+
+    def tampered(alg, chain, picks):
+        fault(alg, chain, picks)
+        return check(alg, chain, picks)
+
+    monkeypatch.setattr(algebra_module, "_check_chain", tampered)
+    with pytest.raises(RuntimeError, match=failing) as info:
+        isotropic_ideal_chain(minimal_algebra(8, F3)[1])
+    assert not isinstance(info.value, ChainError)
+
+
+def test_chain_check_multiplies_one_vector_per_step(monkeypatch):
+    # (i) multiplies I_2's basis, and (ii) multiplies x_k alone, not the
+    # k + 1 rows of I_{k+1}; the loop calls _products for nothing (the
+    # construction already holds the centre)
+    alg = minimal_algebra(16, F3)[1]
+    sizes, products = [], algebra_module._products
+
+    def counted(a, left, cols, right=None):
+        if left is not None:
+            sizes.append(len(left))
+        return products(a, left, cols, right)
+
+    monkeypatch.setattr(algebra_module, "_products", counted)
+    assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(17))
+    assert sizes == [2] + [1] * 14
 
 
 def test_chain_memory_stays_small():
