@@ -10,7 +10,11 @@ scans, the stdout of `saa verify` on seeded random nilpotent
 presentations for n = 5..8, and the canonical bases of
 `isotropic_ideal_chain` on the minimal constructions over GF(3) for
 n = 8..12, 14..16, 24 (case ONE) and 41, 68 and 120 (case TWO), and on every
-catalog entry over GF(3) with r = 1.  Two hand-written verify
+catalog entry over GF(3) with r = 1.  `fingerprints.txt` holds
+`construct.fingerprint`, one line per algebra, of every catalog entry over
+GF(3), GF(5) and GF(7), with every unit r for the parameterized ones, and
+of the minimal constructions over GF(3) for n = 8..12 and 14..16.  Two
+hand-written verify
 files pin the report's other branches: the n = 3 file over GF(3) with no
 triples, whose centre is all of L and so not isotropic (the only case
 that prints `center-isotropic: no`), and the `kind general` n = 2 file
@@ -49,7 +53,7 @@ import pytest
 from saalib.algebra import Presentation, build_algebra, isotropic_ideal_chain
 from saalib.checks import ScanConfig, sample_presentation
 from saalib.cli import main
-from saalib.construct import catalog, catalog_entry, construct_minimal
+from saalib.construct import catalog, catalog_entry, construct_minimal, fingerprint
 from saalib.linalg import PrimeField
 from saalib.presfile import emit_presentation
 
@@ -129,9 +133,24 @@ def _chain_catalog(name: str) -> dict[str, str]:
     return _chain(f"catalog-{name}", catalog_entry(name).presentation(PrimeField(3), r=1))
 
 
+def _fingerprints() -> dict[str, str]:
+    lines = []
+    for p in (3, 5, 7):
+        field = PrimeField(p)
+        for e in catalog():
+            for r in range(1, p) if e.parameterized else (1,):
+                alg = build_algebra(e.presentation(field, r=r))
+                lines.append(f"{e.name} p={p} r={r}: {fingerprint(alg)!r}\n")
+    for n in FINGERPRINT_CONSTRUCT_N:
+        alg = build_algebra(construct_minimal(n, PrimeField(3))[1])
+        lines.append(f"construct-n{n} p=3: {fingerprint(alg)!r}\n")
+    return {"fingerprints.txt": "".join(lines)}
+
+
 CONSTRUCT_N = [*range(4, 13), 14, 15, 16]
 LARGE_CONSTRUCT_N = [24, 40, 41, 68, 120]
 CHAIN_CONSTRUCT_N = [n for n in CONSTRUCT_N if n >= 8] + [24, 41, 68, 120]
+FINGERPRINT_CONSTRUCT_N = [n for n in CONSTRUCT_N if n >= 8]
 RANDOM = [(n, 3, i) for n in range(5, 9) for i in range(4)] + [(8, 2147483647, i) for i in (0, 1)]
 SCANS = [(3, 3, 40, 5, None), (4, 2, 60, 5, None), (5, 3, 60, 5, 3)]
 VERIFY = [(e.name, r) for e in catalog() for r in ((1, 2) if e.parameterized else (None,))]
@@ -152,6 +171,7 @@ CASES = {
     **{f"verify-{name}": partial(_verify_text, name, text) for name, text in VERIFY_TEXT.items()},
     **{f"chain-construct-n{n}": partial(_chain_construct, n) for n in CHAIN_CONSTRUCT_N},
     **{f"chain-catalog-{e.name}": partial(_chain_catalog, e.name) for e in catalog()},
+    "fingerprints": _fingerprints,
 }
 
 
