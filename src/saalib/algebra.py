@@ -188,6 +188,16 @@ class Presentation:
             seen.add(key)
 
     @classmethod
+    def _from_checked(cls, n: int, field: PrimeField, triples) -> "Presentation":
+        """The presentation of triples that the caller has checked as
+        __post_init__ does, n >= 1, every triple passing _check_triple and
+        no two on one basis set, made without checking them again."""
+        pres = cls.__new__(cls)
+        for name, value in (("n", n), ("field", field), ("triples", tuple(triples))):
+            object.__setattr__(pres, name, value)
+        return pres
+
+    @classmethod
     def build(cls, n: int, field: PrimeField, items) -> "Presentation":
         """Convenience constructor from (a, b, c, value) tuples.
 
@@ -373,15 +383,17 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
     {position in cols: residue}.
 
     u runs over the dict rows left and v over the dict rows right, or over
-    every basis vector e_j when right is None.  left None stands for the
-    basis vectors, and then only e_i . e_j with i < j is taken: the tensor
-    is alternating, so _row_table gives e_j . e_i = -e_i . e_j (check_axioms
-    tests it), and the pairs span the same space with half the rows.  Each
-    u . e_j is summed from the row table T (_by_basis), entry (j, k, value)
-    of T[i] adding u_i * value at k, and a right factor w then combines
-    them, sum w_j (u . e_j).  The sums run on Python ints and are reduced once,
-    exact for any p, and no dense array is built.  Zero rows are dropped,
-    so callers that want a span never eliminate them.
+    every basis vector e_j when right is None; left None stands for the
+    basis vectors, which are only multiplied by themselves.  A factor
+    multiplied by itself, right is left (both None for the basis vectors),
+    gives only the products u_s . u_t of its rows with s < t: the tensor is
+    alternating, so _row_table gives u . u = 0 and v . u = -u . v
+    (check_axioms tests it), and the pairs span the same space with half
+    the rows.  Each u . e_j is summed from the row table T (_by_basis),
+    entry (j, k, value) of T[i] adding u_i * value at k, and a right factor
+    w then combines them, sum w_j (u . e_j).  The sums run on Python ints
+    and are reduced once, exact for any p, and no dense array is built.
+    Zero rows are dropped, so callers that want a span never eliminate them.
     """
     p = alg.field.p
     table = _row_table(alg)
@@ -397,12 +409,13 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
             out += by_j.values()
         return out
     out = []
-    for u in left:
+    for s, u in enumerate(left):
         by_j = _by_basis(table, u, position)
         if right is None:
             prods = (by_j[j] for j in sorted(by_j))
         else:
-            prods = (_combine([(wj, by_j[j]) for j, wj in w.items() if j in by_j]) for w in right)
+            others = right[s + 1 :] if right is left else right
+            prods = (_combine([(wj, by_j[j]) for j, wj in w.items() if j in by_j]) for w in others)
         out += filter(None, (_reduced(row, p) for row in prods))
     return out
 
@@ -426,12 +439,16 @@ def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> list[dict[int, int]
 
     The bases are read as their dict rows.  The full space's canonical
     basis is the identity, so for b = L the products u . e_j are taken as
-    they are (see _products).
+    they are (see _products).  For b = a each pair of basis rows is
+    multiplied once, u_s . u_t with s < t, by alternation (see _products).
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("ambient mismatch")
     if a.field != alg.field or b.field != alg.field:
         raise ValueError("field mismatch")
+    if a == b:
+        rows = None if a.dim == alg.dim else a.rows
+        return _products(alg, rows, range(alg.dim), rows)
     right = None if b.dim == alg.dim else b.rows
     return _products(alg, a.rows, range(alg.dim), right)
 
@@ -439,8 +456,10 @@ def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> list[dict[int, int]
 def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
     """Canonical span of {u . v : u in basis of a, v in basis of b}.
 
-    The product rows (see _product_rows) reduced to RREF.  Callers that only
-    ask whether the product lies in a subspace test the raw rows instead.
+    The product rows (see _product_rows) reduced to RREF; for b = a, as for
+    L^2 L^2 in the fingerprint, those of the pairs s < t alone.  Callers
+    that only ask whether the product lies in a subspace test the raw rows
+    instead.
     """
     basis = _rref_rows(_product_rows(alg, a, b), alg.field.p)
     return Subspace._from_rows(alg.field, alg.dim, basis.values())
@@ -619,14 +638,17 @@ def is_ideal(alg: Algebra, s: Subspace) -> bool:
 
 def is_isotropic(alg: Algebra, s: Subspace) -> bool:
     """True iff s lies in perp(s), that is orthogonal(s, s): the pairings
-    of s's basis with itself, and no perp built."""
+    of s's basis rows u_s, u_t with s < t alone, since the form is
+    alternating, up to the first nonzero one, and no perp built."""
     return orthogonal(s, s, alg.gram)
 
 
 def is_abelian(alg: Algebra, s: Subspace) -> bool:
-    """True iff s s = 0: the product rows are nonzero by construction
-    (see _products), so s is abelian iff there are none."""
-    return len(_product_rows(alg, s, s)) == 0
+    """True iff s s = 0: the products u_s . u_t of s's basis rows with
+    s < t span s s by alternation (see _product_rows), and they are
+    nonzero by construction (see _products), so s is abelian iff there
+    are none."""
+    return not _product_rows(alg, s, s)
 
 
 def _priority_permutation(n: int) -> list[int]:
@@ -755,9 +777,6 @@ def _check_chain(alg: Algebra, chain: list[Subspace], picks: list[dict[int, int]
     """Check (i)-(iii) of isotropic_ideal_chain on the terms I_0..I_n and
     the picked vectors x_0..x_{n-1} alone, (ii) on x_k as its docstring
     argues; a failure raises RuntimeError naming the condition and k.
-
-    A row of I_k that is I_{k+1}'s row at the same pivot lies in I_{k+1},
-    so only I_k's other rows are reduced to test I_k <= I_{k+1}.
     """
     n = alg.n
     m = min(n, 2)
@@ -765,9 +784,7 @@ def _check_chain(alg: Algebra, chain: list[Subspace], picks: list[dict[int, int]
         raise RuntimeError(f"isotropic ideal chain fails (i) I_{m} L = 0 for n={n}")
     for k in range(2, n):
         low, high, x = chain[k], chain[k + 1], picks[k]
-        by_pivot = dict(zip(high.pivots, high.rows))
-        moved = [r for c, r in zip(low.pivots, low.rows) if by_pivot.get(c) != r]
-        if (low.dim, high.dim) != (k, k + 1) or not high._spans(moved):
+        if (low.dim, high.dim) != (k, k + 1) or not high.contains_subspace(low):
             raise RuntimeError(
                 f"isotropic ideal chain fails (ii) I_{k} <= I_{k + 1} of dimensions "
                 f"{k}, {k + 1} at k={k} for n={n}"

@@ -581,15 +581,26 @@ def fingerprint(alg: Algebra) -> tuple:
     """Isomorphism invariants; unequal fingerprints certify non-isomorphism.
 
     Upper dims come off the lower series: by invariance Z_i = perp(L^{i+1}),
-    nilpotent or not, with as many terms (see checks.check_duality)."""
+    nilpotent or not, with as many terms (see checks.check_duality).
+    L^2 L^2 multiplies each pair of L^2's basis rows once, by alternation
+    (see product_space).
+
+    The isotropy flags are decided from the smallest lower term upward.
+    L^{i+1} <= L^i for every algebra, and a subspace of an isotropic space
+    is isotropic, so once a term is not isotropic no larger term is: those
+    flags are False without a test, and the tuple is that of testing every
+    term."""
     low = lower_central_series(alg)
     lsq = low.lower_term(2)
     sq_product = product_space(alg, lsq, lsq)
+    first = len(low.lower)  # low.lower[first:] are the isotropic terms
+    while first and is_isotropic(alg, low.lower[first - 1]):
+        first -= 1
     return (
         low.lower_dims,
         tuple(alg.dim - d for d in low.lower_dims),
         sq_product.dim,
-        tuple(is_isotropic(alg, term) for term in low.lower),
+        tuple(i >= first for i in range(len(low.lower))),
         low.nilpotency_class,
         None if low.nilpotency_class is None else rank(alg),
     )

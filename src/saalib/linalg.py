@@ -240,10 +240,11 @@ class Subspace:
     which makes them usable as dict keys and in chain comparisons.  The
     rows are shared by every reader and must not be changed.
 
-    basis, the same RREF as a read-only int64 array, is built on first read
-    and held, for numpy consumers and outside callers.  Instances are
-    immutable and safe to share across threads: a race on the first read
-    can at worst build the same array twice.
+    basis, the same RREF as a read-only int64 array, and _by_pivot, the
+    rows as a {pivot: row} dict, are each built on first read and held, for
+    numpy consumers and outside callers and for the membership tests and
+    kernels.  Instances are immutable and safe to share across threads: a
+    race on a first read can at worst build the same value twice.
     """
 
     def __init__(self, field: PrimeField, ambient_dim: int, basis):
@@ -266,7 +267,12 @@ class Subspace:
     def _set(self, field, ambient_dim, rows, basis) -> None:
         pivots = _check_rref(rows, ambient_dim, field.p)
         vars(self).update(
-            field=field, ambient_dim=ambient_dim, rows=rows, pivots=pivots, _basis=basis
+            field=field,
+            ambient_dim=ambient_dim,
+            rows=rows,
+            pivots=pivots,
+            _basis=basis,
+            _pivot_rows=None,
         )
 
     def __setattr__(self, name, value):
@@ -296,6 +302,15 @@ class Subspace:
         return basis
 
     @property
+    def _by_pivot(self) -> dict[int, dict[int, int]]:
+        """The RREF as {pivot: row}, built on first read and held; the rows
+        are shared and must not be changed."""
+        by_pivot = self._pivot_rows
+        if by_pivot is None:
+            by_pivot = vars(self)["_pivot_rows"] = dict(zip(self.pivots, self.rows))
+        return by_pivot
+
+    @property
     def dim(self) -> int:
         return len(self.rows)
 
@@ -309,15 +324,21 @@ class Subspace:
         A row lies in the span of the RREF basis iff it equals its pivot
         entries times the basis, so iff its residual is empty.
         """
-        p = self.field.p
-        by_pivot = dict(zip(self.pivots, self.rows))
+        p, by_pivot = self.field.p, self._by_pivot
         for row in rows:
             terms = [(-f, by_pivot[c]) for c, f in row.items() if c in by_pivot]
             yield _reduced(_combine([(1, row), *terms]), p)
 
     def _spans(self, rows) -> bool:
-        """True iff every dict row lies in the subspace (see _residuals)."""
-        return not any(self._residuals(rows))
+        """True iff every nonzero dict row lies in the subspace (see
+        _residuals).
+
+        A row equal to the basis row at its first column lies in the
+        subspace with no residual to compute, so only the other rows are
+        reduced.
+        """
+        by_pivot = self._by_pivot
+        return not any(self._residuals(row for row in rows if by_pivot.get(min(row)) != row))
 
     def contains(self, vector) -> bool:
         vec = self.field.vector(vector, self.ambient_dim)
@@ -388,7 +409,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     _require_same_ambient(a, b)
     p, labels = a.field.p, range(a.ambient_dim)
     annihilators = [
-        row for s in (a, b) for row in _free_kernel(dict(zip(s.pivots, s.rows)), labels, p)
+        row for s in (a, b) for row in _free_kernel(s._by_pivot, labels, p)
     ]
     kernel = _free_kernel(_rref_rows(annihilators, p), labels, p)
     return Subspace._from_rows(a.field, a.ambient_dim, _rref_rows(kernel, p).values())
@@ -427,7 +448,7 @@ class GramMatrix:
         u_rows, v_rows = (_dict_rows(self.field.vector(w, self.dim)[None, :]) for w in (u, v))
         if not (u_rows and v_rows):
             return 0
-        return _pairing_rows(u_rows, v_rows, self.field.p)[0].get(0, 0)
+        return next(_pairing_rows(u_rows, v_rows, self.field.p)).get(0, 0)
 
     def __repr__(self) -> str:
         return f"GramMatrix(n={self.n}, {self.field!r})"
@@ -487,7 +508,7 @@ def _perp_rows(s: Subspace) -> list[dict[int, int]]:
     """Dict rows spanning perp(s): w G for the kernel rows w of s's RREF B
     (_free_kernel), since G^-1 = -G = G^T puts v in perp(s) iff v = w G
     with B w = 0."""
-    kernel = _free_kernel(dict(zip(s.pivots, s.rows)), range(s.ambient_dim), s.field.p)
+    kernel = _free_kernel(s._by_pivot, range(s.ambient_dim), s.field.p)
     return _times_form(kernel, s.field.p)
 
 
@@ -504,38 +525,52 @@ def perp(s: Subspace, g: GramMatrix) -> Subspace:
     return Subspace._from_rows(s.field, s.ambient_dim, kernel)
 
 
-def _pairing_rows(a_rows, b_rows, p: int) -> list[dict[int, int]]:
+def _pairing_rows(a_rows, b_rows, p: int):
     """The pairings (u, v) under the standard form, one dict row
     {t: (u, b_t)} of nonzero residues per dict row u of a_rows, with b_t
-    the rows of b_rows.
+    the rows of b_rows, yielded one at a time, so a caller that stops at
+    the first nonzero row computes no more.
 
     (u, v) = (u G) v^T, with u G read off _times_form.  b's entries are
     indexed by their column, and each pairing sums only the products of
     entries that meet, on Python ints, exact for any p.
+
+    When b_rows is a_rows, the row of u_s holds (u_s, u_t) for t > s alone.
+    The form is alternating, (u, u) = 0 and (v, u) = -(u, v), so these
+    pairings decide every other one.  The rows are then taken from the last
+    one down, each indexed after its own pairings are summed, so each
+    pairing meets only the rows after it.
     """
+    same = b_rows is a_rows
     meets: dict[int, list[tuple[int, int]]] = {}
-    for t, v in enumerate(b_rows):
-        for j, y in v.items():
-            meets.setdefault(j, []).append((t, y))
-    out = []
-    for u in _times_form(a_rows, p):
+    if not same:
+        for t, v in enumerate(b_rows):
+            for j, y in v.items():
+                meets.setdefault(j, []).append((t, y))
+    order = range(len(a_rows) - 1, -1, -1) if same else range(len(a_rows))
+    for s, ug in zip(order, _times_form([a_rows[i] for i in order], p)):
         sums: dict[int, int] = {}
-        for c, x in u.items():
+        for c, x in ug.items():
             for t, y in meets.get(c, ()):
                 sums[t] = sums.get(t, 0) + x * y
-        out.append(_reduced(sums, p))
-    return out
+        yield _reduced(sums, p)
+        if same:
+            for j, y in a_rows[s].items():
+                meets.setdefault(j, []).append((s, y))
 
 
 def orthogonal(a: Subspace, b: Subspace, g: GramMatrix) -> bool:
     """True iff every vector of a pairs to zero with every vector of b.
 
     That is, a lies in perp(b), read off the pairings of the two bases'
-    dict rows (_pairing_rows) instead of building the perp.  The form is
+    dict rows (_pairing_rows) instead of building the perp, up to the first
+    pairing row that is not zero.  For b = a, as for is_isotropic, each
+    pair of basis rows is paired once (see _pairing_rows).  The form is
     non-degenerate, so dim perp(b) = 2n - dim b, and a = perp(b) holds
     exactly when dim a + dim b = 2n and orthogonal(a, b, g).
     """
     for s in (a, b):
         if s.ambient_dim != g.dim or s.field != g.field:
             raise ValueError("ambient mismatch")
-    return not any(_pairing_rows(a.rows, b.rows, g.field.p))
+    rows = a.rows
+    return not any(_pairing_rows(rows, rows if a == b else b.rows, g.field.p))

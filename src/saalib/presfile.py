@@ -136,7 +136,9 @@ def parse_presentation_file(text: str) -> PresentationFile:
         seen[key] = number
         triples.append(t)
 
-    pres = Presentation(n, field, tuple(triples))
+    # each line's triple has passed Presentation's checks above, with its
+    # line number, so they are not run again
+    pres = Presentation._from_checked(n, field, triples)
     return PresentationFile(MAGIC, n, p, kind, pres)
 
 

@@ -40,6 +40,37 @@ def reference_table(alg):
     return table
 
 
+def reference_products(alg, rows):
+    """u . v for every ordered pair (u, v) of the vectors rows, u . u and
+    v . u included, as lists of Python ints: sum u_i v_j table[i][j] over
+    reference_table, so nothing of the alternation the library's products
+    rely on is assumed."""
+    p, dim = alg.field.p, alg.dim
+    table = reference_table(alg)
+    out = []
+    for u in rows:
+        left = [
+            [sum(u[i] * table[i][j][k] for i in range(dim)) for k in range(dim)]
+            for j in range(dim)
+        ]
+        for v in rows:
+            out.append([sum(v[j] * left[j][k] for j in range(dim)) % p for k in range(dim)])
+    return out
+
+
+def reference_pairings(alg, rows):
+    """(u, v) = u G v^T for every ordered pair (u, v) of the vectors rows,
+    (u, u) and (v, u) included, on Python ints over the dense matrix
+    GramMatrix.data, not the library's relabelling by the form."""
+    p, gram = alg.field.p, alg.gram.data.tolist()
+    dim = len(gram)
+    out = []
+    for u in rows:
+        ug = [sum(u[a] * gram[a][b] for a in range(dim)) for b in range(dim)]
+        out += [sum(x * y for x, y in zip(ug, v)) % p for v in rows]
+    return out
+
+
 def reference_chain(alg):
     """The greedy isotropic ideal chain, each step solved for C apart.
 

@@ -239,6 +239,24 @@ def test_basis_is_built_once_read_only_from_the_rows():
         s.rows = ()
 
 
+def test_pivot_rows_are_held_and_basis_rows_need_no_residual(monkeypatch):
+    # the {pivot: row} map is built on first use and held; a row equal to
+    # the basis row at its first column is spanned without a residual, so
+    # a subspace contains itself with no row combined, and any other row is
+    # still reduced
+    field = PrimeField(5)
+    s = Subspace.from_vectors(field, 4, [[1, 2, 0, 3], [2, 4, 1, 1]])
+    by_pivot = s._by_pivot
+    assert s._by_pivot is by_pivot and by_pivot == dict(zip(s.pivots, s.rows))
+    combined = []
+    combine = linalg._combine
+    monkeypatch.setattr(linalg, "_combine", lambda terms: combined.append(1) or combine(terms))
+    assert s.contains_subspace(s) and s._spans([dict(row) for row in s.rows])
+    assert not combined
+    assert s.contains([1, 2, 1, 3]) and not s.contains([0, 1, 0, 0])
+    assert len(combined) == 2
+
+
 def test_subspace_from_rows_refuses_entries_out_of_range():
     # dict rows are not reduced on the way in, so an entry that is no residue
     # mod p, or a column outside the ambient space, is refused

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from saalib import algebra as algebra_module
+from saalib import presfile as presfile_module
 from saalib.algebra import (
     BasisVector,
     Presentation,
@@ -118,6 +120,25 @@ def test_parser_refuses_a_triple_as_presentation_does(a, b, c, value):
         parse_presentation(text)
     assert parsed.value.line == 5
     assert str(parsed.value) == f"line 5: {direct.value}"
+
+
+def test_parser_checks_each_triple_once(monkeypatch):
+    # the parser checks each line's triple, with its line number, and the
+    # Presentation it returns is not checked again; it equals the one that
+    # Presentation(...), which checks every triple, makes of the same triples
+    calls = []
+
+    def counted(t, n, p):
+        calls.append(t)
+        return check(t, n, p)
+
+    check = presfile_module._check_triple
+    monkeypatch.setattr(presfile_module, "_check_triple", counted)
+    monkeypatch.setattr(algebra_module, "_check_triple", counted)
+    pres = parse_presentation(P8_TEXT)
+    assert calls == list(pres.triples) and len(calls) == 3
+    assert pres == Presentation(pres.n, pres.field, pres.triples)
+    assert len(calls) == 6
 
 
 def test_emit_is_canonical_and_stable():

@@ -21,6 +21,8 @@ from saalib.algebra import (
     _row_table,
     build_algebra,
     full_space,
+    is_abelian,
+    is_isotropic,
     isotropic_ideal_chain,
     lower_central_series,
     nilpotency_class,
@@ -29,6 +31,7 @@ from saalib.algebra import (
     upper_central_series,
     zero_space,
 )
+from saalib import construct as construct_module
 from saalib.checks import random_nilpotent_presentation
 from saalib.construct import (
     ScalingWitness,
@@ -56,7 +59,13 @@ from saalib.linalg import (
 )
 from saalib.presfile import emit_presentation, parse_presentation
 
-from references import EXACT_PRIMES, reference_chain, reference_table
+from references import (
+    EXACT_PRIMES,
+    reference_chain,
+    reference_pairings,
+    reference_products,
+    reference_table,
+)
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
 # prime with p * (p - 1) < 2**63
@@ -480,11 +489,20 @@ def test_pairing_rows_match_pairing_matrix(p, n, seed, spans, inside):
         rows = combinations(rng, spans[0], b_perp.basis.tolist(), p) if b_perp.dim else []
     a = Subspace.from_vectors(field, 2 * n, rows)
     matrix = pairing_matrix(a, b, g)
-    pairings = _pairing_rows(a.rows, b.rows, p)
+    pairings = list(_pairing_rows(a.rows, b.rows, p))
     assert len(pairings) == a.dim
     assert all(all(v for v in row.values()) for row in pairings)
     assert np.array_equal(_rows_array(pairings, matrix.shape), matrix)
     assert orthogonal(a, b, g) == (not matrix.any())
+    # a paired with itself: the row of u_s, yielded from the last row down,
+    # holds the nonzero pairings (u_s, u_t) with t > s alone
+    square = pairing_matrix(a, a, g)
+    own = list(_pairing_rows(a.rows, a.rows, p))
+    assert own == [
+        {t: int(square[s, t]) for t in range(s + 1, a.dim) if square[s, t]}
+        for s in reversed(range(a.dim))
+    ]
+    assert orthogonal(a, a, g) == (not square.any())
 
 
 @given(
@@ -623,6 +641,67 @@ def test_fingerprint_and_chain_match_references(p, n, seed, shape):
     assert isotropic_ideal_chain(alg) == expected
 
 
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+@settings(max_examples=25)
+@given(n=st.integers(1, 6), seed=seeds, shape=shapes, span=st.integers(0, 8))
+def test_self_products_and_pairings_match_every_ordered_pair(p, n, seed, shape, span):
+    # product_space(s, s), is_abelian and is_isotropic take each pair of
+    # basis rows once, by alternation; the references take every ordered
+    # pair.  The subspaces are every lower-series term, nilpotent or not, a
+    # random subspace and a random subspace of a random term, so isotropic,
+    # abelian and neither all occur
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    alg = build_algebra(MAKERS[shape](n, field, rng))
+    dim = alg.dim
+    low = lower_central_series(alg).lower
+    term = low[int(rng.integers(len(low)))]
+    inside = combinations(rng, span, term.basis.tolist(), p) if term.dim else []
+    drawn = rng.integers(0, p, size=(span, dim)).tolist()
+    for s in (*low, *(Subspace.from_vectors(field, dim, rows) for rows in (drawn, inside))):
+        rows = s.basis.tolist()
+        products = reference_products(alg, rows)
+        expected, pivots = reference_rref(products, dim, p)
+        assert product_space(alg, s, s).basis.tolist() == expected[: len(pivots)]
+        assert is_abelian(alg, s) == (not pivots)
+        assert is_isotropic(alg, s) == (not any(reference_pairings(alg, rows)))
+
+
+def assert_isotropy_tested_up_to_first_failure(alg):
+    """fingerprint tests no lower term above the smallest non-isotropic
+    one, and its flags are still those of testing every term."""
+    low = lower_central_series(alg).lower
+    flags = tuple(is_isotropic(alg, t) for t in low)
+    tested = []
+
+    def counted(alg, s):
+        tested.append(low.index(s))
+        return is_isotropic(alg, s)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(construct_module, "is_isotropic", counted)
+        assert fingerprint(alg)[3] == flags
+    failures = [i for i, flag in enumerate(flags) if not flag]
+    assert sorted(tested) == list(range(failures[-1] if failures else 0, len(low)))
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+@settings(max_examples=25)
+@given(n=st.integers(1, 6), seed=seeds, shape=shapes)
+def test_fingerprint_tests_isotropy_up_to_the_first_failure(p, n, seed, shape):
+    alg = build_algebra(MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
+    assert_isotropy_tested_up_to_first_failure(alg)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("entry", catalog(), ids=lambda entry: entry.name)
+def test_fingerprint_of_catalog_tests_isotropy_up_to_the_first_failure(entry, p):
+    # every catalog algebra has at least three terms that are not isotropic
+    alg = build_algebra(entry.presentation(PrimeField(p)))
+    assert fingerprint(alg)[3][:3] == (False, False, False)
+    assert_isotropy_tested_up_to_first_failure(alg)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=25)
 @given(n=st.integers(2, 6), seed=seeds, sparse=st.booleans(), nrows=st.integers(0, 6))
@@ -645,10 +724,18 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     assert dense.shape == (nrows + 1, dim, len(cols))
     pairs = table[np.triu_indices(dim, 1)][:, cols]
     contracted = np.stack([right.astype(object) @ block % p for block in dense])
+    # left times itself, right is left: u_s . u_t for s < t alone, over the
+    # nonzero rows of left, which _dict_rows keeps
+    nonzero = left.any(axis=1)
+    kept, kept_dense = left[nonzero].astype(object), dense[nonzero]
+    pairs_st = zip(*np.triu_indices(len(kept), 1))
+    own = np.array([kept[t] @ kept_dense[s] % p for s, t in pairs_st], dtype=object)
+    left_rows = _dict_rows(left)
     for expected, rows in (
         (dense, _products(alg, _dict_rows(left), cols)),
         (pairs, _products(alg, None, cols)),
         (contracted, _products(alg, _dict_rows(left), cols, _dict_rows(right))),
+        (own, _products(alg, left_rows, cols, left_rows)),
     ):
         expected = expected.reshape(-1, len(cols)).astype(np.int64)
         expected = expected[expected.any(axis=1)]
