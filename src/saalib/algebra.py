@@ -533,69 +533,50 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
 
-def _centralizer_step(
-    alg: Algebra, spanning: tuple[dict[int, int], ...] | None
-) -> tuple[Subspace, tuple[dict[int, int], ...]]:
-    """C = {v : v . e_k lies in z for every basis vector e_k}, given dict
-    rows spanning perp(z), and a tuple of dict rows spanning perp(C); one
-    elimination.
+def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
+    """{v : v . e_k lies in z for every basis vector e_k}; one elimination.
 
     The form is non-degenerate, so z = perp(perp(z)), and it is invariant,
     (v e_k, w) = (v, e_k w).  So v . e_k lies in z for every k iff v is
     orthogonal to every product w . e_k with w in perp(z).  Those products
     span S, and their nonzero dict rows (_products), times the form, are
-    the conditions on v, so C = perp(S).  One elimination (_orthogonal, in
-    the natural order) yields both C's canonical basis and RREF rows
-    spanning S G with reversed columns, j at dim - 1 - j.  The reversal
-    after c -> c ^ 1 keeps the parity of c, so it is its own inverse, and
-    _times_form with it as key takes those rows back to rows times
-    G^T = G^-1, which span S = perp(C).  The identity holds for every
-    subspace z, and for an ideal z (z L <= z), as every upper-series and
-    chain term is, z lies in C.  spanning None stands for the identity
-    rows, which span perp(0) = L.  No rows span perp(L) = 0, and then
-    C = L without an elimination.
+    the conditions on v, so the centralizer is perp(S), eliminated once in
+    the natural order (_orthogonal).  The rows spanning perp(z) are read off
+    z's basis (_perp_rows); for z = 0 they are the basis vectors, so S is
+    spanned by the products e_i . e_j with i < j alone (see _products).
+    The identity holds for every subspace z, and for an ideal z (z L <= z),
+    as every upper-series and chain term is, z lies in the centralizer.
+    For z = L no rows span perp(L) = 0, and L is returned without an
+    elimination.
     """
     p, dim = alg.field.p, alg.dim
-    if spanning is not None and not spanning:
-        return full_space(alg), spanning
-    kernel, row_space = _orthogonal(_products(alg, spanning, range(dim)), range(dim), p)
-    back = _times_form(row_space.values(), p, range(dim - 1, -1, -1))
-    return Subspace._from_rows(alg.field, dim, kernel), tuple(back)
-
-
-def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
-    """{v : v . e_k lies in z for every basis vector e_k}: _centralizer_step
-    from z's kernel rows times the form, which span perp(z) (_perp_rows).
-    No package code calls it: the upper series and the chain build their
-    rows spanning perp themselves."""
-    return _centralizer_step(alg, tuple(_perp_rows(z)))[0]
+    if z.dim == dim:
+        return z
+    spanning = _perp_rows(z) if z.dim else None
+    kernel = _orthogonal(_products(alg, spanning, range(dim)), range(dim), p)
+    return Subspace._from_rows(alg.field, dim, kernel)
 
 
 @_held
-def _center(alg: Algebra) -> tuple[Subspace, tuple[dict[int, int], ...]]:
-    """Z_1 = {v : v L = 0}, and dict rows spanning perp(Z_1).
-
-    One _centralizer_step from the identity rows, which span perp(0) = L.
-    The rows are held for upper_central_series, so the centre is eliminated
-    once whether rank, the chain or the upper series asks first.
+def _center(alg: Algebra) -> Subspace:
+    """Z_1 = {v : v L = 0}, the centralizer above 0, held so that it is
+    eliminated once whether rank, the chain or the upper series asks first.
     """
-    return _centralizer_step(alg, None)
+    return _centralizer_above(alg, zero_space(alg))
 
 
 @_held
 def upper_central_series(alg: Algebra) -> SeriesReport:
     """Z_0 = 0, Z_{i+1} = {v : v L <= Z_i}, computed until stabilization.
 
-    Each term is one _centralizer_step, one elimination, from the rows
-    spanning perp(Z_i) that the step before it returned, starting from
-    the centre's.  The series reads nothing from the lower series, so
-    check_duality compares two independent computations.
+    Each term after the centre is the centralizer above the one before it
+    (_centralizer_above), one elimination.  The series reads nothing from
+    the lower series, so check_duality compares two independent
+    computations.
     """
-    center, spanning = _center(alg)
-    terms = [zero_space(alg), center]
+    terms = [zero_space(alg), _center(alg)]
     while terms[-1] != terms[-2]:
-        term, spanning = _centralizer_step(alg, spanning)
-        terms.append(term)
+        terms.append(_centralizer_above(alg, terms[-1]))
     return SeriesReport(upper=tuple(terms[:-1]))
 
 
@@ -609,7 +590,7 @@ def rank(alg: Algebra) -> int:
     if low.nilpotency_class is None:
         raise NotNilpotentError("rank requires a nilpotent algebra")
     r = alg.dim - low.lower_term(2).dim
-    z1 = _center(alg)[0]
+    z1 = _center(alg)
     if z1.dim != r:
         raise RuntimeError(f"rank cross-check failed: dim L - dim L^2 = {r}, dim Z_1 = {z1.dim}")
     return r
@@ -692,12 +673,13 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     whenever any path does.  ChainError names the step k at which no
     candidate extends I_k.
 
-    Each step is one kernel: C = perp(S), S spanned by the held rows
-    spanning perp(Z) for k < 2 (_center) and by perp(I_k) L after that (by
-    invariance, see _centralizer_step), so w is the set of vectors
-    orthogonal to S and to I_k, in RREF in the priority order.  The rows of
-    S and I_k, times G and keyed at the reversed priority ranks, are
-    eliminated once (_keyed_orthogonal, the layer under _orthogonal).
+    Each step is one kernel: C = perp(S), S spanned for k < 2 by the rows
+    spanning perp(Z), read once off the centre's basis before the loop
+    (_perp_rows), and by perp(I_k) L after that (by invariance, see
+    _centralizer_above), so w is the set of vectors orthogonal to S and to
+    I_k, in RREF in the priority order.  The rows of S and I_k, times G and
+    keyed at the reversed priority ranks, are eliminated once
+    (_keyed_orthogonal, the layer under _orthogonal).
 
     From k = 2 on, the loop holds rows spanning perp(I_k), made once by
     _perp_rows(I_2), each with its products by every basis vector e_j, read
@@ -741,15 +723,16 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     rank, key = {c: t for t, c in enumerate(perm)}, _reversed_ranks(perm)
     chain, picks = [zero_space(alg)], []
     ordered: dict[int, dict[int, int]] = {}
+    centre = _perp_rows(_center(alg))
     for k in range(n):
         current = chain[k]
         if k < 2:
-            carried = _times_form(_center(alg)[1], p, key)
+            carried = _times_form(centre, p, key)
         else:
             if k == 2:
                 held, holders = _perp_products(alg, current, key)
             carried = [dict(row) for _, prods in held.values() for row in prods.values()]
-        candidates, _ = _keyed_orthogonal([*carried, *_times_form(current.rows, p, key)], perm, p)
+        candidates = _keyed_orthogonal([*carried, *_times_form(current.rows, p, key)], perm, p)
         row = next(
             (c for c in candidates if ordered.get(min(c, key=rank.__getitem__)) != c), None
         )

@@ -14,9 +14,10 @@ The fixed coordinate convention everywhere in this package is
     x_1, y_1, x_2, y_2, ..., x_n, y_n  ->  coordinates 0, 1, ..., 2n-1
 
 (x_i at 2(i-1), y_i at 2i-1 in 0-based indexing).  The standard form
-GramMatrix(field, n) acts on dict rows in one place (_times_form), and
-every orthogonal complement is one elimination (_keyed_orthogonal, which
-_orthogonal feeds rows it relabels).
+GramMatrix(field, n) acts on dict rows in one place (_times_form).  The
+rows spanning a subspace's perp are read off its basis in one place
+(_perp_rows), and the vectors orthogonal to arbitrary rows are one
+elimination (_keyed_orthogonal, which _orthogonal feeds rows it relabels).
 """
 
 from __future__ import annotations
@@ -472,25 +473,22 @@ def _reversed_ranks(order) -> dict[int, int]:
     return dict(zip(order, reversed(range(len(order)))))
 
 
-def _orthogonal(rows, order, p: int) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
-    """(K, R) from one elimination: K the canonical RREF basis, as dict rows,
-    of the vectors orthogonal to every dict row, with the columns ranked by
-    order (order[0] first); R the RREF {pivot: row} of the rows times G, the
-    column order[t] keyed at len(order) - 1 - t.
+def _orthogonal(rows, order, p: int) -> list[dict[int, int]]:
+    """The canonical RREF basis, as dict rows, of the vectors orthogonal to
+    every dict row, with the columns ranked by order (order[0] first); one
+    elimination.
 
-    v is orthogonal to u iff (u G) v = 0, so K is the right kernel of the
-    rows times G.  This layer relabels the rows, once, by _times_form with
-    the reversed ranks as key (_reversed_ranks), and _keyed_orthogonal
-    eliminates them; a caller that holds its rows already relabelled calls
-    that layer directly.
+    v is orthogonal to u iff (u G) v = 0, so the basis is the right kernel
+    of the rows times G.  This layer relabels the rows, once, by
+    _times_form with the reversed ranks as key (_reversed_ranks), and
+    _keyed_orthogonal eliminates them; a caller that holds its rows already
+    relabelled calls that layer directly.
     """
     return _keyed_orthogonal(_times_form(rows, p, _reversed_ranks(order)), order, p)
 
 
-def _keyed_orthogonal(
-    keyed, order, p: int
-) -> tuple[list[dict[int, int]], dict[int, dict[int, int]]]:
-    """(K, R) of _orthogonal from dict rows already times G and keyed at
+def _keyed_orthogonal(keyed, order, p: int) -> list[dict[int, int]]:
+    """The basis of _orthogonal from dict rows already times G and keyed at
     the reversed ranks of order (_reversed_ranks); the rows are consumed.
 
     Keyed at reversed ranks, a kernel row (see _free_kernel) has its 1 at a
@@ -500,14 +498,14 @@ def _keyed_orthogonal(
     increasing rank of their free columns, these rows are thus the RREF in
     that order, and no second elimination is needed.
     """
-    basis = _rref_rows(keyed, p)
-    return _free_kernel(basis, order[::-1], p)[::-1], basis
+    return _free_kernel(_rref_rows(keyed, p), order[::-1], p)[::-1]
 
 
 def _perp_rows(s: Subspace) -> list[dict[int, int]]:
-    """Dict rows spanning perp(s): w G for the kernel rows w of s's RREF B
-    (_free_kernel), since G^-1 = -G = G^T puts v in perp(s) iff v = w G
-    with B w = 0."""
+    """Independent dict rows spanning perp(s): w G for the kernel rows w of
+    s's RREF B (_free_kernel), since G^-1 = -G = G^T puts v in perp(s) iff
+    v = w G with B w = 0.  This is the one place a perp is read off a
+    basis."""
     kernel = _free_kernel(s._by_pivot, range(s.ambient_dim), s.field.p)
     return _times_form(kernel, s.field.p)
 
@@ -516,13 +514,13 @@ def perp(s: Subspace, g: GramMatrix) -> Subspace:
     """The orthogonal complement {v : (u, v) = 0 for all u in s}.
 
     dim s + dim perp(s) = 2n and perp(perp(s)) = s since the form is
-    non-degenerate.  One elimination of s's basis rows times the form, in
-    the natural column order, gives the canonical basis (_orthogonal).
+    non-degenerate.  The 2n - dim s rows read off s's basis (_perp_rows)
+    are reduced by one elimination to the canonical basis.
     """
     if s.ambient_dim != g.dim or s.field != g.field:
         raise ValueError("ambient mismatch")
-    kernel, _ = _orthogonal(s.rows, range(s.ambient_dim), s.field.p)
-    return Subspace._from_rows(s.field, s.ambient_dim, kernel)
+    basis = _rref_rows(_perp_rows(s), s.field.p)
+    return Subspace._from_rows(s.field, s.ambient_dim, basis.values())
 
 
 def _pairing_rows(a_rows, b_rows, p: int):

@@ -89,7 +89,7 @@ def reference_chain(alg):
     chain = [zero_space(alg)]
     for k in range(n):
         current = chain[k]
-        above = _center(alg)[0] if k < 2 else _centralizer_above(alg, current)
+        above = _center(alg) if k < 2 else _centralizer_above(alg, current)
         pairings = _rref_rows(_pairing_rows(current.rows, above.rows, p), p)
         w = [
             _reduced(_combine([(c, above.rows[t]) for t, c in row.items()]), p)

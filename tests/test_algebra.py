@@ -273,28 +273,28 @@ def test_build_algebra_holds_no_dense_form():
 
 
 def test_each_series_computed_once_per_algebra(monkeypatch):
-    # the upper series takes one centralizer step per term, each with exactly
-    # one elimination, on Z_1, ..., Z_cls = L, and one more that reads the
-    # repeated L off the empty rows spanning perp(L) with none; the lower
-    # series takes one elimination per step, and during verify_report no
-    # other elimination runs in algebra, directly or through linalg
+    # the upper series takes one centralizer per term, each with exactly one
+    # elimination, on Z_1, ..., Z_cls = L, and one more that returns the
+    # repeated L above L with none; the lower series takes one elimination
+    # per step, and during verify_report no other elimination runs in
+    # algebra, directly or through linalg
     steps, lower_steps, inside = [], [], []
-    step, eliminate = algebra_module._centralizer_step, linalg_module._rref_rows
+    above, eliminate = algebra_module._centralizer_above, linalg_module._rref_rows
 
-    def counted_step(alg, spanning):
+    def counted_above(alg, z):
         inside.append([])
         try:
-            term, above = step(alg, spanning)
+            term = above(alg, z)
         finally:
             eliminations = inside.pop()
         steps.append((term.dim, len(eliminations)))
-        return term, above
+        return term
 
     def counted_eliminate(*args):
         (inside[-1] if inside else lower_steps).append(args)
         return eliminate(*args)
 
-    monkeypatch.setattr(algebra_module, "_centralizer_step", counted_step)
+    monkeypatch.setattr(algebra_module, "_centralizer_above", counted_above)
     monkeypatch.setattr(algebra_module, "_rref_rows", counted_eliminate)
     monkeypatch.setattr(linalg_module, "_rref_rows", counted_eliminate)
     for name, upper_dims in (
@@ -316,21 +316,21 @@ def test_each_series_computed_once_per_algebra(monkeypatch):
         assert rank(report_first) == r == 2
 
 
-def test_held_centre_rows_are_read_only_and_span_its_perp():
-    # the dict rows _center holds for the upper series are shared like every
-    # held value, so they come in a tuple, which refuses writes; each step's
-    # rows span the perp of its term
+def test_centre_is_held_and_each_upper_term_is_the_centralizer_above_the_last():
+    # the centre is the centralizer above 0, computed once and held; the
+    # upper series starts from that same object, and each later term is the
+    # centralizer above the term before it, up to L, above which L repeats
     alg = build_algebra(catalog_entry("P12-2-1").presentation(F3))
-    center, rows = algebra_module._center(alg)
-    with pytest.raises(TypeError):
-        rows[0] = {}
-    assert algebra_module._center(alg)[1] is rows
-    for term in upper_central_series(alg).upper[1:]:
-        spanning = _rows_array(rows, (len(rows), alg.dim))
-        assert Subspace.from_vectors(F3, alg.dim, spanning) == perp(term, alg.gram)
-        following, rows = algebra_module._centralizer_step(alg, rows)
-        assert isinstance(rows, tuple)
-    assert following == full_space(alg) and rows == ()
+    center = algebra_module._center(alg)
+    assert isinstance(center, Subspace)
+    assert algebra_module._center(alg) is center
+    upper = upper_central_series(alg).upper
+    assert upper[1] is center
+    assert center == algebra_module._centralizer_above(alg, zero_space(alg))
+    for below, term in zip(upper, upper[1:]):
+        assert algebra_module._centralizer_above(alg, below) == term
+    assert upper[-1] == full_space(alg)
+    assert algebra_module._centralizer_above(alg, upper[-1]) == full_space(alg)
 
 
 def test_held_series_shared_across_threads():
@@ -522,14 +522,15 @@ def relabelled(pres):
     [(False, r"fails \(i\) I_2 L = 0 for n="), (True, r"fails \(ii\) I_3 L <= I_2 at k=2 for n=")],
 )
 def test_chain_check_refuses_a_chain_outside_the_centralizers(monkeypatch, above_zero, failing):
-    # no rows span perp(I_k) for k >= 2, so those steps take no product rows
-    # and their candidates range over perp(I_k), not C; the centre's rows
-    # are dropped too unless above_zero keeps them; with the indices
+    # the steps k >= 2 carry no rows spanning perp(I_k), so they take no
+    # product rows and their candidates range over perp(I_k), not C; unless
+    # above_zero keeps the centre, it is taken to be L, whose perp no rows
+    # span, so the steps k < 2 range over perp(I_k) too; with the indices
     # reversed the priority order then takes vectors whose products leave
     # the chain
-    monkeypatch.setattr(algebra_module, "_perp_rows", lambda s: [])
+    monkeypatch.setattr(algebra_module, "_perp_products", lambda alg, s, key: ({}, {}))
     if not above_zero:
-        monkeypatch.setattr(algebra_module, "_center", lambda alg: (full_space(alg), ()))
+        monkeypatch.setattr(algebra_module, "_center", full_space)
     for entry in catalog():
         alg = build_algebra(relabelled(entry.presentation(F3, r=1)))
         with pytest.raises(RuntimeError, match=failing) as info:
@@ -667,8 +668,7 @@ def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
     kernel = algebra_module._keyed_orthogonal
 
     def doubled(rows, order, p):
-        candidates, basis = kernel(rows, order, p)
-        return [{c: 2 * v % p for c, v in row.items()} for row in candidates], basis
+        return [{c: 2 * v % p for c, v in row.items()} for row in kernel(rows, order, p)]
 
     alg = build_algebra(catalog_entry("P8-2-1").presentation(F3, r=1))
     algebra_module._center(alg)

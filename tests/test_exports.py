@@ -67,3 +67,46 @@ def test_form_index_rule_lives_in_two_places():
         path = Path(importlib.import_module(f"saalib.{name}").__file__)
         sites.update(form_index_sites(ast.parse(path.read_text(encoding="utf-8")), name))
     assert sorted(sites) == ["algebra._row_table", "linalg._times_form"]
+
+
+# module-level private functions that no code in the package calls, each
+# with the reason it stays
+UNREFERENCED = {
+    "_rref_array": "bench/tracer.py's TARGETS looks it up by name as a traced layer",
+}
+
+
+def private_functions_and_references(tree):
+    """(names, referenced): the module-level private functions the tree
+    defines, and every name it reads in code, as a Name or an attribute.
+
+    Docstrings and other strings are constants, not names, so a function
+    named only in prose is not referenced; neither is one named only in an
+    import, or only inside its own body."""
+    names, referenced = set(), set()
+    for node in tree.body:
+        own = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = node.name
+            if own.startswith("_") and not own.startswith("__"):
+                names.add(own)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read = sub.id
+            elif isinstance(sub, ast.Attribute):
+                read = sub.attr
+            else:
+                continue
+            if read != own:
+                referenced.add(read)
+    return names, referenced
+
+
+def test_every_private_function_is_referenced():
+    defined, referenced = set(), set()
+    for name in MODULES:
+        path = Path(importlib.import_module(f"saalib.{name}").__file__)
+        names, reads = private_functions_and_references(ast.parse(path.read_text(encoding="utf-8")))
+        defined |= names
+        referenced |= reads
+    assert sorted(defined - referenced) == sorted(UNREFERENCED)
