@@ -1,9 +1,10 @@
 """Generative constructions: the omega threshold recursion, the minimal
 class prediction, rank-2 algebras of predicted minimal class for
-half-dimensions n >= 4 (n = 13 and n = 69..81 are known gaps: the low
-generators cannot cover the outer pair shell, and ConstructionError is
-raised), the catalog of known minimal presentations up to dimension 16,
-and an exact diagonal scaling-isomorphism solve.
+half-dimensions n >= 4 (n = 13, n = 69..81 and n = 2281..2832 are known
+gaps: the low generators cannot cover the outer pair shell, and
+ConstructionError is raised; n = 2833..3000 build with class 13), the
+catalog of known minimal presentations up to dimension 16, and an exact
+diagonal scaling-isomorphism solve.
 
 The builder works with shells of the standard basis.  Writing W(r) for
 omega(r), the top W(r) x-vectors form the r-th generator shell and the
@@ -113,17 +114,14 @@ def predict_min_class(n: int) -> ClassPrediction:
 # triple sets
 
 
-def _pair_shell(n: int, r: int) -> list[tuple[int, int]]:
-    """y-index pairs from the top omega(r) block, minus the block above."""
-    lo_outer = n - omega(r) + 1
-    lo_inner = n - omega(r - 1) + 1
-    pairs = []
-    for i in range(lo_outer, n + 1):
+def _pair_shell(n: int, r: int):
+    """y-index pairs (i, j), i < j, of the top omega(r) block minus the block
+    above, in lexicographic order: those whose smaller index i lies in the
+    outer block.  Yielded one at a time; the shell at r = 6 has 2,595,782
+    pairs."""
+    for i in range(n - omega(r) + 1, n - omega(r - 1) + 1):
         for j in range(i + 1, n + 1):
-            if i >= lo_inner and j >= lo_inner:
-                continue
-            pairs.append((i, j))
-    return pairs
+            yield i, j
 
 
 def _x_shell(n: int, r: int) -> list[int]:
@@ -187,10 +185,8 @@ class TripleSet:
                 bijection_ok = False
         report["shell_bijection"] = bijection_ok
 
-        sets = [frozenset(t) for t in self.triples]
-        report["no_common_pair"] = all(
-            len(s & t) <= 1 for s, t in itertools.combinations(sets, 2)
-        )
+        pairs = [q for t in self.triples for q in _pairs_within(t)]
+        report["no_common_pair"] = len(pairs) == len(set(pairs))
 
         involved = {v for t in self.triples for v in t}
         required = {BasisVector("x", i) for i in range(1, n - 1)}
@@ -227,37 +223,53 @@ def _base_assignment(n: int, m: int) -> list:
 def _injection(gens, pairs, cover) -> list | None:
     """Give each generator, in order, the first unused pair after which the
     generators still to come, at two indices each, can cover the rest of
-    cover.  None if some generator finds no such pair."""
-    uncovered, free, chosen = set(cover), list(pairs), []
+    cover.  None if some generator finds no such pair.
+
+    A pair (i, j), i < j, may be taken when its count of uncovered entries
+    reaches need = |uncovered| - 2 * rest, rest being the generators after
+    this one.  Taking a pair removes at most two indices and lowers rest by
+    one, so need never falls; and a pair's count never rises, since
+    uncovered only shrinks.  So a pair passed over is never chosen later,
+    and one forward walk over the pairs makes every choice.
+    """
+    uncovered, cursor, chosen = set(cover), iter(pairs), []
     for rest, g in zip(range(len(gens) - 1, -1, -1), gens):
-        pair = next((q for q in free if len(uncovered.difference(q)) <= 2 * rest), None)
+        need = len(uncovered) - 2 * rest
+        pair = next(((i, j) for i, j in cursor if (i in uncovered) + (j in uncovered) >= need), None)
         if pair is None:
             return None
-        free.remove(pair)
         uncovered.difference_update(pair)
         chosen.append((g, *pair))
     return None if uncovered else chosen
 
 
-def _w_completion(existing: list[set[int]], lows, n: int) -> list | None:
+def _pairs_within(entries) -> list[frozenset]:
+    """The 2-subsets of a triple's entries (of a pair's: the pair itself).
+    Two triples share two entries iff they share one of these."""
+    return [frozenset(q) for q in itertools.combinations(set(entries), 2)]
+
+
+def _w_completion(existing, lows, n: int) -> list | None:
     """All-y triples, chosen greedily, that involve every low y index.
 
     For the lowest uncovered index a the first triple is taken among
     (a, b, c) with b ascending and c descending, then (i, a, c) with i
     descending and c descending, that shares at most one y index with every
-    triple chosen so far or in existing.  None if some a has no such triple.
+    triple chosen so far or index set in existing.  None if some a has no
+    such triple.
     """
-    taken, chosen, uncovered = list(existing), [], set(lows)
+    used = {q for s in existing for q in _pairs_within(s)}
+    chosen, uncovered = [], set(lows)
     while uncovered:
         a = min(uncovered)
         candidates = itertools.chain(
             ((a, b, c) for b in range(a + 1, n + 1) for c in range(n, b, -1)),
             ((i, a, c) for i in range(a - 1, 0, -1) for c in range(n, a, -1)),
         )
-        tri = next((t for t in candidates if all(len(s.intersection(t)) <= 1 for s in taken)), None)
+        tri = next((t for t in candidates if used.isdisjoint(_pairs_within(t))), None)
         if tri is None:
             return None
-        taken.append(set(tri))
+        used.update(_pairs_within(tri))
         chosen.append(tri)
         uncovered.difference_update(tri)
     return chosen
@@ -285,8 +297,9 @@ def minimal_algebra(n: int, field: PrimeField) -> tuple[TripleSet, Algebra]:
     satisfy its properties and its algebra must verify; the algebra is
     returned with its triple set and holds the lower series and the centre
     its verification computed.  Raises ConstructionError naming the step
-    that failed.  At n = 13 and n = 69..81 the low generators cover at most
-    two new indices each, too few for the outer pair shell.
+    that failed.  At n = 13, n = 69..81 and n = 2281..2832 the low
+    generators cover at most two new indices each, too few for the outer
+    pair shell; every other n up to 3000 builds.
     """
     pred = predict_min_class(n)
     m = pred.m

@@ -1,6 +1,6 @@
 """Independent references that several test modules share."""
 
-from itertools import combinations, compress, permutations
+from itertools import chain, combinations, compress, permutations
 
 from saalib.algebra import (
     ChainError,
@@ -9,6 +9,7 @@ from saalib.algebra import (
     _priority_permutation,
     zero_space,
 )
+from saalib.construct import omega
 from saalib.linalg import Subspace, _combine, _free_kernel, _pairing_rows, _reduced, _rref_rows
 
 # 268435399 is the largest prime below 2**28, 2147483647 is 2**31 - 1, and
@@ -106,3 +107,60 @@ def reference_chain(alg):
         basis = _rref_rows([*map(dict, current.rows), row], p)
         chain.append(Subspace._from_rows(alg.field, dim, basis.values()))
     return chain
+
+
+def reference_pair_shell(n, r):
+    """The r-th pair shell as a list: every pair (i, j), i < j, of the top
+    omega(r) y indices, skipping those with both entries in the top
+    omega(r - 1)."""
+    lo_outer = n - omega(r) + 1
+    lo_inner = n - omega(r - 1) + 1
+    pairs = []
+    for i in range(lo_outer, n + 1):
+        for j in range(i + 1, n + 1):
+            if i >= lo_inner and j >= lo_inner:
+                continue
+            pairs.append((i, j))
+    return pairs
+
+
+def reference_injection(gens, pairs, cover):
+    """Each generator, in order, takes the first pair still free, scanning
+    from the start of the list, after which the generators still to come,
+    at two indices each, can cover the rest of cover; the pair is then
+    removed.  None if some generator finds no such pair or cover is left."""
+    uncovered, free, chosen = set(cover), list(pairs), []
+    for rest, g in zip(range(len(gens) - 1, -1, -1), gens):
+        pair = next((q for q in free if len(uncovered.difference(q)) <= 2 * rest), None)
+        if pair is None:
+            return None
+        free.remove(pair)
+        uncovered.difference_update(pair)
+        chosen.append((g, *pair))
+    return None if uncovered else chosen
+
+
+def reference_no_common_pair(triples):
+    """True iff no two of the triples, taken as sets, share two entries:
+    every two of them are intersected."""
+    sets = [frozenset(t) for t in triples]
+    return all(len(s & t) <= 1 for s, t in combinations(sets, 2))
+
+
+def reference_w_completion(existing, lows, n):
+    """construct._w_completion with each candidate intersected with every
+    index set taken so far, existing included."""
+    taken, chosen, uncovered = list(existing), [], set(lows)
+    while uncovered:
+        a = min(uncovered)
+        candidates = chain(
+            ((a, b, c) for b in range(a + 1, n + 1) for c in range(n, b, -1)),
+            ((i, a, c) for i in range(a - 1, 0, -1) for c in range(n, a, -1)),
+        )
+        tri = next((t for t in candidates if all(len(s.intersection(t)) <= 1 for s in taken)), None)
+        if tri is None:
+            return None
+        taken.append(set(tri))
+        chosen.append(tri)
+        uncovered.difference_update(tri)
+    return chosen

@@ -1,6 +1,7 @@
 """Omega recursion, class prediction, minimal constructions, catalog,
 scaling isomorphisms and fingerprints."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -130,9 +131,9 @@ def test_injection_fails_exactly_at_the_gaps():
     assert gaps == [13, *range(69, 82)]
 
 
-def test_base_assignments_first_yield_is_lazy():
-    # from n = 69 the fourth pair shell has 56 pairs; materialising its
-    # permutations once ran out of memory
+def test_base_assignment_at_n_69_stays_small():
+    # the base assignment is one list that zips each shell r < m = 5 with
+    # its pair shell, 1 + 2 + 7 + 56 triples, under 5 MiB to build
     tracemalloc.start()
     try:
         base = construct._base_assignment(69, 5)
@@ -141,6 +142,19 @@ def test_base_assignments_first_yield_is_lazy():
         tracemalloc.stop()
     assert peak < 5 * 2**20
     assert len(base) == 1 + 2 + 7 + 56
+
+
+def test_pair_shell_is_lazy():
+    # the sixth pair shell has 2,595,782 pairs, about 239 MiB as a list of
+    # tuples; its first pairs must come without holding the rest
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(construct._pair_shell(2833, 6), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert first == [(554, j) for j in range(555, 565)]
 
 
 def test_minimal_algebra_at_dimension_400_stays_small():
@@ -170,6 +184,30 @@ def test_construct_sweep_self_verifies():
             assert (report.nilpotency_class, report.rank) == (predicted, 2), (n, p)
             assert validate_nilpotent_presentation(alg.presentation), (n, p)
             assert tset.satisfies_properties(), (n, p)
+
+
+@pytest.mark.slow
+def test_minimal_algebra_past_omega_6():
+    # n = 2833 is the first n past omega(6) = 2280 outside the gap
+    # 2281..2832; the outer pair shell there is walked once, lazily
+    tracemalloc.start()
+    try:
+        tset, alg = minimal_algebra(2833, F3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert (nilpotency_class(alg), rank(alg), len(tset.triples)) == (13, 2, 3384)
+    assert tset.satisfies_properties()
+    # each gap walks the whole outer pair shell, 2.6 M pairs, exactly once:
+    # about a second of CPU time, so 20 s leaves a wide margin
+    for n in (2281, 2832):
+        start = time.process_time()
+        with pytest.raises(
+            ConstructionError, match=f"n={n} .*: the low generators cannot cover the outer pair shell$"
+        ):
+            minimal_algebra(n, F3)
+        assert time.process_time() - start < 20
 
 
 def test_construct_triple_set_shapes():

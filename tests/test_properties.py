@@ -39,7 +39,10 @@ from saalib.construct import (
     catalog,
     construct_minimal,
     fingerprint,
+    TripleSet,
     minimal_algebra,
+    omega,
+    predict_min_class,
     try_scaling_isomorphism,
     verify_scaling_witness,
 )
@@ -62,9 +65,13 @@ from saalib.presfile import emit_presentation, parse_presentation
 from references import (
     EXACT_PRIMES,
     reference_chain,
+    reference_injection,
+    reference_no_common_pair,
+    reference_pair_shell,
     reference_pairings,
     reference_products,
     reference_table,
+    reference_w_completion,
 )
 
 # small primes, the largest prime below 2**28, 2**31 - 1, and the largest
@@ -889,3 +896,86 @@ def test_orientation_of_general_presentations(pres):
     again = parse_presentation(text)
     assert StructureTensor.from_presentation(again) == tensor
     assert emit_presentation(again) == text
+
+
+def outer_injection_inputs(n):
+    """The outer level m, the low generators and the outer block to cover,
+    as minimal_algebra hands them to _injection."""
+    pred = predict_min_class(n)
+    k_low = n - omega(pred.m)
+    kinds = "xy" if pred.case == "ONE" else "x"
+    gens = [(kind, k) for k in range(k_low, 0, -1) for kind in kinds]
+    return pred.m, gens, range(k_low + 1, n - omega(pred.m - 1) + 1)
+
+
+def test_pair_shells_and_injection_match_the_references_up_to_300():
+    # the gaps n = 13 and 69..81 are among these, where both return None
+    for n in range(4, 301):
+        m, gens, cover = outer_injection_inputs(n)
+        for r in range(1, m + 1):
+            assert list(construct_module._pair_shell(n, r)) == reference_pair_shell(n, r), (n, r)
+        chosen = construct_module._injection(gens, construct_module._pair_shell(n, m), cover)
+        assert chosen == reference_injection(gens, reference_pair_shell(n, m), cover), n
+
+
+# pairs (i, j), i < j, as the shells hold them
+index_pairs = st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True).map(
+    lambda q: tuple(sorted(q))
+)
+
+
+@settings(max_examples=300)
+@given(
+    count=st.integers(0, 8),
+    pairs=st.lists(index_pairs, max_size=30),
+    cover=st.sets(st.integers(1, 10), max_size=10),
+)
+def test_injection_cursor_matches_the_rescanning_reference(count, pairs, cover):
+    gens = [("x", k) for k in range(count, 0, -1)]
+    assert construct_module._injection(gens, iter(pairs), cover) == reference_injection(
+        gens, pairs, cover
+    )
+
+
+small_vectors = st.builds(BasisVector, st.sampled_from("xy"), st.integers(1, 4))
+
+
+@settings(max_examples=300)
+@given(triples=st.lists(st.tuples(small_vectors, small_vectors, small_vectors), max_size=8))
+@example(triples=[(BasisVector("x", 1), BasisVector("y", 2), BasisVector("y", 3)),
+                  (BasisVector("y", 1), BasisVector("y", 2), BasisVector("y", 3))])
+@example(triples=[(BasisVector("x", 1), BasisVector("y", 2), BasisVector("y", 3)),
+                  (BasisVector("y", 1), BasisVector("y", 2), BasisVector("y", 4))])
+def test_no_common_pair_matches_the_pairwise_reference(triples):
+    # a set of eight triples over eight basis vectors shares a pair more
+    # often than not, so both answers are drawn; the examples pin one each
+    tset = TripleSet(4, 2, "ONE", tuple(triples))
+    assert tset.property_report()["no_common_pair"] == reference_no_common_pair(triples)
+
+
+def test_w_completion_matches_the_pairwise_reference_in_case_two():
+    for n in range(41, 69):
+        m, gens, cover = outer_injection_inputs(n)
+        assert predict_min_class(n).case == "TWO"
+        raw = construct_module._base_assignment(n, m) + construct_module._injection(
+            gens, construct_module._pair_shell(n, m), cover
+        )
+        existing = [{i, j} for _, i, j in raw]
+        lows = range(1, n - omega(m) + 1)
+        completion = construct_module._w_completion(existing, lows, n)
+        assert completion is not None
+        assert completion == reference_w_completion(existing, lows, n), n
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(3, 9))
+def test_w_completion_matches_the_pairwise_reference_on_drawn_sets(data, n):
+    # index sets of two and three entries, as pairs and all-y triples; here
+    # the completion's own triples also meet each other, which none of the
+    # case-TWO constructions n = 41..68 tests
+    indices = st.integers(1, n)
+    existing = data.draw(st.lists(st.sets(indices, min_size=2, max_size=3), max_size=6))
+    lows = sorted(data.draw(st.sets(indices, max_size=n)))
+    assert construct_module._w_completion(existing, lows, n) == reference_w_completion(
+        existing, lows, n
+    )
