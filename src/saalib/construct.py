@@ -150,40 +150,25 @@ class TripleSet:
         """
         n, m = self.n, self.m
         k_low = n - omega(m)
-        high_start = n - omega(m) + 1
-        report = {}
 
-        generators_ok = True
-        for a, b, c in self.triples:
+        def generated(a, b, c) -> bool:
             if not _nilpotent_shape(a, b, c):
-                generators_ok = False
-                break
+                return False
             if a.kind == "x":
-                if a.index > n - 2 or b.index < high_start:
-                    generators_ok = False
-                    break
-            else:
-                if self.case == "ONE":
-                    if a.index > k_low or b.index < high_start:
-                        generators_ok = False
-                        break
-                else:
-                    if a.index > k_low:
-                        generators_ok = False
-                        break
-        report["generators"] = generators_ok
+                return a.index <= n - 2 and b.index > k_low
+            return a.index <= k_low and (self.case != "ONE" or b.index > k_low)
 
-        bijection_ok = True
-        for r in range(1, m):
-            shell_gens = set(_x_shell(n, r))
-            shell_pairs = set(_pair_shell(n, r))
-            seen_pairs = []
-            for a, b, c in self.triples:
-                if a.kind == "x" and a.index in shell_gens:
-                    seen_pairs.append((b.index, c.index))
-            if sorted(seen_pairs) != sorted(shell_pairs) or len(seen_pairs) != len(shell_gens):
-                bijection_ok = False
-        report["shell_bijection"] = bijection_ok
+        def bijects(r) -> bool:
+            gens = set(_x_shell(n, r))
+            pairs = sorted(
+                (b.index, c.index) for a, b, c in self.triples if a.kind == "x" and a.index in gens
+            )
+            return len(pairs) == len(gens) and pairs == list(_pair_shell(n, r))
+
+        report = {
+            "generators": all(generated(*t) for t in self.triples),
+            "shell_bijection": all(map(bijects, range(1, m))),
+        }
 
         pairs = [q for t in self.triples for q in _pairs_within(t)]
         report["no_common_pair"] = len(pairs) == len(set(pairs))
@@ -204,10 +189,8 @@ class TripleSet:
 
 
 def _as_triples(raw: list[tuple[tuple[str, int], int, int]]):
-    out = []
-    for (kind, gi), j, k in raw:
-        out.append((BasisVector(kind, gi), BasisVector("y", j), BasisVector("y", k)))
-    return tuple(sorted(out, key=lambda t: (t[0].kind, t[0].index, t[1].index, t[2].index)))
+    out = [(BasisVector(*g), BasisVector("y", j), BasisVector("y", k)) for g, j, k in raw]
+    return tuple(sorted(out))
 
 
 def _base_assignment(n: int, m: int) -> list:
@@ -230,11 +213,15 @@ def _injection(gens, pairs, cover) -> list | None:
     this one.  Taking a pair removes at most two indices and lowers rest by
     one, so need never falls; and a pair's count never rises, since
     uncovered only shrinks.  So a pair passed over is never chosen later,
-    and one forward walk over the pairs makes every choice.
+    and one forward walk over the pairs makes every choice.  No pair covers
+    more than two indices, so a need above two returns None with no pair
+    read.
     """
     uncovered, cursor, chosen = set(cover), iter(pairs), []
     for rest, g in zip(range(len(gens) - 1, -1, -1), gens):
         need = len(uncovered) - 2 * rest
+        if need > 2:
+            return None
         pair = next(((i, j) for i, j in cursor if (i in uncovered) + (j in uncovered) >= need), None)
         if pair is None:
             return None
@@ -308,11 +295,9 @@ def minimal_algebra(n: int, field: PrimeField) -> tuple[TripleSet, Algebra]:
     def failed(step: str) -> ConstructionError:
         return ConstructionError(f"no minimal construction found for n={n} over {field!r}: {step}")
 
-    if pred.case == "ONE":
-        low_gens = [(kind, k) for k in range(k_low, 0, -1) for kind in "xy"]
-    else:
-        low_gens = [("x", k) for k in range(k_low, 0, -1)]
-    cover = range(n - omega(m) + 1, n - omega(m - 1) + 1)
+    kinds = "xy" if pred.case == "ONE" else "x"
+    low_gens = [(kind, k) for k in range(k_low, 0, -1) for kind in kinds]
+    cover = range(k_low + 1, n - omega(m - 1) + 1)
     injected = _injection(low_gens, _pair_shell(n, m), cover)
     if injected is None:
         raise failed("the low generators cannot cover the outer pair shell")
@@ -323,8 +308,8 @@ def minimal_algebra(n: int, field: PrimeField) -> tuple[TripleSet, Algebra]:
             raise failed("no all-y triples complete the low y-vectors")
         raw += [(("y", a), b, c) for a, b, c in extra]
     tset = TripleSet(n, m, pred.case, _as_triples(raw))
-    if not tset.satisfies_properties():
-        broken = [name for name, ok in tset.property_report().items() if not ok]
+    broken = [name for name, ok in tset.property_report().items() if not ok]
+    if broken:
         raise failed("the triple set fails " + ", ".join(broken))
     alg = _verified(tset, field, pred.predicted_class)
     if alg is None:

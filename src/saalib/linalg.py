@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -255,28 +256,23 @@ class Subspace:
                 f"basis must be two-dimensional of width {ambient_dim}, got {arr.shape}"
             )
         rows = tuple({j: v for j, v in enumerate(row) if v} for row in arr.tolist())
-        self._set(field, ambient_dim, rows, arr)
+        self._set(field, ambient_dim, rows)
+        vars(self)["basis"] = arr
 
     @classmethod
     def _from_rows(cls, field: PrimeField, ambient_dim: int, rows) -> "Subspace":
         """The subspace whose RREF is the given dict rows, refused unless
         they are one (_check_rref).  The rows are held, not copied."""
         space = cls.__new__(cls)
-        space._set(field, ambient_dim, tuple(rows), None)
+        space._set(field, ambient_dim, tuple(rows))
         return space
 
-    def _set(self, field, ambient_dim, rows, basis) -> None:
+    def _set(self, field, ambient_dim, rows) -> None:
         pivots = _check_rref(rows, ambient_dim, field.p)
-        vars(self).update(
-            field=field,
-            ambient_dim=ambient_dim,
-            rows=rows,
-            pivots=pivots,
-            _basis=basis,
-            _pivot_rows=None,
-        )
+        vars(self).update(field=field, ambient_dim=ambient_dim, rows=rows, pivots=pivots)
 
     def __setattr__(self, name, value):
+        # cached_property writes to the instance dict, not through here
         raise AttributeError(f"Subspace is immutable: cannot set {name}")
 
     @classmethod
@@ -292,24 +288,18 @@ class Subspace:
     def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
         return cls._from_rows(field, ambient_dim, ({c: 1} for c in range(ambient_dim)))
 
-    @property
+    @cached_property
     def basis(self) -> np.ndarray:
         """The RREF as a read-only int64 array, built on first read."""
-        basis = self._basis
-        if basis is None:
-            basis = _rows_array(self.rows, (len(self.rows), self.ambient_dim))
-            basis.flags.writeable = False
-            vars(self)["_basis"] = basis
+        basis = _rows_array(self.rows, (len(self.rows), self.ambient_dim))
+        basis.flags.writeable = False
         return basis
 
-    @property
+    @cached_property
     def _by_pivot(self) -> dict[int, dict[int, int]]:
         """The RREF as {pivot: row}, built on first read and held; the rows
         are shared and must not be changed."""
-        by_pivot = self._pivot_rows
-        if by_pivot is None:
-            by_pivot = vars(self)["_pivot_rows"] = dict(zip(self.pivots, self.rows))
-        return by_pivot
+        return dict(zip(self.pivots, self.rows))
 
     @property
     def dim(self) -> int:

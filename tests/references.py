@@ -1,15 +1,16 @@
-"""Independent references that several test modules share."""
+"""Independent references, and inputs, that several test modules share."""
 
 from itertools import chain, combinations, compress, permutations
 
 from saalib.algebra import (
+    BasisVector,
     ChainError,
     _center,
     _centralizer_above,
     _priority_permutation,
     zero_space,
 )
-from saalib.construct import omega
+from saalib.construct import omega, predict_min_class
 from saalib.linalg import Subspace, _combine, _free_kernel, _pairing_rows, _reduced, _rref_rows
 
 # 268435399 is the largest prime below 2**28, 2147483647 is 2**31 - 1, and
@@ -109,6 +110,16 @@ def reference_chain(alg):
     return chain
 
 
+def outer_injection_inputs(n):
+    """The outer level m, the low generators and the outer block to cover,
+    as minimal_algebra hands them to _injection."""
+    pred = predict_min_class(n)
+    k_low = n - omega(pred.m)
+    kinds = "xy" if pred.case == "ONE" else "x"
+    gens = [(kind, k) for k in range(k_low, 0, -1) for kind in kinds]
+    return pred.m, gens, range(k_low + 1, n - omega(pred.m - 1) + 1)
+
+
 def reference_pair_shell(n, r):
     """The r-th pair shell as a list: every pair (i, j), i < j, of the top
     omega(r) y indices, skipping those with both entries in the top
@@ -164,3 +175,55 @@ def reference_w_completion(existing, lows, n):
         chosen.append(tri)
         uncovered.difference_update(tri)
     return chosen
+
+
+def reference_property_report(tset):
+    """TripleSet.property_report written out as one flag per property, each
+    set by a loop over the triples: the shells are reference_pair_shell
+    and the x indices between the omega(r) and omega(r + 1) blocks, and
+    no_common_pair is reference_no_common_pair."""
+    n, m = tset.n, tset.m
+    k_low = n - omega(m)
+    high_start = n - omega(m) + 1
+    report = {}
+
+    generators_ok = True
+    for a, b, c in tset.triples:
+        if not (b.kind == c.kind == "y" and a.index < b.index < c.index):
+            generators_ok = False
+            break
+        if a.kind == "x":
+            if a.index > n - 2 or b.index < high_start:
+                generators_ok = False
+                break
+        else:
+            if tset.case == "ONE":
+                if a.index > k_low or b.index < high_start:
+                    generators_ok = False
+                    break
+            else:
+                if a.index > k_low:
+                    generators_ok = False
+                    break
+    report["generators"] = generators_ok
+
+    bijection_ok = True
+    for r in range(1, m):
+        shell_gens = set(range(n - omega(r), n - omega(r + 1), -1))
+        shell_pairs = set(reference_pair_shell(n, r))
+        seen_pairs = []
+        for a, b, c in tset.triples:
+            if a.kind == "x" and a.index in shell_gens:
+                seen_pairs.append((b.index, c.index))
+        if sorted(seen_pairs) != sorted(shell_pairs) or len(seen_pairs) != len(shell_gens):
+            bijection_ok = False
+    report["shell_bijection"] = bijection_ok
+
+    report["no_common_pair"] = reference_no_common_pair(tset.triples)
+
+    involved = {v for t in tset.triples for v in t}
+    required = {BasisVector("x", i) for i in range(1, n - 1)}
+    required |= {BasisVector("y", i) for i in range(1, n + 1)}
+    excluded = {BasisVector("x", n), BasisVector("x", n - 1)}
+    report["coverage"] = required <= involved and not (involved & excluded)
+    return report

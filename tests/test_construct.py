@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from saalib.algebra import (
+    BasisVector,
     build_algebra,
     nilpotency_class,
     rank,
@@ -19,6 +20,7 @@ from saalib import construct
 from saalib.construct import (
     ConstructionError,
     ScalingWitness,
+    TripleSet,
     catalog,
     catalog_entry,
     construct_minimal,
@@ -31,6 +33,8 @@ from saalib.construct import (
     verify_scaling_witness,
 )
 from saalib.linalg import PrimeField
+
+from references import outer_injection_inputs
 
 F3 = PrimeField(3)
 F7 = PrimeField(7)
@@ -118,17 +122,36 @@ def test_futile_injection_is_refused_before_any_base_assignment(monkeypatch):
 
 
 def test_injection_fails_exactly_at_the_gaps():
-    # no algebra is built; the injection alone marks n = 13 and 69..81
-    gaps = []
-    for n in range(4, 201):
-        m = predict_min_class(n).m
-        k_low = n - omega(m)
-        kinds = "xy" if predict_min_class(n).case == "ONE" else "x"
-        gens = [(kind, k) for k in range(k_low, 0, -1) for kind in kinds]
-        cover = range(n - omega(m) + 1, n - omega(m - 1) + 1)
-        if construct._injection(gens, construct._pair_shell(n, m), cover) is None:
-            gaps.append(n)
-    assert gaps == [13, *range(69, 82)]
+    # no algebra is built; the injection alone marks n = 13, 69..81 and
+    # 2281..2832
+    def injected(n):
+        m, gens, cover = outer_injection_inputs(n)
+        return construct._injection(gens, construct._pair_shell(n, m), cover)
+
+    assert [n for n in range(4, 201) if injected(n) is None] == [13, *range(69, 82)]
+    assert all(injected(n) is None for n in range(2281, 2833))
+
+
+@pytest.mark.parametrize("n", [2281, 2832])
+def test_injection_reads_no_pair_at_a_large_gap(monkeypatch, n):
+    # the first generator already needs more than two new indices, which no
+    # pair gives, so the 2.6 M-pair outer shell is refused unread
+    read = []
+    pair_shell = construct._pair_shell
+
+    def counted(*args):
+        for pair in pair_shell(*args):
+            read.append(pair)
+            yield pair
+
+    monkeypatch.setattr(construct, "_pair_shell", counted)
+    m, gens, cover = outer_injection_inputs(n)
+    assert construct._injection(gens, construct._pair_shell(n, m), cover) is None
+    with pytest.raises(
+        ConstructionError, match=f"n={n} .*: the low generators cannot cover the outer pair shell$"
+    ):
+        minimal_algebra(n, F3)
+    assert read == []
 
 
 def test_base_assignment_at_n_69_stays_small():
@@ -199,15 +222,15 @@ def test_minimal_algebra_past_omega_6():
     assert peak < 64 * 2**20
     assert (nilpotency_class(alg), rank(alg), len(tset.triples)) == (13, 2, 3384)
     assert tset.satisfies_properties()
-    # each gap walks the whole outer pair shell, 2.6 M pairs, exactly once:
-    # about a second of CPU time, so 20 s leaves a wide margin
+    # each gap is refused before the outer pair shell is read: well under a
+    # millisecond of CPU time, so 1 s leaves a wide margin
     for n in (2281, 2832):
         start = time.process_time()
         with pytest.raises(
             ConstructionError, match=f"n={n} .*: the low generators cannot cover the outer pair shell$"
         ):
             minimal_algebra(n, F3)
-        assert time.process_time() - start < 20
+        assert time.process_time() - start < 1
 
 
 def test_construct_triple_set_shapes():
@@ -219,6 +242,43 @@ def test_construct_triple_set_shapes():
         assert report["no_common_pair"]
         assert report["coverage"]
         assert len(pres.triples) == len(tset.triples)
+
+
+def triple_set(n, case, text):
+    """A TripleSet at n, at n's level m, of the triples written as
+    "x1 y2 y3, y1 y2 y4"."""
+    triples = tuple(
+        tuple(BasisVector(v[0], int(v[1:])) for v in t.split()) for t in text.split(",")
+    )
+    return TripleSet(n, predict_min_class(n).m, case, triples)
+
+
+@pytest.mark.parametrize(
+    "broken,tset",
+    [
+        # the case-TWO construction at n = 5, labelled case ONE, where a
+        # y-triple's pair must start in the top omega(m) block, y3..y5, and
+        # the pair of y1 y2 y5 does not
+        ("generators", triple_set(5, "ONE", "x1 y3 y5, x2 y3 y4, x3 y4 y5, y1 y2 y5")),
+        # x1 and x4 trade pairs, so shell 2's generators x5 and x4 no longer
+        # take its pairs (6, 7) and (6, 8)
+        (
+            "shell_bijection",
+            triple_set(8, "ONE", "x4 y5 y6, x2 y4 y7, x3 y4 y5, x1 y6 y8, x5 y6 y7, x6 y7 y8, "
+                       "y1 y5 y7, y2 y4 y8, y3 y4 y6"),
+        ),
+        ("no_common_pair", triple_set(4, "ONE", "x1 y2 y3, x2 y3 y4, y1 y3 y4")),
+        # y3 occurs nowhere
+        ("coverage", triple_set(6, "ONE", "x1 y2 y5, x2 y4 y6, x3 y4 y5, x4 y5 y6, y1 y2 y4")),
+    ],
+)
+def test_each_property_fails_alone(broken, tset):
+    # each set differs from the construction at its n in one or two triples
+    # (for generators, in its case) and fails exactly the one property
+    built, _ = minimal_algebra(tset.n, F3)
+    assert built.property_report() == dict.fromkeys(built.property_report(), True)
+    assert tset.property_report() == {**built.property_report(), broken: False}
+    assert not tset.satisfies_properties()
 
 
 def test_catalog_contents():

@@ -64,12 +64,14 @@ from saalib.presfile import emit_presentation, parse_presentation
 
 from references import (
     EXACT_PRIMES,
+    outer_injection_inputs,
     reference_chain,
     reference_injection,
     reference_no_common_pair,
     reference_pair_shell,
     reference_pairings,
     reference_products,
+    reference_property_report,
     reference_table,
     reference_w_completion,
 )
@@ -898,16 +900,6 @@ def test_orientation_of_general_presentations(pres):
     assert emit_presentation(again) == text
 
 
-def outer_injection_inputs(n):
-    """The outer level m, the low generators and the outer block to cover,
-    as minimal_algebra hands them to _injection."""
-    pred = predict_min_class(n)
-    k_low = n - omega(pred.m)
-    kinds = "xy" if pred.case == "ONE" else "x"
-    gens = [(kind, k) for k in range(k_low, 0, -1) for kind in kinds]
-    return pred.m, gens, range(k_low + 1, n - omega(pred.m - 1) + 1)
-
-
 def test_pair_shells_and_injection_match_the_references_up_to_300():
     # the gaps n = 13 and 69..81 are among these, where both return None
     for n in range(4, 301):
@@ -951,6 +943,59 @@ def test_no_common_pair_matches_the_pairwise_reference(triples):
     # often than not, so both answers are drawn; the examples pin one each
     tset = TripleSet(4, 2, "ONE", tuple(triples))
     assert tset.property_report()["no_common_pair"] == reference_no_common_pair(triples)
+
+
+def drawn_triple_sets(n):
+    """Lists of up to 12 triples over indices 1..n: half of nilpotent shape
+    (u, y_j, y_k) with u's index below j < k, half any three vectors."""
+    index = st.integers(1, n)
+    vector = st.builds(BasisVector, st.sampled_from("xy"), index)
+    shaped = st.tuples(st.sampled_from("xy"), st.sets(index, min_size=3, max_size=3)).map(
+        lambda d: (BasisVector(d[0], min(d[1])), *(BasisVector("y", i) for i in sorted(d[1])[1:]))
+    )
+    return st.lists(st.one_of(shaped, st.tuples(vector, vector, vector)), max_size=12)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(4, 12), case=st.sampled_from(["ONE", "TWO"]))
+def test_property_report_matches_the_reference_on_drawn_sets(data, n, case):
+    triples = data.draw(drawn_triple_sets(n))
+    tset = TripleSet(n, predict_min_class(n).m, case, tuple(triples))
+    assert tset.property_report() == reference_property_report(tset)
+
+
+def perturbed(tset):
+    """tset, the other case label on its triples, and for each triple in
+    turn: the set without it, with one of its indices moved by one, and
+    with the kind of its first vector swapped."""
+    other = "TWO" if tset.case == "ONE" else "ONE"
+    yield tset
+    yield TripleSet(tset.n, tset.m, other, tset.triples)
+    for t, triple in enumerate(tset.triples):
+        variants = [()]
+        for pos, v in enumerate(triple):
+            for index in (v.index - 1, v.index + 1):
+                if index >= 1:
+                    moved = list(triple)
+                    moved[pos] = BasisVector(v.kind, index)
+                    variants.append((tuple(moved),))
+        a, b, c = triple
+        variants.append(((BasisVector("y" if a.kind == "x" else "x", a.index), b, c),))
+        for v in variants:
+            yield TripleSet(tset.n, tset.m, tset.case, tset.triples[:t] + v + tset.triples[t + 1:])
+
+
+@pytest.mark.parametrize("n", [8, 9, 40, 41])
+def test_property_report_matches_the_reference_on_perturbed_constructions(n):
+    # n = 8 and 40 are case ONE, n = 9 and 41 case TWO; every property
+    # comes out both true and false among the perturbed sets
+    tset, _ = minimal_algebra(n, PrimeField(3))
+    seen = set()
+    for variant in perturbed(tset):
+        report = variant.property_report()
+        assert report == reference_property_report(variant), variant
+        seen.update(report.items())
+    assert seen == set(itertools.product(report, (True, False)))
 
 
 def test_w_completion_matches_the_pairwise_reference_in_case_two():
