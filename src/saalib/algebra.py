@@ -287,12 +287,13 @@ class Algebra:
     Its size is that of the tensor's stored triples; no dim**3 or dim**2
     array is built.  Its form, gram, is made from field and n on each read,
     so it is always the form the products use.  The row table of the
-    nonzero basis products, the lower central series, the centre Z_1 (with
-    read-only rows spanning its perp), the upper central series and the
-    series report are each computed at most once per instance, on first
-    use, and held in _series.  Instances are immutable after construction
-    and safe to share across threads: every held value is deterministic and
-    immutable, so a race can at worst compute the same value twice.
+    nonzero basis products, the lower central series, the centre Z_1, the
+    upper central series, the series report and the chain's coordinate view
+    (_coordinate_targets) are each computed at most once per instance, on
+    first use, and held in _series.  Instances are immutable after
+    construction and safe to share across threads: every held value is
+    deterministic and immutable, so a race can at worst compute the same
+    value twice.
     """
 
     n: int
@@ -560,7 +561,8 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
 @_held
 def _center(alg: Algebra) -> Subspace:
     """Z_1 = {v : v L = 0}, the centralizer above 0, held so that it is
-    eliminated once whether rank, the chain or the upper series asks first.
+    eliminated once whether rank, the upper series or the general chain
+    (_general_chain, which only a non-monomial algebra takes) asks first.
     """
     return _centralizer_above(alg, zero_space(alg))
 
@@ -673,6 +675,113 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     whenever any path does.  ChainError names the step k at which no
     candidate extends I_k.
 
+    Two loops build that chain.  A monomial algebra, one whose row table
+    shows no two triples sharing two basis vectors (_coordinate_targets),
+    takes the coordinate loop (_coordinate_chain), which eliminates
+    nothing; any other takes the general loop (_general_chain), one kernel
+    per step.  Every algebra minimal_algebra and the catalog build is
+    monomial.  On one, each product e_a . e_b is 0 or a nonzero multiple of
+    one basis vector e_t, and for a fixed b distinct a reach distinct t,
+    since two triples with b and t^1 in common would share two vectors.  So
+    for v = sum v_a e_a the terms of v . e_b lie on distinct coordinates,
+    and v . e_b lies in a span I of basis vectors iff every e_a with
+    v_a != 0 has e_a . e_b in I.  Hence C_k = {v : v L <= I_k} is spanned
+    by the e_c whose product targets lie in I_k, the centre (I_k = 0) by
+    those with none, and perp(I_k) by the e_c with c^1 outside I_k.  Their
+    intersection, w, is the span of the e_c in both; its RREF in any order
+    is those unit vectors, and the first not in I_k in the priority order
+    is the general loop's pick.  So I_{k+1} = I_k + <e_c> is again a span
+    of basis vectors, and by induction the two loops give the same chain,
+    or fail at the same k.
+
+    After the loop the terms and the picked vectors x_k are checked
+    (_check_chain), and a failure, which the argument above rules out,
+    raises RuntimeError naming the condition and k.  (i) is read off the
+    products of I_m's basis and (iii) off the pairings of I_n with itself.
+    (ii) is checked on each new vector alone: for 2 <= k < n, dim I_k = k,
+    dim I_{k+1} = k + 1, I_k <= I_{k+1}, x_k lies in I_{k+1} and not in
+    I_k, and x_k L <= I_k, with x_k's products read off the row table, not
+    the general loop's carried ones, so the check rests on neither loop's
+    state.  This proves (ii): the first four give I_{k+1} = I_k + <x_k>, so
+    I_{k+1} L = I_k L + x_k L.  At k = 2, I_2 L = 0 by (i), so
+    I_3 L <= I_2.  For k > 2, I_k L <= I_{k-1} <= I_k by (ii) and the
+    containment at k - 1, so I_{k+1} L <= I_k.  This multiplies one vector
+    per step where I_{k+1}'s whole basis would take k + 1.  Both loops end
+    in this check, so the coordinate loop is checked as the general one is.
+    """
+    targets = _coordinate_targets(alg)
+    if targets is None:
+        return _general_chain(alg)
+    return _coordinate_chain(alg, targets)
+
+
+@_held
+def _coordinate_targets(alg: Algebra) -> tuple[frozenset[int], ...] | None:
+    """For a monomial algebra, each coordinate's product targets: entry c
+    holds the coordinates k with e_c . e_j nonzero at k for some j.  None
+    unless every row-table row (_row_table) has distinct j entries.
+
+    Each entry (j, k, v) of row c comes from the one stored triple holding
+    c, j and k^1, so two entries with one j are two triples sharing c and
+    j.  Distinct j entries in every row are therefore exactly "no two
+    triples share two basis vectors", and each e_c . e_j is then 0 or a
+    multiple of one e_k.  Held on first use by the chain, so nothing else
+    pays for it.
+    """
+    targets = []
+    for row in _row_table(alg):
+        if len({j for j, _, _ in row}) != len(row):
+            return None
+        targets.append(frozenset(k for _, k, _ in row))
+    return tuple(targets)
+
+
+def _coordinate_chain(alg: Algebra, targets: tuple[frozenset[int], ...]) -> list[Subspace]:
+    """isotropic_ideal_chain on a monomial algebra, whose coordinate view
+    is targets (_coordinate_targets), by its coordinate argument.
+
+    I_k is held as a set of coordinates, and the coordinates that pair
+    with one of them under the form (_times_form) as another, so that the
+    rest span perp(I_k).  The candidates are the c in neither set whose
+    targets are empty for k < 2 (e_c in the centre) and lie in I_k after
+    that (e_c in C_k); the pick is the first in the priority order.  Each
+    term is made from its sorted unit rows, which are its RREF, and the
+    picks e_c are handed to _check_chain.
+    """
+    perm, p = _priority_permutation(alg.n), alg.field.p
+    chain, picks, inside, paired = [zero_space(alg)], [], set(), set()
+    for k in range(alg.n):
+        c = next(
+            (
+                c
+                for c in perm
+                if c not in inside
+                and c not in paired
+                and (targets[c] <= inside if k >= 2 else not targets[c])
+            ),
+            None,
+        )
+        if c is None:
+            raise _no_candidate(alg, k)
+        inside.add(c)
+        paired.update(*_times_form([{c: 1}], p))
+        chain.append(Subspace._from_rows(alg.field, alg.dim, ({d: 1} for d in sorted(inside))))
+        picks.append({c: 1})
+    _check_chain(alg, chain, picks)
+    return chain
+
+
+def _no_candidate(alg: Algebra, k: int) -> ChainError:
+    """The ChainError of a chain that no candidate extends at step k."""
+    return ChainError(
+        f"no isotropic ideal chain found for n={alg.n} over {alg.field!r}: "
+        f"no candidate extends I_{k}"
+    )
+
+
+def _general_chain(alg: Algebra) -> list[Subspace]:
+    """isotropic_ideal_chain on any algebra, one kernel per step.
+
     Each step is one kernel: C = perp(S), S spanned for k < 2 by the rows
     spanning perp(Z), read once off the centre's basis before the loop
     (_perp_rows), and by perp(I_k) L after that (by invariance, see
@@ -704,19 +813,8 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     inside I_k, which this argument rules out, raises RuntimeError instead
     of repeating a term.  Every step runs on dict rows.
 
-    After the loop the terms and the picked vectors x_k are checked
-    (_check_chain), and a failure, which the argument above rules out,
-    raises RuntimeError naming the condition and k.  (i) is read off the
-    products of I_m's basis and (iii) off the pairings of I_n with itself.
-    (ii) is checked on each new vector alone: for 2 <= k < n, dim I_k = k,
-    dim I_{k+1} = k + 1, I_k <= I_{k+1}, x_k lies in I_{k+1} and not in
-    I_k, and x_k L <= I_k, with x_k's products read off the row table, not
-    the carried ones, so the check does not rest on the loop's state.  This
-    proves (ii): the first four give I_{k+1} = I_k + <x_k>, so
-    I_{k+1} L = I_k L + x_k L.  At k = 2, I_2 L = 0 by (i), so
-    I_3 L <= I_2.  For k > 2, I_k L <= I_{k-1} <= I_k by (ii) and the
-    containment at k - 1, so I_{k+1} L <= I_k.  This multiplies one vector
-    per step where I_{k+1}'s whole basis would take k + 1.
+    The terms and picks are checked as isotropic_ideal_chain says
+    (_check_chain).
     """
     n, p = alg.n, alg.field.p
     perm = _priority_permutation(n)
@@ -737,10 +835,7 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
             (c for c in candidates if ordered.get(min(c, key=rank.__getitem__)) != c), None
         )
         if row is None:
-            raise ChainError(
-                f"no isotropic ideal chain found for n={n} over {alg.field!r}: "
-                f"no candidate extends I_{k}"
-            )
+            raise _no_candidate(alg, k)
         basis = _rref_rows([*map(dict, current.rows), dict(row)], p)
         if len(basis) != k + 1:
             raise RuntimeError(

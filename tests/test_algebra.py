@@ -41,7 +41,13 @@ from saalib.algebra import (
 )
 from saalib.checks import random_nilpotent_presentation
 from saalib.cli import verify_report
-from saalib.construct import catalog, catalog_entry, construct_minimal, minimal_algebra
+from saalib.construct import (
+    ConstructionError,
+    catalog,
+    catalog_entry,
+    construct_minimal,
+    minimal_algebra,
+)
 from saalib.linalg import PrimeField, Subspace, _rows_array, perp
 from saalib.presfile import emit_presentation, parse_presentation_file
 
@@ -476,9 +482,11 @@ def test_isotropic_ideal_chain_on_catalog():
 
 
 def test_chain_builds_no_perp(monkeypatch):
-    # each step reads the rows spanning perp(I_k) off I_k's basis, and the
+    # each step of the general loop reads the rows spanning perp(I_k) off
+    # I_k's basis, the coordinate loop reads coordinates alone, and either
     # chain is checked by (i)-(iii); algebra holds no perp, and the patch
-    # catches any call from inside linalg
+    # catches any call from inside linalg.  These algebras are monomial, so
+    # the general loop is called through its own entry
     def refused(s, g):
         raise AssertionError("isotropic_ideal_chain built a perp")
 
@@ -487,7 +495,8 @@ def test_chain_builds_no_perp(monkeypatch):
     algebras = [build_algebra(e.presentation(F3, r=1)) for e in catalog()]
     algebras.append(build_algebra(construct_minimal(16, F3)[1]))
     for alg in algebras:
-        assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(alg.n + 1))
+        for chain_of in (isotropic_ideal_chain, algebra_module._general_chain):
+            assert [s.dim for s in chain_of(alg)] == list(range(alg.n + 1))
 
 
 def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
@@ -495,7 +504,8 @@ def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
     # rows alone (it has no products), and y_3 comes right after x_3, so the
     # loop takes I_2 = <x_3, y_3>; the abelian algebra makes every doubled
     # chain central, and only (iii), which reads the pairings through
-    # orthogonal, sees that I_3 is not isotropic
+    # orthogonal, sees that I_3 is not isotropic.  The abelian algebra is
+    # monomial, so the general loop is called through its own entry
     kernel = algebra_module._keyed_orthogonal
     monkeypatch.setattr(
         algebra_module, "_keyed_orthogonal", lambda rows, order, p: kernel((), order, p)
@@ -506,7 +516,7 @@ def test_chain_check_refuses_a_non_isotropic_chain(monkeypatch):
         lambda n: [2 * (i - 1) + t for i in range(n, 0, -1) for t in (0, 1)],
     )
     with pytest.raises(RuntimeError, match=r"fails \(iii\) I_3 isotropic for n=3") as info:
-        isotropic_ideal_chain(abelian(3))
+        algebra_module._general_chain(abelian(3))
     assert not isinstance(info.value, ChainError)
 
 
@@ -527,14 +537,15 @@ def test_chain_check_refuses_a_chain_outside_the_centralizers(monkeypatch, above
     # above_zero keeps the centre, it is taken to be L, whose perp no rows
     # span, so the steps k < 2 range over perp(I_k) too; with the indices
     # reversed the priority order then takes vectors whose products leave
-    # the chain
+    # the chain.  The catalog is monomial, so the general loop is called
+    # through its own entry
     monkeypatch.setattr(algebra_module, "_perp_products", lambda alg, s, key: ({}, {}))
     if not above_zero:
         monkeypatch.setattr(algebra_module, "_center", full_space)
     for entry in catalog():
         alg = build_algebra(relabelled(entry.presentation(F3, r=1)))
         with pytest.raises(RuntimeError, match=failing) as info:
-            isotropic_ideal_chain(alg)
+            algebra_module._general_chain(alg)
         assert not isinstance(info.value, ChainError)
 
 
@@ -573,7 +584,9 @@ def test_chain_reads_the_row_table_only_up_to_step_two(monkeypatch):
     # from k = 2 on the rows spanning perp(I_k) carry their products, so the
     # steps after k = 2 read nothing off the row table; every product is
     # read through _row_table, once per call, so the reads made before each
-    # step's kernel count them (the construction already holds the centre)
+    # step's kernel count them (the construction already holds the centre);
+    # the construction is monomial, so the general loop is called through
+    # its own entry
     alg = minimal_algebra(16, F3)[1]
     reads, per_step = [], []
     row_table, kernel = algebra_module._row_table, algebra_module._keyed_orthogonal
@@ -588,7 +601,7 @@ def test_chain_reads_the_row_table_only_up_to_step_two(monkeypatch):
 
     monkeypatch.setattr(algebra_module, "_row_table", counted_table)
     monkeypatch.setattr(algebra_module, "_keyed_orthogonal", counted_kernel)
-    assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(17))
+    assert [s.dim for s in algebra_module._general_chain(alg)] == list(range(17))
     assert per_step == [0, 0] + [1] * 14
 
 
@@ -664,7 +677,8 @@ def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
     # which spans I_1, is again the first at k = 1, and the new term's
     # dimension check refuses it instead of repeating I_1; the centre, whose
     # kernel is _keyed_orthogonal too (through _orthogonal), is held before
-    # the patch
+    # the patch; the catalog entry is monomial, so the general loop is
+    # called through its own entry
     kernel = algebra_module._keyed_orthogonal
 
     def doubled(rows, order, p):
@@ -674,7 +688,7 @@ def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
     algebra_module._center(alg)
     monkeypatch.setattr(algebra_module, "_keyed_orthogonal", doubled)
     with pytest.raises(RuntimeError, match=r"k=1 gives I_2 of dimension 1, not 2, for n=4") as info:
-        isotropic_ideal_chain(alg)
+        algebra_module._general_chain(alg)
     assert not isinstance(info.value, ChainError)
 
 
@@ -731,8 +745,9 @@ def test_chain_check_refuses_each_fault_of_ii(monkeypatch, fault, failing):
 
 def test_chain_check_multiplies_one_vector_per_step(monkeypatch):
     # (i) multiplies I_2's basis, and (ii) multiplies x_k alone, not the
-    # k + 1 rows of I_{k+1}; the loop calls _products for nothing (the
-    # construction already holds the centre)
+    # k + 1 rows of I_{k+1}; the general loop calls _products for nothing
+    # (the construction already holds the centre), and is called through
+    # its own entry, the construction being monomial
     alg = minimal_algebra(16, F3)[1]
     sizes, products = [], algebra_module._products
 
@@ -742,16 +757,117 @@ def test_chain_check_multiplies_one_vector_per_step(monkeypatch):
         return products(a, left, cols, right)
 
     monkeypatch.setattr(algebra_module, "_products", counted)
-    assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(17))
+    assert [s.dim for s in algebra_module._general_chain(alg)] == list(range(17))
     assert sizes == [2] + [1] * 14
 
 
+def chains_of_both_loops_agree(sizes, p):
+    """Assert that the chain equals the general loop's on minimal_algebra(n)
+    over GF(p) for each n in sizes, and return the n that raise
+    ConstructionError."""
+    gaps = []
+    for n in sizes:
+        try:
+            alg = minimal_algebra(n, PrimeField(p))[1]
+        except ConstructionError:
+            gaps.append(n)
+            continue
+        assert algebra_module._coordinate_targets(alg) is not None
+        assert isotropic_ideal_chain(alg) == algebra_module._general_chain(alg), (n, p)
+    return gaps
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_chain_of_constructions_matches_the_general_loop(p):
+    # every construction is monomial and takes the coordinate loop; the gap
+    # at n = 13 still has no construction
+    assert chains_of_both_loops_agree(range(4, 61), p) == [13]
+
+
+@pytest.mark.slow
+def test_chain_of_constructions_matches_the_general_loop_up_to_n_200():
+    assert chains_of_both_loops_agree(range(61, 201), 3) == list(range(69, 82))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_chain_of_the_catalog_matches_the_general_loop(p):
+    for entry in catalog():
+        for r in range(1, p) if entry.parameterized else (1,):
+            alg = build_algebra(entry.presentation(PrimeField(p), r=r))
+            assert algebra_module._coordinate_targets(alg) is not None
+            assert isotropic_ideal_chain(alg) == algebra_module._general_chain(alg), (entry, r)
+
+
+def test_chain_of_a_construction_eliminates_nothing(monkeypatch):
+    # the coordinate loop reads the row table alone: no kernel, no centre
+    # and no RREF, on an algebra that holds nothing yet
+    alg = build_algebra(construct_minimal(16, F3)[1])
+    calls = []
+    for name in ("_keyed_orthogonal", "_center", "_rref_rows"):
+        original = getattr(algebra_module, name)
+
+        def counted(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(algebra_module, name, counted)
+    chain = isotropic_ideal_chain(alg)
+    assert calls == []
+    monkeypatch.undo()
+    assert chain == reference_chain(alg)
+
+
+def test_chain_with_a_shared_pair_takes_the_general_loop(monkeypatch):
+    # the first two triples share y2 and y3, so row y2 of the row table
+    # holds j = y3 twice: not monomial, and the general loop runs
+    pres = Presentation.build(
+        4, F3, [("x1", "y2", "y3", 1), ("y1", "y2", "y3", 1), ("x2", "y3", "y4", 1)]
+    )
+    alg = build_algebra(pres)
+    assert algebra_module._coordinate_targets(alg) is None
+    calls, general = [], algebra_module._general_chain
+
+    def counted(a):
+        calls.append(a)
+        return general(a)
+
+    monkeypatch.setattr(algebra_module, "_general_chain", counted)
+    chain = isotropic_ideal_chain(alg)
+    assert calls == [alg]
+    assert chain == reference_chain(alg)
+    assert [s.dim for s in chain] == list(range(5))
+
+
+def test_chain_check_refuses_a_tampered_coordinate_view():
+    # with the indices reversed, coordinate c has one product target outside
+    # I_2 and comes before the true pick; with that target dropped from the
+    # held view the coordinate loop picks c at k = 2, and _check_chain,
+    # which reads the row table, refuses it
+    alg = build_algebra(relabelled(construct_minimal(8, F3)[1]))
+    chain = isotropic_ideal_chain(alg)
+    targets = list(algebra_module._coordinate_targets(alg))
+    inside = set(chain[2].pivots)
+    c = next(
+        c
+        for c in algebra_module._priority_permutation(alg.n)
+        if c not in inside and c ^ 1 not in inside and len(targets[c] - inside) == 1
+    )
+    assert chain[3] != Subspace._from_rows(F3, alg.dim, ({d: 1} for d in sorted(inside | {c})))
+    targets[c] = targets[c] & inside
+    alg._series["_coordinate_targets"] = tuple(targets)
+    with pytest.raises(RuntimeError, match=r"fails \(ii\) I_3 L <= I_2 at k=2 for n=8") as info:
+        isotropic_ideal_chain(alg)
+    assert not isinstance(info.value, ChainError)
+
+
 def test_chain_memory_stays_small():
-    # the carried products must not grow unnoticed: about 2.1 MiB at n = 120
+    # the general loop's carried products must not grow unnoticed: about
+    # 2.1 MiB at n = 120 (the construction is monomial, so the general loop
+    # is called through its own entry)
     alg = minimal_algebra(120, F3)[1]
     tracemalloc.start()
     try:
-        chain = isotropic_ideal_chain(alg)
+        chain = algebra_module._general_chain(alg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -761,8 +877,10 @@ def test_chain_memory_stays_small():
 
 @pytest.mark.slow
 def test_chain_completes_at_n_1000():
+    # the general loop, called through its own entry: the construction is
+    # monomial
     alg = minimal_algebra(1000, F3)[1]
-    assert [s.dim for s in isotropic_ideal_chain(alg)] == list(range(1001))
+    assert [s.dim for s in algebra_module._general_chain(alg)] == list(range(1001))
 
 
 def test_validate_nilpotent_presentation():

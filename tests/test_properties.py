@@ -16,6 +16,7 @@ from saalib.algebra import (
     PresentationTriple,
     StructureTensor,
     _centralizer_above,
+    _coordinate_targets,
     _independent,
     _products,
     _row_table,
@@ -637,6 +638,46 @@ def test_fingerprint_and_chain_match_references(p, n, seed, shape):
     assert invariants[:2] == series
     report = series_report(alg)
     assert invariants[4:] == (report.nilpotency_class, report.rank)
+    try:
+        expected = reference_chain(alg)
+    except ChainError as error:
+        with pytest.raises(ChainError, match=re.escape(str(error))):
+            isotropic_ideal_chain(alg)
+        return
+    assert isotropic_ideal_chain(alg) == expected
+
+
+def monomial_presentation(n, field, rng, nilpotent):
+    """Random nonzero values on random triples, no two sharing two basis
+    vectors: of nilpotent shape (x_i y_j, y_k) or (y_i y_j, y_k), i < j < k,
+    or on any three coordinates.  A drawn triple that shares a pair with an
+    earlier one is skipped."""
+    items, pairs = [], set()
+    for _ in range(int(rng.integers(0, 3 * n)) if n >= 3 else 0):
+        if nilpotent:
+            i, j, k = sorted(int(c) for c in rng.choice(n, size=3, replace=False) + 1)
+            tokens = (f"{rng.choice(['x', 'y'])}{i}", f"y{j}", f"y{k}")
+        else:
+            coords = rng.choice(2 * n, size=3, replace=False)
+            tokens = tuple(("y" if c % 2 else "x") + str(c // 2 + 1) for c in coords)
+        sides = {frozenset(side) for side in itertools.combinations(tokens, 2)}
+        if sides & pairs:
+            continue
+        pairs |= sides
+        items.append((*tokens, int(rng.integers(1, field.p))))
+    return Presentation.build(n, field, items)
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+@settings(max_examples=40)
+@given(n=st.integers(1, 8), seed=seeds, nilpotent=st.booleans())
+def test_chain_of_monomial_presentations_matches_reference(p, n, seed, nilpotent):
+    # a presentation with no two triples sharing two basis vectors takes the
+    # coordinate loop, which gives the chain, or the ChainError, that
+    # solving each C_k apart gives
+    rng = np.random.default_rng(seed)
+    alg = build_algebra(monomial_presentation(n, PrimeField(p), rng, nilpotent))
+    assert _coordinate_targets(alg) is not None
     try:
         expected = reference_chain(alg)
     except ChainError as error:
