@@ -694,20 +694,19 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     of basis vectors, and by induction the two loops give the same chain,
     or fail at the same k.
 
-    After the loop the terms and the picked vectors x_k are checked
-    (_check_chain), and a failure, which the argument above rules out,
-    raises RuntimeError naming the condition and k.  (i) is read off the
-    products of I_m's basis and (iii) off the pairings of I_n with itself.
-    (ii) is checked on each new vector alone: for 2 <= k < n, dim I_k = k,
-    dim I_{k+1} = k + 1, I_k <= I_{k+1}, x_k lies in I_{k+1} and not in
-    I_k, and x_k L <= I_k, with x_k's products read off the row table, not
-    the general loop's carried ones, so the check rests on neither loop's
-    state.  This proves (ii): the first four give I_{k+1} = I_k + <x_k>, so
-    I_{k+1} L = I_k L + x_k L.  At k = 2, I_2 L = 0 by (i), so
-    I_3 L <= I_2.  For k > 2, I_k L <= I_{k-1} <= I_k by (ii) and the
-    containment at k - 1, so I_{k+1} L <= I_k.  This multiplies one vector
-    per step where I_{k+1}'s whole basis would take k + 1.  Both loops end
-    in this check, so the coordinate loop is checked as the general one is.
+    Each loop hands its picked vectors x_0..x_{n-1} to one check
+    (_check_chain), which builds the terms from them, I_{k+1} = I_k + <x_k>,
+    refusing a pick inside I_k, and checks them; a failure, which the
+    argument above rules out, raises RuntimeError naming the condition and
+    k.  (i) is read off the products of x_0 and x_1, which span I_m, and
+    (iii) off the pairings of I_n with itself.  (ii) is checked on each new
+    vector alone: for 2 <= k < n, x_k L <= I_k, with x_k's products read
+    off the row table, not the general loop's carried ones, so the check
+    rests on neither loop's state.  This proves (ii): I_{k+1} L = I_k L +
+    x_k L.  At k = 2, I_2 L = 0 by (i), so I_3 L <= I_2.  For k > 2,
+    I_k L <= I_{k-1} <= I_k by (ii) at k - 1, so I_{k+1} L <= I_k.  This
+    multiplies one vector per step where I_{k+1}'s whole basis would take
+    k + 1, and the coordinate loop is checked as the general one is.
     """
     targets = _coordinate_targets(alg)
     if targets is None:
@@ -744,12 +743,11 @@ def _coordinate_chain(alg: Algebra, targets: tuple[frozenset[int], ...]) -> list
     with one of them under the form (_times_form) as another, so that the
     rest span perp(I_k).  The candidates are the c in neither set whose
     targets are empty for k < 2 (e_c in the centre) and lie in I_k after
-    that (e_c in C_k); the pick is the first in the priority order.  Each
-    term is made from its sorted unit rows, which are its RREF, and the
-    picks e_c are handed to _check_chain.
+    that (e_c in C_k); the pick is the first in the priority order.  The
+    picks e_c are handed to _check_chain, which builds the terms.
     """
     perm, p = _priority_permutation(alg.n), alg.field.p
-    chain, picks, inside, paired = [zero_space(alg)], [], set(), set()
+    picks, inside, paired = [], set(), set()
     for k in range(alg.n):
         c = next(
             (
@@ -765,10 +763,8 @@ def _coordinate_chain(alg: Algebra, targets: tuple[frozenset[int], ...]) -> list
             raise _no_candidate(alg, k)
         inside.add(c)
         paired.update(*_times_form([{c: 1}], p))
-        chain.append(Subspace._from_rows(alg.field, alg.dim, ({d: 1} for d in sorted(inside))))
         picks.append({c: 1})
-    _check_chain(alg, chain, picks)
-    return chain
+    return _check_chain(alg, picks)
 
 
 def _no_candidate(alg: Algebra, k: int) -> ChainError:
@@ -786,13 +782,15 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
     spanning perp(Z), read once off the centre's basis before the loop
     (_perp_rows), and by perp(I_k) L after that (by invariance, see
     _centralizer_above), so w is the set of vectors orthogonal to S and to
-    I_k, in RREF in the priority order.  The rows of S and I_k, times G and
-    keyed at the reversed priority ranks, are eliminated once
-    (_keyed_orthogonal, the layer under _orthogonal).
+    I_k, in RREF in the priority order.  The rows of S and the picks
+    x_0..x_{k-1}, which span I_k, times G and keyed at the reversed
+    priority ranks, are eliminated once (_keyed_orthogonal, the layer under
+    _orthogonal).
 
     From k = 2 on, the loop holds rows spanning perp(I_k), made once by
-    _perp_rows(I_2), each with its products by every basis vector e_j, read
-    once off the row table and relabelled once into the kernel's key
+    _perp_rows(I_2), I_2 being reduced once from the first two picks.  Each
+    row carries its products by every basis vector e_j, read once off the
+    row table and relabelled once into the kernel's key
     (_perp_products).  When x joins the chain, perp(I_{k+1}) is the
     hyperplane of perp(I_k) on which (x, .) vanishes; x lies outside
     I_k = perp(perp(I_k)), so some held row pairs with it, and the held
@@ -800,7 +798,7 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
     products by the same combinations of the keyed rows: products are
     bilinear and the relabelling is linear.  So no step after k = 2 goes
     back to the row table or relabels a product; each hands the kernel
-    copies of the keyed products, which it consumes, and I_k's rows
+    copies of the keyed products, which it consumes, and the picks
     relabelled.
 
     The pick compares each candidate with I_k's RREF in the priority order,
@@ -809,75 +807,69 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
     candidate, a row of w's RREF, has 1 at q and 0 on w's other pivots,
     among which I_k <= w puts I_k's; so if it lies in I_k it is, like I_k's
     row at q, the one vector of I_k with 1 at q and 0 on I_k's other
-    pivots.  Each new term is checked to have dimension k + 1, so a pick
-    inside I_k, which this argument rules out, raises RuntimeError instead
-    of repeating a term.  Every step runs on dict rows.
-
-    The terms and picks are checked as isotropic_ideal_chain says
-    (_check_chain).
+    pivots.  A pick inside I_k, which this argument rules out, adds nothing
+    to that RREF and raises RuntimeError.  Every step runs on dict rows, and
+    the picks are handed to _check_chain, which builds the terms.
     """
     n, p = alg.n, alg.field.p
     perm = _priority_permutation(n)
     rank, key = {c: t for t, c in enumerate(perm)}, _reversed_ranks(perm)
-    chain, picks = [zero_space(alg)], []
-    ordered: dict[int, dict[int, int]] = {}
+    picks, ordered = [], {}
     centre = _perp_rows(_center(alg))
     for k in range(n):
-        current = chain[k]
         if k < 2:
             carried = _times_form(centre, p, key)
         else:
             if k == 2:
-                held, holders = _perp_products(alg, current, key)
+                pair = _rref_rows(map(dict, picks), p).values()
+                i_2 = Subspace._from_rows(alg.field, alg.dim, pair)
+                held, holders = _perp_products(alg, i_2, key)
             carried = [dict(row) for _, prods in held.values() for row in prods.values()]
-        candidates = _keyed_orthogonal([*carried, *_times_form(current.rows, p, key)], perm, p)
+        candidates = _keyed_orthogonal([*carried, *_times_form(picks, p, key)], perm, p)
         row = next(
             (c for c in candidates if ordered.get(min(c, key=rank.__getitem__)) != c), None
         )
         if row is None:
             raise _no_candidate(alg, k)
-        basis = _rref_rows([*map(dict, current.rows), dict(row)], p)
-        if len(basis) != k + 1:
+        picks.append(dict(row))
+        if not _extend_rref(ordered, row, rank, p):
             raise RuntimeError(
                 f"isotropic ideal chain step k={k} gives I_{k + 1} of dimension "
-                f"{len(basis)}, not {k + 1}, for n={n}"
+                f"{k}, not {k + 1}, for n={n}"
             )
-        chain.append(Subspace._from_rows(alg.field, alg.dim, basis.values()))
-        picks.append(dict(row))
         if k >= 2:
-            _hyperplane(held, holders, row, p)
-        _extend_rref(ordered, row, rank, p)
-    _check_chain(alg, chain, picks)
-    return chain
+            _hyperplane(held, holders, picks[k], p)
+    return _check_chain(alg, picks)
 
 
-def _check_chain(alg: Algebra, chain: list[Subspace], picks: list[dict[int, int]]) -> None:
-    """Check (i)-(iii) of isotropic_ideal_chain on the terms I_0..I_n and
-    the picked vectors x_0..x_{n-1} alone, (ii) on x_k as its docstring
-    argues; a failure raises RuntimeError naming the condition and k.
+def _check_chain(alg: Algebra, picks: list[dict[int, int]]) -> list[Subspace]:
+    """The terms I_0..I_n, I_{k+1} = I_k + <x_k>, built from the picks
+    x_0..x_{n-1} alone and checked as isotropic_ideal_chain argues; a
+    failure raises RuntimeError naming the condition and k.  Each x_k is
+    multiplied alone, off one column map (_by_basis), and joins one RREF
+    (_extend_rref), which a pick inside I_k leaves unchanged; each term
+    copies its rows, which later picks change in place.
     """
-    n = alg.n
-    m = min(n, 2)
-    if _product_rows(alg, chain[m], full_space(alg)):
-        raise RuntimeError(f"isotropic ideal chain fails (i) I_{m} L = 0 for n={n}")
-    for k in range(2, n):
-        low, high, x = chain[k], chain[k + 1], picks[k]
-        if (low.dim, high.dim) != (k, k + 1) or not high.contains_subspace(low):
+    n, p, dim = alg.n, alg.field.p, alg.dim
+    table, position = _row_table(alg), {c: c for c in range(dim)}
+    chain, basis = [zero_space(alg)], {}
+    for k, x in enumerate(picks):
+        prods = [r for row in _by_basis(table, x, position).values() if (r := _reduced(row, p))]
+        if k < 2 and prods:
+            raise RuntimeError(f"isotropic ideal chain fails (i) I_{min(n, 2)} L = 0 for n={n}")
+        if k >= 2 and not chain[k]._spans(prods):
             raise RuntimeError(
-                f"isotropic ideal chain fails (ii) I_{k} <= I_{k + 1} of dimensions "
-                f"{k}, {k + 1} at k={k} for n={n}"
+                f"isotropic ideal chain fails (ii) I_{k + 1} L <= I_{k} at k={k} for n={n}"
             )
-        if low._spans([x]) or not high._spans([x]):
+        if not _extend_rref(basis, dict(x), range(dim), p):
             raise RuntimeError(
                 f"isotropic ideal chain fails (ii) x_{k} in I_{k + 1} and not in I_{k} "
                 f"at k={k} for n={n}"
             )
-        if not low._spans(_products(alg, [x], range(alg.dim))):
-            raise RuntimeError(
-                f"isotropic ideal chain fails (ii) I_{k + 1} L <= I_{k} at k={k} for n={n}"
-            )
+        chain.append(Subspace._from_rows(alg.field, dim, (dict(basis[q]) for q in sorted(basis))))
     if not orthogonal(chain[n], chain[n], alg.gram):
         raise RuntimeError(f"isotropic ideal chain fails (iii) I_{n} isotropic for n={n}")
+    return chain
 
 
 def _perp_products(
@@ -952,9 +944,10 @@ def _hyperplane(held: dict, holders: dict[int, set[int]], x: dict[int, int], p: 
         }
 
 
-def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p: int) -> None:
-    """Add a dict row outside the span of basis, an RREF {pivot: row} with
-    the columns ranked by rank, to it in place; the row is consumed.
+def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p: int) -> bool:
+    """Add a dict row to basis, an RREF {pivot: row} with the columns
+    ranked by rank, in place, and return True; the row is consumed.  A row
+    in basis's span clears to zero: False, and nothing is added.
 
     As in _rref_rows: the row is cleared on the pivot columns it meets,
     scaled to 1 at its first column by rank, its new pivot q, and cleared
@@ -962,6 +955,8 @@ def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p:
     """
     for c in [c for c in row if c in basis]:
         _clear(row, c, basis[c], p)
+    if not row:
+        return False
     q = min(row, key=rank.__getitem__)
     inv = pow(row[q], -1, p)
     for j, v in row.items():
@@ -970,6 +965,7 @@ def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p:
         if q in other:
             _clear(other, q, row, p)
     basis[q] = row
+    return True
 
 
 def _nilpotent_triple(t: PresentationTriple) -> bool:

@@ -674,11 +674,11 @@ def test_chain_matches_reference_on_scrambled_minimal_algebras(monkeypatch, p):
 def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
     # every candidate is doubled, so one that lies in I_k no longer equals
     # I_k's row at its pivot and is picked; the first candidate at k = 0,
-    # which spans I_1, is again the first at k = 1, and the new term's
-    # dimension check refuses it instead of repeating I_1; the centre, whose
-    # kernel is _keyed_orthogonal too (through _orthogonal), is held before
-    # the patch; the catalog entry is monomial, so the general loop is
-    # called through its own entry
+    # which spans I_1, is again the first at k = 1, and the loop refuses it,
+    # since it does not grow I_1's priority RREF, instead of repeating I_1;
+    # the centre, whose kernel is _keyed_orthogonal too (through
+    # _orthogonal), is held before the patch; the catalog entry is
+    # monomial, so the general loop is called through its own entry
     kernel = algebra_module._keyed_orthogonal
 
     def doubled(rows, order, p):
@@ -692,50 +692,43 @@ def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
     assert not isinstance(info.value, ChainError)
 
 
-def _term_missing_the_chain(alg, chain, picks):
-    # I_3 with its row at I_2's first pivot swapped for a unit vector at a
-    # column that is no pivot of I_3: still of dimension 3, but no vector of
-    # it leads at that pivot, so it misses I_2
-    high, c = chain[3], chain[2].pivots[0]
-    free = next(j for j in range(alg.dim) if j not in high.pivots)
-    rows = [r for q, r in zip(high.pivots, high.rows) if q != c] + [{free: 1}]
-    chain[3] = Subspace.from_vectors(alg.field, alg.dim, _rows_array(rows, (3, alg.dim)))
+def _repeated_pick(alg, picks):
+    picks[1] = dict(picks[0])
 
 
-def _pick_inside_the_chain(alg, chain, picks):
-    picks[2] = dict(chain[2].rows[0])
+def _pick_inside_the_chain(alg, picks):
+    # x_0 + x_1, the picks being distinct basis vectors: in I_2, and no pick
+    picks[2] = {**picks[0], **picks[1]}
 
 
-def _pick_outside_the_centralizer(alg, chain, picks):
-    # I_3 = I_2 + <e_c> for the first basis vector e_c whose products leave
-    # I_2: a term that holds I_2 and its pick, one dimension up
-    low = chain[2]
-    c = next(
-        c
-        for c in range(alg.dim)
-        if not low._spans(algebra_module._products(alg, [{c: 1}], range(alg.dim)))
-    )
-    rows = [*low.rows, {c: 1}]
-    chain[3] = Subspace.from_vectors(alg.field, alg.dim, _rows_array(rows, (3, alg.dim)))
-    picks[2] = {c: 1}
+def _pick_outside_the_centralizer(alg, picks):
+    # the first basis vector e_c whose products leave I_2
+    low = Subspace.from_vectors(alg.field, alg.dim, _rows_array(picks[:2], (2, alg.dim)))
+    picks[2] = {
+        next(
+            c
+            for c in range(alg.dim)
+            if not low._spans(algebra_module._products(alg, [{c: 1}], range(alg.dim)))
+        ): 1
+    }
 
 
 @pytest.mark.parametrize(
     "fault, failing",
     [
-        (_term_missing_the_chain, r"fails \(ii\) I_2 <= I_3 of dimensions 2, 3 at k=2 for n=8"),
+        (_repeated_pick, r"fails \(ii\) x_1 in I_2 and not in I_1 at k=1 for n=8"),
         (_pick_inside_the_chain, r"fails \(ii\) x_2 in I_3 and not in I_2 at k=2 for n=8"),
         (_pick_outside_the_centralizer, r"fails \(ii\) I_3 L <= I_2 at k=2 for n=8"),
     ],
 )
 def test_chain_check_refuses_each_fault_of_ii(monkeypatch, fault, failing):
-    # each fault breaks one clause of the check on x_k, at k = 2, in the
-    # terms and picks the loop hands the check; the check reads nothing else
+    # each fault breaks one clause of the check on x_k, at k = 1 or 2, in the
+    # picks the loop hands the check; the check reads nothing else
     check = algebra_module._check_chain
 
-    def tampered(alg, chain, picks):
-        fault(alg, chain, picks)
-        return check(alg, chain, picks)
+    def tampered(alg, picks):
+        fault(alg, picks)
+        return check(alg, picks)
 
     monkeypatch.setattr(algebra_module, "_check_chain", tampered)
     with pytest.raises(RuntimeError, match=failing) as info:
@@ -744,21 +737,42 @@ def test_chain_check_refuses_each_fault_of_ii(monkeypatch, fault, failing):
 
 
 def test_chain_check_multiplies_one_vector_per_step(monkeypatch):
-    # (i) multiplies I_2's basis, and (ii) multiplies x_k alone, not the
-    # k + 1 rows of I_{k+1}; the general loop calls _products for nothing
-    # (the construction already holds the centre), and is called through
-    # its own entry, the construction being monomial
+    # (i) multiplies x_0 and x_1, which span I_2, and (ii) multiplies x_k
+    # alone, not the k + 1 rows of I_{k+1}: the check, handed the picks of
+    # the construction's chain, rebuilds that chain and multiplies each
+    # pick once, on one column map
     alg = minimal_algebra(16, F3)[1]
-    sizes, products = [], algebra_module._products
+    chain = isotropic_ideal_chain(alg)
+    picks = [{min(set(b.pivots) - set(a.pivots)): 1} for a, b in zip(chain, chain[1:])]
+    calls, by_basis = [], algebra_module._by_basis
 
-    def counted(a, left, cols, right=None):
-        if left is not None:
-            sizes.append(len(left))
-        return products(a, left, cols, right)
+    def counted(table, u, position):
+        calls.append((u, position))
+        return by_basis(table, u, position)
 
-    monkeypatch.setattr(algebra_module, "_products", counted)
+    monkeypatch.setattr(algebra_module, "_by_basis", counted)
+    assert algebra_module._check_chain(alg, picks) == chain
+    assert [u for u, _ in calls] == picks
+    assert len({id(position) for _, position in calls}) == 1
+
+
+def test_general_chain_reduces_i2_alone(monkeypatch):
+    # the kernel takes the picks, which span I_k, and the check builds the
+    # terms, so the general loop reduces the first two picks once, at
+    # k = 2, for _perp_products, and nothing per step (the construction
+    # already holds its centre, and is monomial, so the general loop is
+    # called through its own entry)
+    alg = minimal_algebra(16, F3)[1]
+    sizes, eliminate = [], algebra_module._rref_rows
+
+    def counted(rows, p):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(algebra_module, "_rref_rows", counted)
     assert [s.dim for s in algebra_module._general_chain(alg)] == list(range(17))
-    assert sizes == [2] + [1] * 14
+    assert sizes == [2]
 
 
 def chains_of_both_loops_agree(sizes, p):
@@ -877,10 +891,12 @@ def test_chain_memory_stays_small():
 
 @pytest.mark.slow
 def test_chain_completes_at_n_1000():
-    # the general loop, called through its own entry: the construction is
-    # monomial
+    # the general loop, called through its own entry (the construction is
+    # monomial), gives the coordinate loop's chain term by term
     alg = minimal_algebra(1000, F3)[1]
-    assert [s.dim for s in algebra_module._general_chain(alg)] == list(range(1001))
+    chain = algebra_module._general_chain(alg)
+    assert [s.dim for s in chain] == list(range(1001))
+    assert chain == isotropic_ideal_chain(alg)
 
 
 def test_validate_nilpotent_presentation():
