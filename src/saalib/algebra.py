@@ -787,19 +787,27 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
     priority ranks, are eliminated once (_keyed_orthogonal, the layer under
     _orthogonal).
 
-    From k = 2 on, the loop holds rows spanning perp(I_k), made once by
-    _perp_rows(I_2), I_2 being reduced once from the first two picks.  Each
-    row carries its products by every basis vector e_j, read once off the
-    row table and relabelled once into the kernel's key
-    (_perp_products).  When x joins the chain, perp(I_{k+1}) is the
-    hyperplane of perp(I_k) on which (x, .) vanishes; x lies outside
-    I_k = perp(perp(I_k)), so some held row pairs with it, and the held
-    rows are replaced by a basis of the hyperplane (_hyperplane), their
-    products by the same combinations of the keyed rows: products are
-    bilinear and the relabelling is linear.  So no step after k = 2 goes
-    back to the row table or relabels a product; each hands the kernel
-    copies of the keyed products, which it consumes, and the picks
-    relabelled.
+    The loop holds rows spanning perp(I_k) from k = 0, where they are the
+    basis vectors of L = perp(I_0).  Each row carries its products by every
+    basis vector e_j, read once off the row table before the loop and
+    relabelled once into the kernel's key (_perp_products).  When x joins
+    the chain, perp(I_{k+1}) is the hyperplane of perp(I_k) on which (x, .)
+    vanishes; x lies outside I_k = perp(perp(I_k)), so some held row pairs
+    with it, and after every pick the held rows are replaced by a basis of
+    the hyperplane (_hyperplane), their products by the same combinations
+    of the keyed rows: products are bilinear and the relabelling is linear.
+    So no step goes back to the row table or relabels a product; each step
+    k >= 2 hands the kernel copies of the keyed products, which it
+    consumes, and the picks relabelled.  The steps k < 2 hand it the rows
+    spanning perp(Z) instead, as C is the centre there, so the centre is
+    eliminated once, whoever asks first.
+
+    Which basis of perp(I_k) the cuts leave does not matter: the kernel
+    reads only the row space of its rows, and its output, an RREF, is
+    unique.  The held rows span perp(I_k) at every k, so their products
+    span perp(I_k) L whatever basis they are in, and the candidates, the
+    picks, the chain and every ChainError are those of any other basis of
+    perp(I_k).
 
     The pick compares each candidate with I_k's RREF in the priority order,
     held and extended by one row per step (_extend_rref).  A candidate whose
@@ -816,14 +824,11 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
     rank, key = {c: t for t, c in enumerate(perm)}, _reversed_ranks(perm)
     picks, ordered = [], {}
     centre = _perp_rows(_center(alg))
+    held, holders = _perp_products(alg, key)
     for k in range(n):
         if k < 2:
             carried = _times_form(centre, p, key)
         else:
-            if k == 2:
-                pair = _rref_rows(map(dict, picks), p).values()
-                i_2 = Subspace._from_rows(alg.field, alg.dim, pair)
-                held, holders = _perp_products(alg, i_2, key)
             carried = [dict(row) for _, prods in held.values() for row in prods.values()]
         candidates = _keyed_orthogonal([*carried, *_times_form(picks, p, key)], perm, p)
         row = next(
@@ -837,8 +842,7 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
                 f"isotropic ideal chain step k={k} gives I_{k + 1} of dimension "
                 f"{k}, not {k + 1}, for n={n}"
             )
-        if k >= 2:
-            _hyperplane(held, holders, picks[k], p)
+        _hyperplane(held, holders, picks[k], p)
     return _check_chain(alg, picks)
 
 
@@ -872,38 +876,34 @@ def _check_chain(alg: Algebra, picks: list[dict[int, int]]) -> list[Subspace]:
     return chain
 
 
-def _perp_products(
-    alg: Algebra, s: Subspace, key: dict[int, int]
-) -> tuple[dict, dict[int, set[int]]]:
-    """(held, holders) for _hyperplane: held numbers the rows spanning
-    perp(s) (_perp_rows), each paired with its nonzero products
-    {j: (row . e_j) G}, read off the row table and relabelled by the form
-    with key, by one _times_form call, and holders maps each column to the
-    numbers of the rows with a nonzero there.  The relabelling is a signed
-    permutation of the columns, so it commutes with the linear combinations
-    _hyperplane makes, and the products stay relabelled as they are cut."""
-    p, table, position = alg.field.p, _row_table(alg), {c: c for c in range(alg.dim)}
-    rows = _perp_rows(s)
-    prods = [
-        {j: r for j, row in _by_basis(table, u, position).items() if (r := _reduced(row, p))}
-        for u in rows
-    ]
-    keyed = iter(_times_form([r for by_j in prods for r in by_j.values()], p, key))
-    held, holders = {}, {}
-    for t, (u, by_j) in enumerate(zip(rows, prods)):
-        held[t] = u, {j: next(keyed) for j in by_j}
-        for c in u:
-            holders.setdefault(c, set()).add(t)
-    return held, holders
+def _perp_products(alg: Algebra, key: dict[int, int]) -> tuple[dict, dict[int, set[int]]]:
+    """(held, holders) for _hyperplane on perp(I_0) = L: held maps each
+    coordinate c to the unit row {c: 1} paired with its nonzero products
+    {j: (e_c . e_j) G}, read straight off the row table (_row_table) and
+    relabelled by the form with key, by one _times_form call, and holders
+    maps each column c to {c}, the one row with a nonzero there.  The
+    relabelling is a signed permutation of the columns, so it commutes with
+    the linear combinations _hyperplane makes, and the products stay
+    relabelled as they are cut."""
+    prods = []
+    for entries in _row_table(alg):
+        by_j: dict[int, dict[int, int]] = {}
+        for j, k, v in entries:
+            by_j.setdefault(j, {})[k] = v
+        prods.append(by_j)
+    keyed = iter(_times_form([row for by_j in prods for row in by_j.values()], alg.field.p, key))
+    held = {c: ({c: 1}, {j: next(keyed) for j in by_j}) for c, by_j in enumerate(prods)}
+    return held, {c: {c} for c in held}
 
 
 def _hyperplane(held: dict, holders: dict[int, set[int]], x: dict[int, int], p: int) -> None:
     """Cut the span of the held rows down to the hyperplane on which (x, .)
     vanishes, in place.
 
-    held maps a number t to a pair (row, {j: product}), its rows
-    independent, and holders maps each column to the numbers of the rows
-    with a nonzero there (see _perp_products).  (x, r) is read off x G
+    held maps a coordinate t to a pair (row, {j: product}), the row being
+    e_t until a cut combines it, the rows independent, and holders maps
+    each column to the coordinates of the rows with a nonzero there (see
+    _perp_products).  (x, r) is read off x G
     (_times_form), for the rows r that meet its columns alone.  The first
     row u with (x, u) != 0 is dropped, and every other row r with
     (x, r) != 0 becomes

@@ -258,7 +258,7 @@ class ScanConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        # refuses composites and primes too large for int64
+        # refuses composites and primes past PrimeField's bound
         object.__setattr__(self, "field", PrimeField(self.p))
         if self.n < 1:
             raise ValueError("n must be at least 1")

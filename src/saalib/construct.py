@@ -579,7 +579,10 @@ def fingerprint(alg: Algebra) -> tuple:
     """Isomorphism invariants; unequal fingerprints certify non-isomorphism.
 
     Upper dims come off the lower series: by invariance Z_i = perp(L^{i+1}),
-    nilpotent or not, with as many terms (see checks.check_duality).
+    nilpotent or not, with as many terms (see checks.check_duality).  So
+    the rank of a nilpotent algebra, dim L - dim L^2 = dim Z_1, is read off
+    them too, and no centre is computed (rank(alg) would eliminate one only
+    to cross-check that value).
     L^2 L^2 multiplies each pair of L^2's basis rows once, by alternation
     (see product_space).
 
@@ -600,5 +603,5 @@ def fingerprint(alg: Algebra) -> tuple:
         sq_product.dim,
         tuple(i >= first for i in range(len(low.lower))),
         low.nilpotency_class,
-        None if low.nilpotency_class is None else rank(alg),
+        None if low.nilpotency_class is None else alg.dim - lsq.dim,
     )

@@ -71,7 +71,7 @@ class PrimeField:
         # checked first: trial division on such a p would take hours
         if self.p * (self.p - 1) >= 2**63:
             raise ValueError(
-                f"field order {self.p} too large: exact int64 arithmetic needs p * (p - 1) < 2**63"
+                f"field order {self.p} too large: the accepted primes have p * (p - 1) < 2**63"
             )
         if not is_prime(self.p):
             raise ValueError(f"field order must be prime, got {self.p}")

@@ -532,14 +532,14 @@ def relabelled(pres):
     [(False, r"fails \(i\) I_2 L = 0 for n="), (True, r"fails \(ii\) I_3 L <= I_2 at k=2 for n=")],
 )
 def test_chain_check_refuses_a_chain_outside_the_centralizers(monkeypatch, above_zero, failing):
-    # the steps k >= 2 carry no rows spanning perp(I_k), so they take no
-    # product rows and their candidates range over perp(I_k), not C; unless
-    # above_zero keeps the centre, it is taken to be L, whose perp no rows
-    # span, so the steps k < 2 range over perp(I_k) too; with the indices
-    # reversed the priority order then takes vectors whose products leave
-    # the chain.  The catalog is monomial, so the general loop is called
-    # through its own entry
-    monkeypatch.setattr(algebra_module, "_perp_products", lambda alg, s, key: ({}, {}))
+    # the loop carries no rows spanning perp(I_k), so the steps k >= 2 take
+    # no product rows and their candidates range over perp(I_k), not C;
+    # unless above_zero keeps the centre, it is taken to be L, whose perp no
+    # rows span, so the steps k < 2 range over perp(I_k) too; with the
+    # indices reversed the priority order then takes vectors whose products
+    # leave the chain.  The catalog is monomial, so the general loop is
+    # called through its own entry
+    monkeypatch.setattr(algebra_module, "_perp_products", lambda alg, key: ({}, {}))
     if not above_zero:
         monkeypatch.setattr(algebra_module, "_center", full_space)
     for entry in catalog():
@@ -580,13 +580,13 @@ def test_chain_fails_on_non_nilpotent():
         isotropic_ideal_chain(alg)
 
 
-def test_chain_reads_the_row_table_only_up_to_step_two(monkeypatch):
-    # from k = 2 on the rows spanning perp(I_k) carry their products, so the
-    # steps after k = 2 read nothing off the row table; every product is
-    # read through _row_table, once per call, so the reads made before each
-    # step's kernel count them (the construction already holds the centre);
-    # the construction is monomial, so the general loop is called through
-    # its own entry
+def test_chain_reads_the_row_table_once_before_the_loop(monkeypatch):
+    # from k = 0 on the rows spanning perp(I_k) carry their products, read
+    # off the row table before the first kernel, so no step reads it again;
+    # every product is read through _row_table, once per call, so the reads
+    # made before each step's kernel count them (the construction already
+    # holds the centre); the construction is monomial, so the general loop
+    # is called through its own entry
     alg = minimal_algebra(16, F3)[1]
     reads, per_step = [], []
     row_table, kernel = algebra_module._row_table, algebra_module._keyed_orthogonal
@@ -602,7 +602,7 @@ def test_chain_reads_the_row_table_only_up_to_step_two(monkeypatch):
     monkeypatch.setattr(algebra_module, "_row_table", counted_table)
     monkeypatch.setattr(algebra_module, "_keyed_orthogonal", counted_kernel)
     assert [s.dim for s in algebra_module._general_chain(alg)] == list(range(17))
-    assert per_step == [0, 0] + [1] * 14
+    assert per_step == [1] * 16
 
 
 @pytest.mark.parametrize("p", [2, 3037000493])
@@ -669,6 +669,32 @@ def test_chain_matches_reference_on_scrambled_minimal_algebras(monkeypatch, p):
         alg = scrambled(minimal_algebra(n, PrimeField(p))[1], rng)
         assert isotropic_ideal_chain(alg) == reference_chain(alg)
     assert max(paired) >= 2
+
+
+@pytest.mark.parametrize("n, p, dense", [(16, 3, False), (6, 3, True), (6, 3037000493, True)])
+def test_general_chain_carries_perp_of_each_term(monkeypatch, n, p, dense):
+    # the carried rows start at the basis vectors of L = perp(I_0) and are
+    # cut after every pick, so after the cut by x_k they span perp(I_{k+1});
+    # on the scrambled algebras the picks are dense and the cuts combine rows
+    alg = minimal_algebra(n, PrimeField(p))[1]
+    if dense:
+        alg = scrambled(alg, np.random.default_rng(5))
+    spans, widths, hyperplane = [], [], algebra_module._hyperplane
+
+    def recorded(held, holders, x, q):
+        hyperplane(held, holders, x, q)
+        rows = [row for row, _ in held.values()]
+        widths.extend(map(len, rows))
+        array = _rows_array(rows, (len(rows), alg.dim))
+        spans.append(Subspace.from_vectors(alg.field, alg.dim, array))
+        assert len(rows) == spans[-1].dim
+
+    monkeypatch.setattr(algebra_module, "_hyperplane", recorded)
+    chain = algebra_module._general_chain(alg)
+    assert len(spans) == n
+    for k, span in enumerate(spans):
+        assert span == perp(chain[k + 1], alg.gram), k
+    assert (max(widths) > 1) == dense
 
 
 def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
@@ -756,12 +782,12 @@ def test_chain_check_multiplies_one_vector_per_step(monkeypatch):
     assert len({id(position) for _, position in calls}) == 1
 
 
-def test_general_chain_reduces_i2_alone(monkeypatch):
-    # the kernel takes the picks, which span I_k, and the check builds the
-    # terms, so the general loop reduces the first two picks once, at
-    # k = 2, for _perp_products, and nothing per step (the construction
-    # already holds its centre, and is monomial, so the general loop is
-    # called through its own entry)
+def test_general_chain_reduces_nothing(monkeypatch):
+    # the kernel takes the picks, which span I_k, the check builds the
+    # terms, and the carried rows start at the basis vectors of L, so the
+    # general loop never calls _rref_rows (the construction already holds
+    # its centre, and is monomial, so the general loop is called through its
+    # own entry)
     alg = minimal_algebra(16, F3)[1]
     sizes, eliminate = [], algebra_module._rref_rows
 
@@ -772,7 +798,7 @@ def test_general_chain_reduces_i2_alone(monkeypatch):
 
     monkeypatch.setattr(algebra_module, "_rref_rows", counted)
     assert [s.dim for s in algebra_module._general_chain(alg)] == list(range(17))
-    assert sizes == [2]
+    assert sizes == []
 
 
 def chains_of_both_loops_agree(sizes, p):
@@ -897,6 +923,16 @@ def test_chain_completes_at_n_1000():
     chain = algebra_module._general_chain(alg)
     assert [s.dim for s in chain] == list(range(1001))
     assert chain == isotropic_ideal_chain(alg)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [24, 40])
+def test_general_chain_matches_reference_on_dense_algebras(n):
+    # the scrambled constructions are dense and not monomial, so every cut
+    # of the general loop combines rows; the reference eliminates each step
+    # afresh
+    alg = scrambled(minimal_algebra(n, F3)[1], np.random.default_rng(1))
+    assert algebra_module._general_chain(alg) == reference_chain(alg)
 
 
 def test_validate_nilpotent_presentation():

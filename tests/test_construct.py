@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from saalib import algebra as algebra_module
 from saalib.algebra import (
     BasisVector,
     build_algebra,
@@ -454,6 +455,27 @@ def test_fingerprint_separates_the_dim10_families():
     assert f1[2] == 2
     assert f2[2] == 5
     assert f1 != f2
+
+
+@pytest.mark.parametrize("name, r", [("P8-2-1", 1), ("P10-2-2", 2), ("P12-2-1", 1)])
+def test_fingerprint_computes_no_centre(monkeypatch, name, r):
+    # the rank entry is dim L - dim L^2, read off the lower series, so a
+    # fresh algebra's fingerprint eliminates no centre; the same entry is
+    # the rank that rank() cross-checks against dim Z_1
+    calls = []
+    for helper in ("_center", "_centralizer_above"):
+        original = getattr(algebra_module, helper)
+
+        def counted(*args, original=original, helper=helper):
+            calls.append(helper)
+            return original(*args)
+
+        monkeypatch.setattr(algebra_module, helper, counted)
+    alg = build_algebra(catalog_entry(name).presentation(F7, r=r))
+    invariants = fingerprint(alg)
+    assert calls == []
+    monkeypatch.undo()
+    assert invariants[5] == invariants[1][1] == rank(alg) == 2
 
 
 def test_center_isotropic_on_catalog():
