@@ -57,6 +57,7 @@ __all__ = [
     "lower_central_series",
     "upper_central_series",
     "series_report",
+    "monomial_series",
     "nilpotency_class",
     "rank",
     "is_ideal",
@@ -288,12 +289,12 @@ class Algebra:
     array is built.  Its form, gram, is made from field and n on each read,
     so it is always the form the products use.  The row table of the
     nonzero basis products, the lower central series, the centre Z_1, the
-    upper central series, the series report and the chain's coordinate view
-    (_coordinate_targets) are each computed at most once per instance, on
-    first use, and held in _series.  Instances are immutable after
-    construction and safe to share across threads: every held value is
-    deterministic and immutable, so a race can at worst compute the same
-    value twice.
+    upper central series, the series report and the coordinate view of a
+    monomial algebra (_coordinate_targets) are each computed at most once
+    per instance, on first use, and held in _series.  Instances are
+    immutable after construction and safe to share across threads: every
+    held value is deterministic and immutable, so a race can at worst
+    compute the same value twice.
     """
 
     n: int
@@ -421,11 +422,18 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
     return out
 
 
-def _by_basis(table, u: dict[int, int], position: dict[int, int]) -> dict[int, dict[int, int]]:
+def _by_basis(table, u: dict[int, int], position=None) -> dict[int, dict[int, int]]:
     """{j: u . e_j} over the basis vectors e_j with a product entry, each
-    an unreduced dict row {position[k]: coordinate k}, read off the row
-    table (_row_table) on the columns k that position holds."""
+    an unreduced dict row read off the row table (_row_table): {k:
+    coordinate k} on every column, or, given the column map position,
+    {position[k]: coordinate k} on the columns k that it holds."""
     by_j: dict[int, dict[int, int]] = {}
+    if position is None:
+        for i, ui in u.items():
+            for j, k, v in table[i]:
+                row = by_j.setdefault(j, {})
+                row[k] = row.get(k, 0) + ui * v
+        return by_j
     for i, ui in u.items():
         for j, k, v in table[i]:
             t = position.get(k)
@@ -724,8 +732,9 @@ def _coordinate_targets(alg: Algebra) -> tuple[frozenset[int], ...] | None:
     c, j and k^1, so two entries with one j are two triples sharing c and
     j.  Distinct j entries in every row are therefore exactly "no two
     triples share two basis vectors", and each e_c . e_j is then 0 or a
-    multiple of one e_k.  Held on first use by the chain, so nothing else
-    pays for it.
+    multiple of one e_k.  Held on first use, which the chain, the
+    fingerprint and monomial_series each make, so it is read off the row
+    table once however many of them ask.
     """
     targets = []
     for row in _row_table(alg):
@@ -765,6 +774,80 @@ def _coordinate_chain(alg: Algebra, targets: tuple[frozenset[int], ...]) -> list
         paired.update(*_times_form([{c: 1}], p))
         picks.append({c: 1})
     return _check_chain(alg, picks)
+
+
+def _coordinate_lower(targets: tuple[frozenset[int], ...]) -> list[frozenset[int]]:
+    """The lower central series of a monomial algebra, whose coordinate
+    view is targets (_coordinate_targets), as the sets of coordinates whose
+    basis vectors span its terms, up to its first repeated term: L^1 holds
+    every coordinate and L^{i+1} the targets of L^i's (see
+    monomial_series)."""
+    terms = [frozenset(range(len(targets)))]
+    while terms[-1]:
+        below = frozenset().union(*(targets[c] for c in terms[-1]))
+        if below == terms[-1]:
+            break
+        terms.append(below)
+    return terms
+
+
+def _coordinate_upper(targets: tuple[frozenset[int], ...]) -> list[frozenset[int]]:
+    """The upper central series of a monomial algebra, as _coordinate_lower
+    gives the lower: Z_0 is empty and Z_{i+1} holds the coordinates whose
+    targets lie in Z_i, so Z_1 those with none."""
+    terms = [frozenset()]
+    while True:
+        above = frozenset(c for c, reach in enumerate(targets) if reach <= terms[-1])
+        if above == terms[-1]:
+            return terms
+        terms.append(above)
+
+
+def monomial_series(pres: Presentation) -> SeriesReport:
+    """Both central series, the class and the rank of a monomial
+    presentation, one in which no two triples share two basis vectors,
+    read off sets of coordinates with no elimination; NotApplicable on any
+    other presentation.
+
+    On a monomial algebra each product e_a . e_b is 0 or a nonzero multiple
+    of one basis vector e_t, a target of a (_coordinate_targets), and for a
+    fixed b distinct a reach distinct t (see isotropic_ideal_chain).  Let I
+    be spanned by the basis vectors of a coordinate set S.  Then I L is
+    spanned by the products e_a . e_b with a in S, so by the e_t with t a
+    target of S; and for v = sum v_a e_a the terms of v . e_b lie on
+    distinct coordinates, so v L lies in I iff every e_a with v_a != 0 has
+    its targets in S.  From L, spanned by every coordinate, and from 0, by
+    induction every lower term L^{i+1} = L^i L is spanned by the targets
+    of L^i's coordinates (_coordinate_lower), and every upper term
+    Z_{i+1} = {v : v L <= Z_i} by the coordinates whose targets lie in Z_i
+    (_coordinate_upper).  Each term is returned as its unit rows, which
+    are its RREF.  The class is read off the lower series and the rank is
+    dim L - dim L^2, cross-checked against dim Z_1 as rank() does.
+    Which products are nonzero depends only on which triples the
+    presentation holds, not on their values, so the same sets, and the
+    same dimensions, class and rank, come out over every prime field and
+    for every choice of nonzero values.
+    """
+    alg = build_algebra(pres)
+    targets = _coordinate_targets(alg)
+    if targets is None:
+        raise NotApplicable(
+            "monomial_series requires a presentation whose triples share no two basis vectors"
+        )
+    lower, upper = _coordinate_lower(targets), _coordinate_upper(targets)
+    cls = None if lower[-1] else len(lower) - 1
+    rk = None
+    if cls is not None:
+        rk, z1 = alg.dim - len(lower[1]), len(upper[1])
+        if z1 != rk:
+            raise RuntimeError(f"rank cross-check failed: dim L - dim L^2 = {rk}, dim Z_1 = {z1}")
+
+    def span(coords: frozenset[int]) -> Subspace:
+        return Subspace._from_rows(alg.field, alg.dim, ({c: 1} for c in sorted(coords)))
+
+    return SeriesReport(
+        lower=tuple(map(span, lower)), upper=tuple(map(span, upper)), nilpotency_class=cls, rank=rk
+    )
 
 
 def _no_candidate(alg: Algebra, k: int) -> ChainError:
@@ -850,15 +933,15 @@ def _check_chain(alg: Algebra, picks: list[dict[int, int]]) -> list[Subspace]:
     """The terms I_0..I_n, I_{k+1} = I_k + <x_k>, built from the picks
     x_0..x_{n-1} alone and checked as isotropic_ideal_chain argues; a
     failure raises RuntimeError naming the condition and k.  Each x_k is
-    multiplied alone, off one column map (_by_basis), and joins one RREF
-    (_extend_rref), which a pick inside I_k leaves unchanged; each term
-    copies its rows, which later picks change in place.
+    multiplied alone, on every column of the row table (_by_basis), and
+    joins one RREF (_extend_rref), which a pick inside I_k leaves
+    unchanged; each term copies its rows, which later picks change in
+    place.
     """
     n, p, dim = alg.n, alg.field.p, alg.dim
-    table, position = _row_table(alg), {c: c for c in range(dim)}
-    chain, basis = [zero_space(alg)], {}
+    table, chain, basis = _row_table(alg), [zero_space(alg)], {}
     for k, x in enumerate(picks):
-        prods = [r for row in _by_basis(table, x, position).values() if (r := _reduced(row, p))]
+        prods = [r for row in _by_basis(table, x).values() if (r := _reduced(row, p))]
         if k < 2 and prods:
             raise RuntimeError(f"isotropic ideal chain fails (i) I_{min(n, 2)} L = 0 for n={n}")
         if k >= 2 and not chain[k]._spans(prods):

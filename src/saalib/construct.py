@@ -31,7 +31,10 @@ from .algebra import (
     BasisVector,
     Presentation,
     StructureTensor,
+    _coordinate_lower,
+    _coordinate_targets,
     _nilpotent_shape,
+    _row_table,
     build_algebra,
     is_isotropic,
     lower_central_series,
@@ -39,7 +42,7 @@ from .algebra import (
     product_space,
     rank,
 )
-from .linalg import PrimeField
+from .linalg import PrimeField, _times_form
 
 __all__ = [
     "ConstructionError",
@@ -577,6 +580,49 @@ def try_scaling_isomorphism(a: Presentation, b: Presentation) -> ScalingWitness 
 
 def fingerprint(alg: Algebra) -> tuple:
     """Isomorphism invariants; unequal fingerprints certify non-isomorphism.
+
+    The tuple holds the lower series' dims, the upper series' dims, dim
+    L^2 L^2, whether each lower term is isotropic, the class and the rank
+    (None unless nilpotent).  A monomial algebra, whose coordinate view
+    _coordinate_targets holds, has it read off sets of coordinates
+    (_coordinate_fingerprint); any other off the exact lower series
+    (_exact_fingerprint).
+    """
+    targets = _coordinate_targets(alg)
+    if targets is None:
+        return _exact_fingerprint(alg)
+    return _coordinate_fingerprint(alg, targets)
+
+
+def _coordinate_fingerprint(alg: Algebra, targets: tuple[frozenset[int], ...]) -> tuple:
+    """fingerprint on a monomial algebra, whose coordinate view is targets,
+    with no elimination and no Subspace built.
+
+    Every lower term is spanned by the basis vectors of a set of
+    coordinates (_coordinate_lower; see monomial_series for the argument),
+    and the upper dims come off it by duality, as in _exact_fingerprint.
+    L^2 L^2 is spanned by the products e_a . e_j with a and j in L^2's set,
+    each 0 or a multiple of e_k for the entry (j, k, v) of the row table's
+    row a, so by those k.  (e_a, e_b) is nonzero iff b is a's form partner
+    (_times_form), so a span of basis vectors is isotropic iff no member's
+    partner lies in its set.
+    """
+    p, dim, table = alg.field.p, alg.dim, _row_table(alg)
+    lower = _coordinate_lower(targets)
+    lsq = lower[min(1, len(lower) - 1)]
+    cls = None if lower[-1] else len(lower) - 1
+    return (
+        tuple(map(len, lower)),
+        tuple(dim - len(s) for s in lower),
+        len({k for a in lsq for j, k, _ in table[a] if j in lsq}),
+        tuple(s.isdisjoint(_times_form([dict.fromkeys(s, 1)], p)[0]) for s in lower),
+        cls,
+        None if cls is None else dim - len(lsq),
+    )
+
+
+def _exact_fingerprint(alg: Algebra) -> tuple:
+    """fingerprint on any algebra, off its exact lower series.
 
     Upper dims come off the lower series: by invariance Z_i = perp(L^{i+1}),
     nilpotent or not, with as many terms (see checks.check_duality).  So

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import operator
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 from saalib import algebra as algebra_module
+from saalib import construct as construct_module
 from saalib import linalg as linalg_module
 from saalib.algebra import (
     BasisVector,
@@ -30,6 +30,7 @@ from saalib.algebra import (
     isotropic_ideal_chain,
     lower_central_series,
     maximal_class_structure_check,
+    monomial_series,
     multiply,
     nilpotency_class,
     product_space,
@@ -46,6 +47,7 @@ from saalib.construct import (
     catalog,
     catalog_entry,
     construct_minimal,
+    fingerprint,
     minimal_algebra,
 )
 from saalib.linalg import PrimeField, Subspace, _rows_array, perp
@@ -617,36 +619,28 @@ def scrambled(alg, rng, count=4):
     symplectic transvections u -> u + c (u, v) v, so (e_a A, e_b A) is the
     standard form and the two algebras are isomorphic.
 
-    gamma'(a, b, c) = gamma(e_a A, e_b A, e_c A), summed on Python ints over
-    the six permutations of each stored triple.  The chain of such an
-    algebra is made of dense vectors, where a minimal construction's are
-    basis vectors.
+    gamma'(a, b, c) = gamma(e_a A, e_b A, e_c A): the dense gamma is
+    contracted with A one index at a time, each contraction reduced mod p.
+    The arrays are int64 when every sum of dim products of residues fits,
+    and Python ints otherwise.  The chain of such an algebra is made of
+    dense vectors, where a minimal construction's are basis vectors.
     """
     p, dim = alg.field.p, alg.dim
-    a = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    dtype = np.int64 if dim * (p - 1) ** 2 < 2**63 else object
+    g = alg.gram.data.astype(dtype) % p
+    a = np.eye(dim, dtype=np.int64).astype(dtype)
     for _ in range(count):
-        v = [int(x) for x in rng.integers(0, p, dim)]
+        v = rng.integers(0, p, dim).astype(dtype)
         c = int(rng.integers(1, p))
-        gv = [v[j ^ 1] * (-1 if j & 1 else 1) for j in range(dim)]  # G v^T
-        a = [
-            [(row[j] + c * sum(map(operator.mul, row, gv)) * v[j]) % p for j in range(dim)]
-            for row in a
-        ]
-    g = alg.gram.data.tolist()
-    assert all(
-        sum(a[i][s] * g[s][t] * a[j][t] for s in range(dim) for t in range(dim)) % p == g[i][j]
-        for i in range(dim)
-        for j in range(dim)
-    )
-    gamma = {
-        key: alg.tensor.value_at(*key)
-        for triple, _ in alg.tensor.items()
-        for key in itertools.permutations(triple)
-    }
-    values = {
-        key: sum(v * a[key[0]][i] * a[key[1]][j] * a[key[2]][k] for (i, j, k), v in gamma.items())
-        for key in itertools.combinations(range(dim), 3)
-    }
+        a = (a + np.outer(a @ (g @ v % p) % p * c % p, v)) % p
+    assert np.array_equal((a @ g % p) @ a.T % p, g)
+    gamma = np.zeros((dim,) * 3, dtype=dtype)
+    for triple, _ in alg.tensor.items():
+        for key in itertools.permutations(triple):
+            gamma[key] = alg.tensor.value_at(*key)
+    for _ in range(3):
+        gamma = np.tensordot(gamma, a, axes=(0, 1)) % p
+    values = {key: int(gamma[key]) for key in itertools.combinations(range(dim), 3)}
     return algebra_module.Algebra(alg.n, alg.field, StructureTensor(alg.n, alg.field, values))
 
 
@@ -766,20 +760,20 @@ def test_chain_check_multiplies_one_vector_per_step(monkeypatch):
     # (i) multiplies x_0 and x_1, which span I_2, and (ii) multiplies x_k
     # alone, not the k + 1 rows of I_{k+1}: the check, handed the picks of
     # the construction's chain, rebuilds that chain and multiplies each
-    # pick once, on one column map
+    # pick once, on every column, with no column map
     alg = minimal_algebra(16, F3)[1]
     chain = isotropic_ideal_chain(alg)
     picks = [{min(set(b.pivots) - set(a.pivots)): 1} for a, b in zip(chain, chain[1:])]
     calls, by_basis = [], algebra_module._by_basis
 
-    def counted(table, u, position):
+    def counted(table, u, position=None):
         calls.append((u, position))
         return by_basis(table, u, position)
 
     monkeypatch.setattr(algebra_module, "_by_basis", counted)
     assert algebra_module._check_chain(alg, picks) == chain
     assert [u for u, _ in calls] == picks
-    assert len({id(position) for _, position in calls}) == 1
+    assert {position for _, position in calls} == {None}
 
 
 def test_general_chain_reduces_nothing(monkeypatch):
@@ -836,6 +830,57 @@ def test_chain_of_the_catalog_matches_the_general_loop(p):
             alg = build_algebra(entry.presentation(PrimeField(p), r=r))
             assert algebra_module._coordinate_targets(alg) is not None
             assert isotropic_ideal_chain(alg) == algebra_module._general_chain(alg), (entry, r)
+
+
+def assert_coordinate_series_match_the_exact_path(pres):
+    """monomial_series gives the exact series report of pres, and the
+    fingerprint, which takes the coordinate path, the exact one."""
+    alg = build_algebra(pres)
+    assert algebra_module._coordinate_targets(alg) is not None
+    assert monomial_series(pres) == series_report(alg)
+    assert fingerprint(alg) == construct_module._exact_fingerprint(alg)
+
+
+def series_of_constructions_match_the_exact_path(sizes, p):
+    """Assert the coordinate series of construct_minimal(n) over GF(p) for
+    each n in sizes, and return the n that raise ConstructionError."""
+    gaps = []
+    for n in sizes:
+        try:
+            pres = construct_minimal(n, PrimeField(p))[1]
+        except ConstructionError:
+            gaps.append(n)
+            continue
+        assert_coordinate_series_match_the_exact_path(pres)
+    return gaps
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_series_of_constructions_match_the_exact_path(p):
+    assert series_of_constructions_match_the_exact_path(range(4, 61), p) == [13]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_series_of_constructions_match_the_exact_path_up_to_n_200(p):
+    gaps = series_of_constructions_match_the_exact_path(range(61, 201), p)
+    assert gaps == list(range(69, 82))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_series_of_the_catalog_match_the_exact_path(p):
+    for entry in catalog():
+        for r in range(1, p) if entry.parameterized else (1,):
+            assert_coordinate_series_match_the_exact_path(entry.presentation(PrimeField(p), r=r))
+
+
+def test_monomial_series_refuses_a_shared_pair():
+    # x1 y2 y3 and y1 y2 y3 share y2 and y3, so e_y2 . e_y3 has two terms
+    pres = Presentation.build(4, F3, [("x1", "y2", "y3", 1), ("y1", "y2", "y3", 1)])
+    with pytest.raises(NotApplicable, match="share no two basis vectors"):
+        monomial_series(pres)
+    dropped = Presentation.build(4, F3, [("x1", "y2", "y3", 1), ("y1", "y2", "y4", 1)])
+    assert monomial_series(dropped) == series_report(build_algebra(dropped))
 
 
 def test_chain_of_a_construction_eliminates_nothing(monkeypatch):

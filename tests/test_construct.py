@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from saalib import algebra as algebra_module
+from saalib import linalg
 from saalib.algebra import (
     BasisVector,
     build_algebra,
@@ -476,6 +477,22 @@ def test_fingerprint_computes_no_centre(monkeypatch, name, r):
     assert calls == []
     monkeypatch.undo()
     assert invariants[5] == invariants[1][1] == rank(alg) == 2
+
+
+@pytest.mark.parametrize("n", [8, 16, 40])
+def test_fingerprint_of_a_construction_eliminates_nothing(monkeypatch, n):
+    # a construction is monomial, so its fingerprint is read off sets of
+    # coordinates: no elimination runs and no Subspace is built
+    pres = construct_minimal(n, F3)[1]
+    expected = construct._exact_fingerprint(build_algebra(pres))
+
+    def refused(*args):
+        raise AssertionError("the coordinate fingerprint eliminated or built a subspace")
+
+    for module in (algebra_module, linalg):
+        monkeypatch.setattr(module, "_rref_rows", refused)
+    monkeypatch.setattr(linalg, "_check_rref", refused)
+    assert fingerprint(build_algebra(pres)) == expected
 
 
 def test_center_isotropic_on_catalog():

@@ -26,6 +26,7 @@ from saalib.algebra import (
     is_isotropic,
     isotropic_ideal_chain,
     lower_central_series,
+    monomial_series,
     nilpotency_class,
     product_space,
     series_report,
@@ -688,6 +689,21 @@ def test_chain_of_monomial_presentations_matches_reference(p, n, seed, nilpotent
 
 
 @pytest.mark.parametrize("p", EXACT_PRIMES)
+@settings(max_examples=40)
+@given(n=st.integers(1, 8), seed=seeds, nilpotent=st.booleans())
+def test_series_of_monomial_presentations_match_the_exact_path(p, n, seed, nilpotent):
+    # with no two triples sharing two basis vectors every series term and
+    # L^2 L^2 is spanned by basis vectors, so the sets of coordinates give
+    # the series report and the fingerprint that elimination gives,
+    # nilpotent or not
+    pres = monomial_presentation(n, PrimeField(p), np.random.default_rng(seed), nilpotent)
+    alg = build_algebra(pres)
+    assert _coordinate_targets(alg) is not None
+    assert monomial_series(pres) == series_report(alg)
+    assert fingerprint(alg) == construct_module._exact_fingerprint(alg)
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
 @settings(max_examples=25)
 @given(n=st.integers(1, 6), seed=seeds, shape=shapes, span=st.integers(0, 8))
 def test_self_products_and_pairings_match_every_ordered_pair(p, n, seed, shape, span):
@@ -714,8 +730,11 @@ def test_self_products_and_pairings_match_every_ordered_pair(p, n, seed, shape, 
 
 
 def assert_isotropy_tested_up_to_first_failure(alg):
-    """fingerprint tests no lower term above the smallest non-isotropic
-    one, and its flags are still those of testing every term."""
+    """The exact fingerprint tests no lower term above the smallest
+    non-isotropic one, and its flags are still those of testing every term.
+    It is called through its own entry, since fingerprint sends a monomial
+    algebra, every catalog entry among them, to the coordinate path, which
+    tests no term."""
     low = lower_central_series(alg).lower
     flags = tuple(is_isotropic(alg, t) for t in low)
     tested = []
@@ -726,7 +745,7 @@ def assert_isotropy_tested_up_to_first_failure(alg):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(construct_module, "is_isotropic", counted)
-        assert fingerprint(alg)[3] == flags
+        assert construct_module._exact_fingerprint(alg)[3] == flags
     failures = [i for i, flag in enumerate(flags) if not flag]
     assert sorted(tested) == list(range(failures[-1] if failures else 0, len(low)))
 
@@ -744,7 +763,7 @@ def test_fingerprint_tests_isotropy_up_to_the_first_failure(p, n, seed, shape):
 def test_fingerprint_of_catalog_tests_isotropy_up_to_the_first_failure(entry, p):
     # every catalog algebra has at least three terms that are not isotropic
     alg = build_algebra(entry.presentation(PrimeField(p)))
-    assert fingerprint(alg)[3][:3] == (False, False, False)
+    assert construct_module._exact_fingerprint(alg)[3][:3] == (False, False, False)
     assert_isotropy_tested_up_to_first_failure(alg)
 
 
