@@ -340,7 +340,7 @@ def build_algebra(pres: Presentation) -> Algebra:
 def multiply(alg: Algebra, u, v) -> np.ndarray:
     """Bilinear extension of the basis multiplication table."""
     uu, vv = (_dict_rows(alg.field.vector(x, alg.dim)[None, :]) for x in (u, v))
-    return _rows_array(_products(alg, uu, range(alg.dim), right=vv), (1, alg.dim))[0]
+    return _rows_array(_products(alg, uu, right=vv), (1, alg.dim))[0]
 
 
 def form(alg: Algebra, u, v) -> int:
@@ -380,9 +380,8 @@ def _row_table(alg: Algebra) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     return tuple(tuple(sorted(row)) for row in rows)
 
 
-def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
-    """The nonzero rows among the products (u . v)[cols], as dict rows
-    {position in cols: residue}.
+def _products(alg: Algebra, left, right=None) -> list[dict[int, int]]:
+    """The nonzero products u . v, each a dict row {k: coordinate k}.
 
     u runs over the dict rows left and v over the dict rows right, or over
     every basis vector e_j when right is None; left None stands for the
@@ -399,20 +398,18 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
     """
     p = alg.field.p
     table = _row_table(alg)
-    position = {k: t for t, k in enumerate(cols)}
     if left is None:
         out = []
         for i, entries in enumerate(table):
             by_j: dict[int, dict[int, int]] = {}
             for j, k, v in entries:
-                t = position.get(k)
-                if j > i and t is not None:
-                    by_j.setdefault(j, {})[t] = v
+                if j > i:
+                    by_j.setdefault(j, {})[k] = v
             out += by_j.values()
         return out
     out = []
     for s, u in enumerate(left):
-        by_j = _by_basis(table, u, position)
+        by_j = _by_basis(table, u)
         if right is None:
             prods = (by_j[j] for j in sorted(by_j))
         else:
@@ -422,24 +419,15 @@ def _products(alg: Algebra, left, cols, right=None) -> list[dict[int, int]]:
     return out
 
 
-def _by_basis(table, u: dict[int, int], position=None) -> dict[int, dict[int, int]]:
+def _by_basis(table, u: dict[int, int]) -> dict[int, dict[int, int]]:
     """{j: u . e_j} over the basis vectors e_j with a product entry, each
-    an unreduced dict row read off the row table (_row_table): {k:
-    coordinate k} on every column, or, given the column map position,
-    {position[k]: coordinate k} on the columns k that it holds."""
+    an unreduced dict row {k: coordinate k} read off the row table
+    (_row_table)."""
     by_j: dict[int, dict[int, int]] = {}
-    if position is None:
-        for i, ui in u.items():
-            for j, k, v in table[i]:
-                row = by_j.setdefault(j, {})
-                row[k] = row.get(k, 0) + ui * v
-        return by_j
     for i, ui in u.items():
         for j, k, v in table[i]:
-            t = position.get(k)
-            if t is not None:
-                row = by_j.setdefault(j, {})
-                row[t] = row.get(t, 0) + ui * v
+            row = by_j.setdefault(j, {})
+            row[k] = row.get(k, 0) + ui * v
     return by_j
 
 
@@ -457,9 +445,9 @@ def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> list[dict[int, int]
         raise ValueError("field mismatch")
     if a == b:
         rows = None if a.dim == alg.dim else a.rows
-        return _products(alg, rows, range(alg.dim), rows)
+        return _products(alg, rows, rows)
     right = None if b.dim == alg.dim else b.rows
-    return _products(alg, a.rows, range(alg.dim), right)
+    return _products(alg, a.rows, right)
 
 
 def product_space(alg: Algebra, a: Subspace, b: Subspace) -> Subspace:
@@ -481,8 +469,9 @@ class SeriesReport:
     lower holds L^1 >= L^2 >= ... and upper holds Z_0 <= Z_1 <= ..., each up
     to their first repeated term, so past its end a series repeats its last
     term.  lower_term and upper_term read a series by that rule, with
-    L^0 = L^1 = L and Z_{-1} = Z_0 = 0.  nilpotency_class is present iff
-    the lower series reaches zero.
+    L^0 = L^1 = L and Z_{-1} = Z_0 = 0, and raise ValueError on a report
+    that does not hold that series.  nilpotency_class is present iff the
+    lower series reaches zero.
     """
 
     lower: tuple[Subspace, ...] = ()
@@ -500,10 +489,14 @@ class SeriesReport:
 
     def lower_term(self, i: int) -> Subspace:
         """L^i for any integer i."""
+        if not self.lower:
+            raise ValueError("this report holds no lower series")
         return self.lower[min(max(i, 1), len(self.lower)) - 1]
 
     def upper_term(self, i: int) -> Subspace:
         """Z_i for any integer i."""
+        if not self.upper:
+            raise ValueError("this report holds no upper series")
         return self.upper[min(max(i, 0), len(self.upper) - 1)]
 
 
@@ -511,33 +504,18 @@ class SeriesReport:
 def lower_central_series(alg: Algebra) -> SeriesReport:
     """L^1 = L, L^{i+1} = L^i L, computed until stabilization.
 
-    L^{i+1} lies in L^i, whose RREF basis B, held as dict rows, has pivot
-    columns P, and a vector v of L^i equals v[P] @ B.  So each step reduces
-    the nonzero products of B's rows with the basis vectors on the columns
-    P alone (_products; for L^1 = L, whose B is the identity, the products
-    e_i . e_j with i < j), by one _rref_rows elimination, to an RREF C with
-    pivots c, and L^{i+1} is spanned by C @ B, summed on the dict rows.
-    That product is already the canonical basis, with pivots P[c]: on the
-    columns P it is C, and a row of C starting at column c_t combines rows
-    of B that vanish before column P[c_t].  The series has stabilized when
-    C has full rank, and ends when no pivots remain.
+    Each step is product_space(L^i, L): the nonzero products of L^i's RREF
+    rows with the basis vectors (for L^1 = L, the products e_i . e_j with
+    i < j alone, see _products), reduced by one _rref_rows elimination to
+    the canonical basis on every column.  L^{i+1} lies in L^i, so the
+    series has stabilized when the dimension repeats, and ends at 0.
     """
-    p, dim = alg.field.p, alg.dim
     terms = [full_space(alg)]
-    basis, pivots = None, list(range(dim))
-    while pivots:
-        coeffs = _rref_rows(_products(alg, basis, pivots), p)
-        if len(coeffs) == len(pivots):
+    while terms[-1].dim:
+        below = product_space(alg, terms[-1], terms[0])
+        if below.dim == terms[-1].dim:
             break
-        if basis is None:
-            basis = list(coeffs.values())
-        else:
-            basis = [
-                _reduced(_combine([(c, basis[t]) for t, c in row.items()]), p)
-                for row in coeffs.values()
-            ]
-        pivots = [pivots[c] for c in coeffs]
-        terms.append(Subspace._from_rows(alg.field, dim, basis))
+        terms.append(below)
     cls = len(terms) - 1 if terms[-1].is_zero() else None
     return SeriesReport(lower=tuple(terms), nilpotency_class=cls)
 
@@ -562,7 +540,7 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
     if z.dim == dim:
         return z
     spanning = _perp_rows(z) if z.dim else None
-    kernel = _orthogonal(_products(alg, spanning, range(dim)), range(dim), p)
+    kernel = _orthogonal(_products(alg, spanning), range(dim), p)
     return Subspace._from_rows(alg.field, dim, kernel)
 
 

@@ -87,8 +87,15 @@ class PrimeField:
         return pow(a, -1, self.p)
 
     def reduce(self, data) -> np.ndarray:
-        """Reduce arbitrary integer data to a read-only residue array."""
-        arr = np.asarray(data, dtype=np.int64) % self.p
+        """Reduce arbitrary integer data to a read-only residue array.
+
+        Python ints past int64 are reduced mod p, on an object array, before
+        the int64 array is built, so every integer gives its residue.
+        """
+        try:
+            arr = np.asarray(data, dtype=np.int64) % self.p
+        except OverflowError:
+            arr = (np.asarray(data, dtype=object) % self.p).astype(np.int64)
         arr.flags.writeable = False
         return arr
 
@@ -277,7 +284,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: PrimeField, ambient_dim: int, vectors) -> "Subspace":
-        rows = np.asarray(vectors, dtype=np.int64).reshape(-1, ambient_dim) % field.p
+        rows = field.reduce(vectors).reshape(-1, ambient_dim)
         return cls._from_rows(field, ambient_dim, _rref_rows(_dict_rows(rows), field.p).values())
 
     @classmethod

@@ -266,6 +266,35 @@ def test_form_exact_against_python_ints(p):
         assert alg.gram.pairing(u, v) == expected % p, n
 
 
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+def test_entries_past_int64_give_the_results_of_their_residues(p):
+    # Python ints past +-2**63 are reduced mod p before an int64 array is
+    # built, so vectors, subspaces, products, pairings and membership read
+    # them as their residues
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    alg = build_algebra(random_nilpotent_presentation(5, field, rng))
+    dim = alg.dim
+    big = [
+        [int(x) * 2**64 + int(y) for x, y in zip(*rng.integers(-(2**40), 2**40, size=(2, dim)))]
+        for _ in range(3)
+    ]
+    big[0][0] = -(2**63) - 1
+    residues = [[x % p for x in row] for row in big]
+    assert PrimeField(3).vector([2**64, 1, 0]).tolist() == [1, 1, 0]
+    assert field.vector(big[0], dim).tolist() == residues[0]
+    assert field.reduce(big).tolist() == residues
+    space = Subspace.from_vectors(field, dim, big[:2])
+    assert space == Subspace.from_vectors(field, dim, residues[:2])
+    shifted = [[x + p * 2**64 for x in row] for row in space.basis.tolist()]
+    assert Subspace(field, dim, shifted) == space
+    assert space.contains(big[1]) and space.contains(residues[0])
+    assert space.contains(big[2]) == space.contains(residues[2])
+    u, v = big[:2]
+    assert multiply(alg, u, v).tolist() == multiply(alg, *residues[:2]).tolist()
+    assert form(alg, u, v) == form(alg, *residues[:2])
+
+
 def test_build_algebra_holds_no_dense_form():
     # an algebra is its tensor, and its form is field and n, read on demand:
     # at n = 1000 a held 2000 x 2000 int64 Gram matrix took 30.5 MiB
@@ -728,7 +757,7 @@ def _pick_outside_the_centralizer(alg, picks):
         next(
             c
             for c in range(alg.dim)
-            if not low._spans(algebra_module._products(alg, [{c: 1}], range(alg.dim)))
+            if not low._spans(algebra_module._products(alg, [{c: 1}]))
         ): 1
     }
 
@@ -760,20 +789,19 @@ def test_chain_check_multiplies_one_vector_per_step(monkeypatch):
     # (i) multiplies x_0 and x_1, which span I_2, and (ii) multiplies x_k
     # alone, not the k + 1 rows of I_{k+1}: the check, handed the picks of
     # the construction's chain, rebuilds that chain and multiplies each
-    # pick once, on every column, with no column map
+    # pick once
     alg = minimal_algebra(16, F3)[1]
     chain = isotropic_ideal_chain(alg)
     picks = [{min(set(b.pivots) - set(a.pivots)): 1} for a, b in zip(chain, chain[1:])]
     calls, by_basis = [], algebra_module._by_basis
 
-    def counted(table, u, position=None):
-        calls.append((u, position))
-        return by_basis(table, u, position)
+    def counted(table, u):
+        calls.append(u)
+        return by_basis(table, u)
 
     monkeypatch.setattr(algebra_module, "_by_basis", counted)
     assert algebra_module._check_chain(alg, picks) == chain
-    assert [u for u, _ in calls] == picks
-    assert {position for _, position in calls} == {None}
+    assert calls == picks
 
 
 def test_general_chain_reduces_nothing(monkeypatch):
@@ -980,6 +1008,23 @@ def test_general_chain_matches_reference_on_dense_algebras(n):
     assert algebra_module._general_chain(alg) == reference_chain(alg)
 
 
+@pytest.mark.parametrize("p", [3, 3037000493])
+@pytest.mark.parametrize("n", [8, 12])
+def test_exact_series_and_fingerprint_of_scrambled_minimal_algebras(n, p):
+    # the scrambled construction is dense and isomorphic to the
+    # construction by an isometry, so the exact series, class, rank and
+    # fingerprint, which it takes through _exact_fingerprint, are the
+    # construction's, read off coordinate sets
+    field = PrimeField(p)
+    construction = minimal_algebra(n, field)[1]
+    alg = scrambled(construction, np.random.default_rng(n))
+    assert algebra_module._coordinate_targets(alg) is None
+    got, expected = series_report(alg), series_report(construction)
+    assert (got.lower_dims, got.upper_dims) == (expected.lower_dims, expected.upper_dims)
+    assert (got.nilpotency_class, got.rank) == (expected.nilpotency_class, expected.rank)
+    assert fingerprint(alg) == construct_module._exact_fingerprint(alg) == fingerprint(construction)
+
+
 def test_validate_nilpotent_presentation():
     for entry in catalog():
         assert validate_nilpotent_presentation(entry.presentation(F3, r=1))
@@ -1074,6 +1119,14 @@ def test_series_terms_follow_one_index_rule(pres, lower_dims, upper_dims):
     assert product_space(alg, last, L) == last == rep.lower_term(len(rep.lower) + 1)
     last = rep.upper[-1]
     assert algebra_module._centralizer_above(alg, last) == last == rep.upper_term(len(rep.upper))
+
+
+def test_a_report_of_one_series_refuses_a_read_of_the_other():
+    alg = build_algebra(catalog_entry("P8-2-1").presentation(F3, r=1))
+    with pytest.raises(ValueError, match="no upper series"):
+        lower_central_series(alg).upper_term(1)
+    with pytest.raises(ValueError, match="no lower series"):
+        upper_central_series(alg).lower_term(1)
 
 
 def test_series_mirror_equality():

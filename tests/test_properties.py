@@ -309,6 +309,37 @@ def test_lower_series_matches_product_space_recurrence(p, n, seed, shape):
     assert low.nilpotency_class == (len(terms) - 1 if terms[-1].is_zero() else None)
 
 
+def python_int_lower_series(alg):
+    """The lower series' RREF bases as lists of Python ints: L^{i+1} is
+    spanned by u . e_j over L^i's basis rows u and every j, summed from
+    reference_table and reduced by reference_rref, until the dimension
+    repeats.  Nothing of the library's products or elimination is used."""
+    p, dim = alg.field.p, alg.dim
+    table = reference_table(alg)
+    terms = [[[int(i == j) for j in range(dim)] for i in range(dim)]]
+    while terms[-1]:
+        products = [
+            [sum(u[i] * table[i][j][k] for i in range(dim)) for k in range(dim)]
+            for u in terms[-1]
+            for j in range(dim)
+        ]
+        rows, pivots = reference_rref(products, dim, p)
+        if len(pivots) == len(terms[-1]):
+            break
+        terms.append(rows[: len(pivots)])
+    return terms
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", sorted(MAKERS))
+@settings(max_examples=20)
+@given(n=st.integers(2, 6), seed=seeds)
+def test_lower_series_matches_python_int_reference(shape, p, n, seed):
+    alg = build_algebra(MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
+    low = lower_central_series(alg)
+    assert [term.basis.tolist() for term in low.lower] == python_int_lower_series(alg)
+
+
 def reference_kernel(rows, ncols, p):
     """Free-variable basis of {x : rows @ x = 0}, from the Python-int RREF."""
     a, pivots = reference_rref(rows, ncols, p)
@@ -771,8 +802,7 @@ def test_fingerprint_of_catalog_tests_isotropy_up_to_the_first_failure(entry, p)
 @settings(max_examples=25)
 @given(n=st.integers(2, 6), seed=seeds, sparse=st.booleans(), nrows=st.integers(0, 6))
 def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
-    # left holds a row of p - 1 and random residues; the columns come in any
-    # order, as the lower series' pivot columns do.  The dict rows read off
+    # left holds a row of p - 1 and random residues.  The dict rows read off
     # the row table, on sparse and dense tables alike, are the nonzero rows
     # of the reference table's contraction on Python ints, in the same
     # (u, j) order
@@ -783,11 +813,10 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     dim = alg.dim
     left = np.vstack([np.full(dim, p - 1), rng.integers(0, p, size=(nrows, dim))])
     right = rng.integers(0, p, size=(int(rng.integers(1, 4)), dim))
-    cols = rng.permutation(dim)[: int(rng.integers(1, dim + 1))]
     table = np.array(reference_table(alg), dtype=object)
-    dense = np.tensordot(left.astype(object), table[:, :, cols], axes=(1, 0)) % p
-    assert dense.shape == (nrows + 1, dim, len(cols))
-    pairs = table[np.triu_indices(dim, 1)][:, cols]
+    dense = np.tensordot(left.astype(object), table, axes=(1, 0)) % p
+    assert dense.shape == (nrows + 1, dim, dim)
+    pairs = table[np.triu_indices(dim, 1)]
     contracted = np.stack([right.astype(object) @ block % p for block in dense])
     # left times itself, right is left: u_s . u_t for s < t alone, over the
     # nonzero rows of left, which _dict_rows keeps
@@ -797,12 +826,12 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     own = np.array([kept[t] @ kept_dense[s] % p for s, t in pairs_st], dtype=object)
     left_rows = _dict_rows(left)
     for expected, rows in (
-        (dense, _products(alg, _dict_rows(left), cols)),
-        (pairs, _products(alg, None, cols)),
-        (contracted, _products(alg, _dict_rows(left), cols, _dict_rows(right))),
-        (own, _products(alg, left_rows, cols, left_rows)),
+        (dense, _products(alg, _dict_rows(left))),
+        (pairs, _products(alg, None)),
+        (contracted, _products(alg, _dict_rows(left), _dict_rows(right))),
+        (own, _products(alg, left_rows, left_rows)),
     ):
-        expected = expected.reshape(-1, len(cols)).astype(np.int64)
+        expected = expected.reshape(-1, dim).astype(np.int64)
         expected = expected[expected.any(axis=1)]
         assert all(all(v for v in row.values()) for row in rows)
         assert np.array_equal(_rows_array(rows, expected.shape), expected)
