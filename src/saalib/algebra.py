@@ -18,20 +18,19 @@ from dataclasses import dataclass, field as dc_field
 from functools import cache, wraps
 from itertools import combinations
 
-import numpy as np
-
 from .linalg import (
     GramMatrix,
     PrimeField,
     Subspace,
     _clear,
     _combine,
+    _dense,
     _dict_rows,
     _keyed_orthogonal,
     _orthogonal,
     _perp_rows,
     _reduced,
-    _rows_array,
+    _residue,
     _reversed_ranks,
     _rref_rows,
     _times_form,
@@ -242,7 +241,7 @@ class StructureTensor:
                 raise ValueError(f"tensor keys must be strictly increasing, got {key}")
             if not all(0 <= c < 2 * n for c in key):
                 raise ValueError(f"coordinate out of range in {key}")
-            v = int(value) % field.p
+            v = _residue(value, field.p)
             if v:
                 data[key] = v
         self._data = data
@@ -337,10 +336,11 @@ def build_algebra(pres: Presentation) -> Algebra:
     return Algebra(pres.n, pres.field, StructureTensor.from_presentation(pres), pres)
 
 
-def multiply(alg: Algebra, u, v) -> np.ndarray:
-    """Bilinear extension of the basis multiplication table."""
-    uu, vv = (_dict_rows(alg.field.vector(x, alg.dim)[None, :]) for x in (u, v))
-    return _rows_array(_products(alg, uu, right=vv), (1, alg.dim))[0]
+def multiply(alg: Algebra, u, v) -> tuple[int, ...]:
+    """Bilinear extension of the basis multiplication table, as a tuple of
+    Python ints."""
+    uu, vv = (_dict_rows([alg.field.vector(x, alg.dim)]) for x in (u, v))
+    return _dense((_products(alg, uu, right=vv) or [{}])[0], alg.dim)
 
 
 def form(alg: Algebra, u, v) -> int:

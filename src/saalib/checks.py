@@ -13,8 +13,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .algebra import (
     Algebra,
     BasisVector,
@@ -76,13 +74,13 @@ def check_axioms(alg: Algebra, subject: str = "algebra") -> CheckResult:
     of the table alone can reach their messages.
     """
     p = alg.field.p
-    g = alg.gram.data
-    # the nonzeros of G, read through one np.nonzero, by row and by column
+    # the nonzeros of G, by row and by column
     g_rows: list[dict[int, int]] = [{} for _ in range(alg.dim)]
     g_cols: list[dict[int, int]] = [{} for _ in range(alg.dim)]
-    ri, ci = np.nonzero(g)
-    for i, k, v in zip(ri.tolist(), ci.tolist(), g[ri, ci].tolist()):
-        g_rows[i][k] = g_cols[k][i] = v
+    for i, row in enumerate(alg.gram.data):
+        for k, v in enumerate(row):
+            if v:
+                g_rows[i][k] = g_cols[k][i] = v
     table = {}
     for i, entries in enumerate(_row_table(alg)):
         for j, k, v in entries:
@@ -223,10 +221,9 @@ def _triple_universe(n: int) -> tuple[tuple[BasisVector, BasisVector, BasisVecto
     )
 
 
-def random_nilpotent_presentation(
-    n: int, field: PrimeField, rng: np.random.Generator
-) -> Presentation:
-    """Independent uniform values over the full nilpotent triple shape."""
+def random_nilpotent_presentation(n: int, field: PrimeField, rng) -> Presentation:
+    """Independent uniform values over the full nilpotent triple shape,
+    drawn from rng, a numpy Generator."""
     universe = _triple_universe(n)
     values = rng.integers(0, field.p, size=len(universe))
     triples = tuple(
@@ -268,6 +265,8 @@ class ScanConfig:
 
 
 def sample_presentation(cfg: ScanConfig, index: int) -> Presentation:
+    import numpy as np  # the pinned PCG64 streams: the package's one use of numpy
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
     return random_nilpotent_presentation(cfg.n, cfg.field, rng)
 

@@ -2,13 +2,12 @@
 
 All arithmetic runs on sparse rows, one {column: residue} dict of
 nonzero Python-int residues per row, so it is exact for every p
-(_rref_rows).  numpy int64 arrays appear only at the public boundary:
-vectors and bases passed in are read into dict rows once, and
-Subspace.basis, the array adapters (nullspace, _rref_array) and
-GramMatrix.data, built on each read, write them back out.  Every subspace
-holds its reduced row echelon basis as such rows, checked on
-construction, so equality, hashing and chain comparisons are exact and
-deterministic.
+(_rref_rows).  Python ints are the only number format: every vector or
+matrix passed in, of lists, tuples or numpy integers, is read once into
+exact residues (_read), and every one handed out is a tuple of Python ints
+or of such rows.  Every subspace holds its reduced row echelon basis as
+dict rows, checked on construction, so equality, hashing and chain
+comparisons are exact and deterministic.
 The fixed coordinate convention everywhere in this package is
 
     x_1, y_1, x_2, y_2, ..., x_n, y_n  ->  coordinates 0, 1, ..., 2n-1
@@ -25,8 +24,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 __all__ = [
     "is_prime",
@@ -80,33 +77,53 @@ class PrimeField:
         return f"GF({self.p})"
 
     def inv(self, a: int) -> int:
-        """Inverse of a unit mod p."""
-        a = int(a) % self.p
+        """Inverse of a unit mod p; a non-integer raises ValueError (_residue)."""
+        a = _residue(a, self.p)
         if a == 0:
             raise ZeroDivisionError("0 is not invertible")
         return pow(a, -1, self.p)
 
-    def reduce(self, data) -> np.ndarray:
-        """Reduce arbitrary integer data to a read-only residue array.
-
-        Python ints past int64 are reduced mod p, on an object array, before
-        the int64 array is built, so every integer gives its residue.
-        """
+    def reduce(self, data) -> tuple:
+        """A vector's entries, or a matrix's rows, as residues mod p: a tuple
+        of Python ints, or a tuple of such rows (_read).  A matrix is told
+        apart by its first entry, a row."""
         try:
-            arr = np.asarray(data, dtype=np.int64) % self.p
-        except OverflowError:
-            arr = (np.asarray(data, dtype=object) % self.p).astype(np.int64)
-        arr.flags.writeable = False
-        return arr
+            items = list(data)
+        except TypeError:
+            raise ValueError(f"expected a vector or a matrix, got {data!r}") from None
+        if items and hasattr(items[0], "__iter__"):
+            return _read(items, self.p)
+        return self.vector(items)
 
-    def vector(self, values, length: int | None = None) -> np.ndarray:
-        """Coerce a sequence of ints to a residue vector."""
-        vec = self.reduce([int(v) for v in values])
-        if vec.ndim != 1:
-            raise ValueError("expected a one-dimensional vector")
-        if length is not None and vec.shape[0] != length:
-            raise ValueError(f"expected vector of length {length}, got {vec.shape[0]}")
-        return vec
+    def vector(self, values, length: int | None = None) -> tuple[int, ...]:
+        """A vector of integers as a tuple of residues mod p (_read)."""
+        return _read([values], self.p, length)[0]
+
+
+def _residue(value, p: int) -> int:
+    """The exact residue mod p of an outside integer, a Python int or a
+    numpy integer of any dtype, read by operator.index; anything it refuses,
+    such as a float or a string, raises ValueError."""
+    try:
+        return operator.index(value) % p
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
+def _read(data, p: int, width: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The rows of an outside matrix, such as a list of lists or a 2-D numpy
+    array, as tuples of residues mod p (_residue): the one reader of outside
+    vectors and matrices.  Every row must have width entries, or, for width
+    None, as many as the first; a row that is not a sequence of integers, or
+    of another width, raises ValueError."""
+    try:
+        rows = tuple(tuple(_residue(v, p) for v in row) for row in data)
+    except TypeError:
+        raise ValueError("expected a two-dimensional matrix: rows of integers") from None
+    width = len(rows[0]) if width is None and rows else width
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"expected rows of width {width}")
+    return rows
 
 
 def _clear(row: dict[int, int], c: int, pivot_row: dict[int, int], p: int) -> None:
@@ -175,38 +192,28 @@ def _rref_rows(rows, p: int) -> dict[int, dict[int, int]]:
     return {c: basis[c] for c in sorted(basis)}
 
 
-def _dict_rows(a: np.ndarray) -> list[dict[int, int]]:
-    """The nonzero rows of a 2-D residue array as {column: residue} dicts
-    of Python ints, read through one np.nonzero; zero rows are dropped."""
-    ri, ci = np.nonzero(a)
-    rows: dict[int, dict[int, int]] = {}
-    for i, j, v in zip(ri.tolist(), ci.tolist(), a[ri, ci].tolist()):
-        rows.setdefault(i, {})[j] = v
-    return list(rows.values())
+def _dict_rows(rows) -> list[dict[int, int]]:
+    """The nonzero rows of a matrix of residues as {column: residue} dicts;
+    zero rows are dropped."""
+    return [d for row in rows if (d := {j: v for j, v in enumerate(row) if v})]
 
 
-def _rows_array(rows: list[dict[int, int]], shape) -> np.ndarray:
-    """A zero int64 array of the given shape with the dict rows written
-    into its first rows by one fancy-index assignment."""
-    out = np.zeros(shape, dtype=np.int64)
-    out[
-        [i for i, row in enumerate(rows) for _ in row],
-        [j for row in rows for j in row],
-    ] = [v for row in rows for v in row.values()]
-    return out
+def _dense(row: dict[int, int], width: int) -> tuple[int, ...]:
+    """A dict row written out as a tuple of width residues."""
+    return tuple(row.get(j, 0) for j in range(width))
 
 
-def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an integer array mod p.
+def _rref_array(a, p: int) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Reduced row echelon form of an integer matrix mod p.
 
-    Returns (rref, pivot_columns): a new array of the input's shape, its
-    zero rows at the bottom.  After one reduction mod p the nonzeros are
-    read into dict rows (_dict_rows), so zero rows cost nothing, and
-    eliminated by _rref_rows.
+    Returns (rref, pivot_columns): rref of the input's shape, in tuples of
+    Python ints, its zero rows at the bottom.  The matrix is read once
+    (_read) into dict rows, so zero rows cost nothing, for _rref_rows.
     """
-    a = np.asarray(a, dtype=np.int64) % p
-    basis = _rref_rows(_dict_rows(a), p)
-    return _rows_array(list(basis.values()), a.shape), list(basis)
+    rows = _read(a, p)
+    basis = _rref_rows(_dict_rows(rows), p)
+    rref = [*basis.values()] + [{}] * (len(rows) - len(basis))
+    return tuple(_dense(row, len(rows[0])) for row in rref), list(basis)
 
 
 def _free_kernel(basis: dict[int, dict[int, int]], labels, p: int) -> list[dict[int, int]]:
@@ -226,15 +233,18 @@ def _free_kernel(basis: dict[int, dict[int, int]], labels, p: int) -> list[dict[
     return list(kernel.values())
 
 
-def nullspace(rows: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning the right kernel {x : rows @ x = 0 (mod p)}.
-
-    One elimination, then the free-variable basis read off the RREF
-    (_free_kernel).
+def nullspace(rows, p: int, width: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Rows spanning the right kernel {x : rows @ x = 0 (mod p)}, in tuples
+    of Python ints: one elimination, then the free-variable basis read off
+    the RREF (_free_kernel).  width, the number of unknowns, is that of the
+    first row unless given; a matrix with no rows needs it.
     """
-    a = np.asarray(rows, dtype=np.int64) % p
-    kernel = _free_kernel(_rref_rows(_dict_rows(a), p), range(a.shape[1]), p)
-    return _rows_array(kernel, (len(kernel), a.shape[1]))
+    rows = _read(rows, p, width)
+    width = len(rows[0]) if rows else width
+    if width is None:
+        raise ValueError("a matrix with no rows needs a width")
+    kernel = _free_kernel(_rref_rows(_dict_rows(rows), p), range(width), p)
+    return tuple(_dense(row, width) for row in kernel)
 
 
 class Subspace:
@@ -244,27 +254,24 @@ class Subspace:
     Python-int residues, one per dimension, in increasing pivot order, and
     pivots holds each row's pivot column.  Every constructor checks that the
     rows are the RREF (_check_rref), and one that is not is refused; a basis
-    passed as an array must already be the RREF, and from_vectors computes
+    passed directly must already be the RREF, and from_vectors computes
     it.  RREF is unique, so two subspaces are equal iff their rows agree,
     which makes them usable as dict keys and in chain comparisons.  The
     rows are shared by every reader and must not be changed.
 
-    basis, the same RREF as a read-only int64 array, and _by_pivot, the
-    rows as a {pivot: row} dict, are each built on first read and held, for
-    numpy consumers and outside callers and for the membership tests and
-    kernels.  Instances are immutable and safe to share across threads: a
-    race on a first read can at worst build the same value twice.
+    basis, the same RREF as a tuple of rows of Python ints, and _by_pivot,
+    the rows as a {pivot: row} dict, are each built on first read and held,
+    for outside callers and for the membership tests and kernels.  Instances
+    are immutable and safe to share across threads: a race on a first read
+    can at worst build the same value twice.
     """
 
     def __init__(self, field: PrimeField, ambient_dim: int, basis):
-        arr = field.reduce(basis)
-        if arr.ndim != 2 or arr.shape[1] != ambient_dim:
-            raise ValueError(
-                f"basis must be two-dimensional of width {ambient_dim}, got {arr.shape}"
-            )
-        rows = tuple({j: v for j, v in enumerate(row) if v} for row in arr.tolist())
+        basis = _read(basis, field.p, ambient_dim)
+        # a zero row is kept, as {}, so that _check_rref refuses it
+        rows = tuple({j: v for j, v in enumerate(row) if v} for row in basis)
         self._set(field, ambient_dim, rows)
-        vars(self)["basis"] = arr
+        vars(self)["basis"] = basis
 
     @classmethod
     def _from_rows(cls, field: PrimeField, ambient_dim: int, rows) -> "Subspace":
@@ -284,8 +291,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: PrimeField, ambient_dim: int, vectors) -> "Subspace":
-        rows = field.reduce(vectors).reshape(-1, ambient_dim)
-        return cls._from_rows(field, ambient_dim, _rref_rows(_dict_rows(rows), field.p).values())
+        rows = _dict_rows(_read(vectors, field.p, ambient_dim))
+        return cls._from_rows(field, ambient_dim, _rref_rows(rows, field.p).values())
 
     @classmethod
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
@@ -296,11 +303,9 @@ class Subspace:
         return cls._from_rows(field, ambient_dim, ({c: 1} for c in range(ambient_dim)))
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """The RREF as a read-only int64 array, built on first read."""
-        basis = _rows_array(self.rows, (len(self.rows), self.ambient_dim))
-        basis.flags.writeable = False
-        return basis
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The RREF as a tuple of rows of Python ints, built on first read."""
+        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
 
     @cached_property
     def _by_pivot(self) -> dict[int, dict[int, int]]:
@@ -339,8 +344,7 @@ class Subspace:
         return not any(self._residuals(row for row in rows if by_pivot.get(min(row)) != row))
 
     def contains(self, vector) -> bool:
-        vec = self.field.vector(vector, self.ambient_dim)
-        return self._spans(_dict_rows(vec[None, :]))
+        return self._spans(_dict_rows([self.field.vector(vector, self.ambient_dim)]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         _require_same_ambient(self, other)
@@ -430,12 +434,12 @@ class GramMatrix:
             raise ValueError("half-dimension n must be at least 1")
 
     @property
-    def data(self) -> np.ndarray:
-        """The read-only matrix G, built on each read and not held: the
-        block [[0, 1], [-1, 0]] on the diagonal at x_i, y_i for each i."""
-        data = np.kron(np.eye(self.n, dtype=np.int64), [[0, 1], [-1 % self.field.p, 0]])
-        data.flags.writeable = False
-        return data
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix G as a tuple of rows of Python ints, built on each read
+        and not held: the block [[0, 1], [-1, 0]] on the diagonal at x_i, y_i
+        for each i."""
+        p, dim = self.field.p, self.dim
+        return tuple(_dense({i + 1: 1} if i % 2 == 0 else {i - 1: p - 1}, dim) for i in range(dim))
 
     @property
     def dim(self) -> int:
@@ -443,7 +447,7 @@ class GramMatrix:
 
     def pairing(self, u, v) -> int:
         """(u, v) = u G v^T, on u and v read as dict rows (_pairing_rows)."""
-        u_rows, v_rows = (_dict_rows(self.field.vector(w, self.dim)[None, :]) for w in (u, v))
+        u_rows, v_rows = (_dict_rows([self.field.vector(w, self.dim)]) for w in (u, v))
         if not (u_rows and v_rows):
             return 0
         return next(_pairing_rows(u_rows, v_rows, self.field.p)).get(0, 0)

@@ -31,7 +31,7 @@ def reference_table(alg):
     row table.
     """
     p, dim = alg.field.p, alg.dim
-    form_cols = [[(k, g) for k, g in enumerate(col) if g] for col in alg.gram.data.T.tolist()]
+    form_cols = [[(k, g) for k, g in enumerate(col) if g] for col in zip(*alg.gram.data)]
     table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for triple, v in alg.tensor.items():
         for order in permutations(range(3)):
@@ -64,7 +64,7 @@ def reference_pairings(alg, rows):
     """(u, v) = u G v^T for every ordered pair (u, v) of the vectors rows,
     (u, u) and (v, u) included, on Python ints over the dense matrix
     GramMatrix.data, not the library's relabelling by the form."""
-    p, gram = alg.field.p, alg.gram.data.tolist()
+    p, gram = alg.field.p, alg.gram.data
     dim = len(gram)
     out = []
     for u in rows:

@@ -88,9 +88,9 @@ def test_axioms_detect_degenerate_form(monkeypatch, triples):
     # field and n alone, so the dense matrix check_axioms reads is patched
     # on the class
     alg = build_algebra(Presentation.build(4, F3, triples))
-    data = alg.gram.data.copy()
-    data[6, 7] = data[7, 6] = 0
-    data.flags.writeable = False
+    data = [list(row) for row in alg.gram.data]
+    data[6][7] = data[7][6] = 0
+    data = tuple(map(tuple, data))
     monkeypatch.setattr(linalg.GramMatrix, "data", property(lambda g: data))
     result = check_axioms(alg)
     assert not result.passed

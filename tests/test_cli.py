@@ -419,3 +419,30 @@ def test_import_builds_no_parser():
     code = "import saalib, saalib.cli as c; print(c._build_parser.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["verify", str(SRC.parent / "tests" / "golden" / "construct-n8.saa")], False),
+        (["construct", "--n", "8", "--p", "3", "--out", "OUT"], False),
+        (["catalog"], False),
+        (["catalog", "P8-2-1", "--out", "OUT"], False),
+        (["predict", "--n", "8"], False),
+        (["scan", "--n", "4", "--p", "3", "--samples", "2", "--seed", "1"], True),
+    ],
+    ids=["verify", "construct", "catalog", "catalog-emit", "predict", "scan"],
+)
+def test_only_scan_loads_numpy(tmp_path, argv, loads_numpy):
+    # the package computes on Python ints; numpy draws scan's random streams
+    # alone, so every other command runs to the end without loading it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [str(tmp_path / "out.saa") if a == "OUT" else a for a in argv]
+    code = (
+        "import sys; from saalib.cli import main; "
+        "print(main(sys.argv[1:]), 'numpy' in sys.modules)"
+    )
+    argv = [sys.executable, "-c", code, *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"

@@ -120,7 +120,7 @@ def _verify_text(name: str, text: str) -> dict[str, str]:
 def _chain(name: str, pres: Presentation) -> dict[str, str]:
     lines = []
     for i, term in enumerate(isotropic_ideal_chain(build_algebra(pres))):
-        rows = ("".join(map(str, row)) for row in term.basis.tolist())
+        rows = ("".join(map(str, row)) for row in term.basis)
         lines.append(f"I_{i}: " + " ".join(rows) + "\n")
     return {f"chain-{name}-p3.txt": "".join(lines)}
 

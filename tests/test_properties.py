@@ -55,7 +55,6 @@ from saalib.linalg import (
     _dict_rows,
     _orthogonal,
     _pairing_rows,
-    _rows_array,
     _rref_array,
     _rref_rows,
     nullspace,
@@ -86,6 +85,38 @@ primes = st.sampled_from(PRIMES)
 # two small primes, one odd prime above 3 and the largest accepted prime
 small_and_largest = st.sampled_from((2, 3, 7, 3037000493))
 seeds = st.integers(0, 2**32 - 1)
+
+
+INT64 = (-(2**63), 2**63 - 1)
+UINT64 = (0, 2**64 - 1)
+
+
+@given(
+    p=primes,
+    values=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8),
+    form=st.sampled_from(["list", "tuple", "int64", "uint64", "object"]),
+)
+@example(p=3, values=[2**63], form="uint64")
+@example(p=3, values=[2**64, -(2**63) - 1], form="list")
+def test_reader_agrees_with_python_mod(p, values, form):
+    # every container a vector or matrix can come in reads as x % p; an
+    # int64 or uint64 array is drawn only for values it can hold
+    bounds = {"int64": INT64, "uint64": UINT64}.get(form)
+    if bounds:
+        values = [min(max(x, bounds[0]), bounds[1]) for x in values]
+    make = {
+        "list": list,
+        "tuple": tuple,
+        "int64": lambda v: np.array(v, dtype=np.int64),
+        "uint64": lambda v: np.array(v, dtype=np.uint64),
+        "object": lambda v: np.array(v, dtype=object),
+    }[form]
+    field = PrimeField(p)
+    expected = tuple(x % p for x in values)
+    assert field.vector(make(values), len(values)) == expected
+    assert field.reduce(make(values)) == expected
+    assert field.reduce(make([values, values[::-1]])) == (expected, expected[::-1])
+    assert all(type(x) is int for x in field.reduce(make(values)))
 
 
 def reference_rref(rows, ncols, p):
@@ -121,6 +152,11 @@ def combinations(rng, count, gens, p):
     return ((coeffs @ np.asarray(gens, dtype=object)) % p).tolist()
 
 
+def dense_rows(rows, width):
+    """Dict rows written out as lists of width Python ints."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
 def banded_rows(p, ncols, seed, bands):
     """Tall rows in bands of nested spans: band (m, k) has m rows in span of k generators.
 
@@ -151,7 +187,7 @@ def test_rref_matches_python_int_reference(p, ncols, seed, bands):
     expected, expected_pivots = reference_rref(rows, ncols, p)
     arr, pivots = _rref_array(np.array(rows, dtype=np.int64).reshape(-1, ncols), p)
     assert pivots == expected_pivots
-    assert arr.tolist() == expected
+    assert [list(row) for row in arr] == expected
 
 
 def sparse_rows(p, nrows, ncols, seed, density, zero_rows, zero_cols):
@@ -189,7 +225,8 @@ def test_rref_of_sparse_rows_matches_python_int_reference(
     expected, expected_pivots = reference_rref(a.tolist(), shape[1], p)
     arr, pivots = _rref_array(a, p)
     assert pivots == expected_pivots
-    assert arr.shape == shape and arr.tolist() == expected
+    assert len(arr) == shape[0] and all(len(row) == shape[1] for row in arr)
+    assert [list(row) for row in arr] == expected
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -237,13 +274,13 @@ def test_membership_matches_stacked_rank_test(p, ambient, seed, span, count, ins
         if inside and gens
         else rng.integers(0, p, size=(count, ambient), dtype=np.uint64).tolist()
     )
-    basis_rows = s.basis.tolist()
+    basis_rows = s.basis
     assert s.contains(candidates[0]) == reference_contains(
         basis_rows, candidates[:1], ambient, p
     )
     t = Subspace.from_vectors(field, ambient, candidates)
     assert s.contains_subspace(t) == reference_contains(
-        basis_rows, t.basis.tolist(), ambient, p
+        basis_rows, t.basis, ambient, p
     )
 
 
@@ -337,7 +374,7 @@ def python_int_lower_series(alg):
 def test_lower_series_matches_python_int_reference(shape, p, n, seed):
     alg = build_algebra(MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
     low = lower_central_series(alg)
-    assert [term.basis.tolist() for term in low.lower] == python_int_lower_series(alg)
+    assert [list(map(list, term.basis)) for term in low.lower] == python_int_lower_series(alg)
 
 
 def reference_kernel(rows, ncols, p):
@@ -369,8 +406,8 @@ def reference_span(field, ambient, rows):
 def test_nullspace_matches_python_int_kernel(p, ncols, seed, bands):
     bands = [(m, min(k, ncols)) for m, k in sorted(bands, key=lambda band: band[1])]
     rows = banded_rows(p, ncols, seed, bands)
-    ker = nullspace(np.array(rows, dtype=np.int64).reshape(-1, ncols), p)
-    assert ker.tolist() == reference_kernel(rows, ncols, p)
+    ker = nullspace(np.array(rows, dtype=np.int64).reshape(-1, ncols), p, ncols)
+    assert [list(row) for row in ker] == reference_kernel(rows, ncols, p)
 
 
 @given(
@@ -392,7 +429,8 @@ def test_orthogonal_matches_python_int_kernel(p, order, seed, bands):
     rows = banded_rows(p, ncols, seed, bands)
     field = PrimeField(p)
     g = GramMatrix(field, ncols // 2)
-    twisted = (np.array(rows, dtype=object).reshape(-1, ncols) @ g.data.astype(object) % p).tolist()
+    gram = np.array(g.data, dtype=object)
+    twisted = (np.array(rows, dtype=object).reshape(-1, ncols) @ gram % p).tolist()
     kernel = _orthogonal([{c: v for c, v in enumerate(row) if v} for row in rows], order, p)
     rank = {c: t for t, c in enumerate(order)}
     ranked = [{rank[c]: v for c, v in row.items()} for row in kernel]
@@ -410,10 +448,10 @@ def test_perp_matches_two_elimination_reference(p, n, seed, span):
     g = GramMatrix(field, n)
     rng = np.random.default_rng(seed)
     s = Subspace.from_vectors(field, 2 * n, rng.integers(0, p, size=(span, 2 * n)))
-    gram = g.data.tolist()
+    gram = g.data
     constraints = [
         [sum(u[i] * gram[i][j] for i in range(2 * n)) % p for j in range(2 * n)]
-        for u in s.basis.tolist()
+        for u in s.basis
     ]
     expected = reference_span(field, 2 * n, reference_kernel(constraints, 2 * n, p))
     assert perp(s, g) == expected
@@ -439,7 +477,7 @@ def test_orthogonal_matches_perp(p, n, seed, span, count, draw):
     if draw == "random":
         rows = rng.integers(0, p, size=(count, 2 * n)).tolist()
     else:
-        rows = combinations(rng, count, b_perp.basis.tolist(), p) if b_perp.dim else []
+        rows = combinations(rng, count, b_perp.basis, p) if b_perp.dim else []
         if draw == "perturbed" and rows:
             rows[0] = [(x + int(y)) % p for x, y in zip(rows[0], rng.integers(0, p, 2 * n))]
     a = Subspace.from_vectors(field, 2 * n, rows)
@@ -463,8 +501,8 @@ def test_subspace_from_rows_matches_subspace_from_array(p, ambient, seed, span):
     assert from_rows == from_array and hash(from_rows) == hash(from_array)
     assert from_rows.dim == from_array.dim == len(pivots)
     assert from_rows.pivots == from_array.pivots == tuple(pivots)
-    assert np.array_equal(from_rows.basis, from_array.basis)
-    assert from_rows.basis.tolist() == [list(row) for row in rref]
+    assert from_rows.basis == from_array.basis
+    assert from_rows.basis == tuple(map(tuple, rref))
     assert Subspace.from_vectors(field, ambient, gens) == from_rows
 
 
@@ -501,8 +539,12 @@ def test_subspace_from_rows_refuses_each_broken_rref_condition(p, ambient, seed,
 
 def pairing_matrix(a, b, g):
     """The pairings (u, v) for u over a's basis rows and v over b's, as one
-    matmul A G B^T mod p of the basis arrays, on Python ints (object dtype)."""
-    basis_a, gram, basis_b = (m.astype(object) for m in (a.basis, g.data, b.basis))
+    matmul A G B^T mod p of the bases and the form, on Python ints (object
+    dtype)."""
+    dim = g.dim
+    basis_a, gram, basis_b = (
+        np.array(m, dtype=object).reshape(-1, dim) for m in (a.basis, g.data, b.basis)
+    )
     return basis_a @ gram @ basis_b.T % g.field.p
 
 
@@ -524,13 +566,13 @@ def test_pairing_rows_match_pairing_matrix(p, n, seed, spans, inside):
     rows = rng.integers(0, p, size=(spans[0], 2 * n)).tolist()
     b_perp = perp(b, g)
     if inside:
-        rows = combinations(rng, spans[0], b_perp.basis.tolist(), p) if b_perp.dim else []
+        rows = combinations(rng, spans[0], b_perp.basis, p) if b_perp.dim else []
     a = Subspace.from_vectors(field, 2 * n, rows)
     matrix = pairing_matrix(a, b, g)
     pairings = list(_pairing_rows(a.rows, b.rows, p))
     assert len(pairings) == a.dim
     assert all(all(v for v in row.values()) for row in pairings)
-    assert np.array_equal(_rows_array(pairings, matrix.shape), matrix)
+    assert dense_rows(pairings, matrix.shape[1]) == matrix.tolist()
     assert orthogonal(a, b, g) == (not matrix.any())
     # a paired with itself: the row of u_s, yielded from the last row down,
     # holds the nonzero pairings (u_s, u_t) with t > s alone
@@ -573,7 +615,7 @@ def reference_centralizer(alg, z):
     """
     p, dim = alg.field.p, alg.dim
     table = reference_table(alg)
-    basis = z.basis.tolist()
+    basis = z.basis
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
 
     def residual(x):
@@ -749,13 +791,13 @@ def test_self_products_and_pairings_match_every_ordered_pair(p, n, seed, shape, 
     dim = alg.dim
     low = lower_central_series(alg).lower
     term = low[int(rng.integers(len(low)))]
-    inside = combinations(rng, span, term.basis.tolist(), p) if term.dim else []
+    inside = combinations(rng, span, term.basis, p) if term.dim else []
     drawn = rng.integers(0, p, size=(span, dim)).tolist()
     for s in (*low, *(Subspace.from_vectors(field, dim, rows) for rows in (drawn, inside))):
-        rows = s.basis.tolist()
+        rows = s.basis
         products = reference_products(alg, rows)
         expected, pivots = reference_rref(products, dim, p)
-        assert product_space(alg, s, s).basis.tolist() == expected[: len(pivots)]
+        assert list(map(list, product_space(alg, s, s).basis)) == expected[: len(pivots)]
         assert is_abelian(alg, s) == (not pivots)
         assert is_isotropic(alg, s) == (not any(reference_pairings(alg, rows)))
 
@@ -824,17 +866,17 @@ def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
     kept, kept_dense = left[nonzero].astype(object), dense[nonzero]
     pairs_st = zip(*np.triu_indices(len(kept), 1))
     own = np.array([kept[t] @ kept_dense[s] % p for s, t in pairs_st], dtype=object)
-    left_rows = _dict_rows(left)
+    left_rows = _dict_rows(left.tolist())
     for expected, rows in (
-        (dense, _products(alg, _dict_rows(left))),
+        (dense, _products(alg, _dict_rows(left.tolist()))),
         (pairs, _products(alg, None)),
-        (contracted, _products(alg, _dict_rows(left), _dict_rows(right))),
+        (contracted, _products(alg, _dict_rows(left.tolist()), _dict_rows(right.tolist()))),
         (own, _products(alg, left_rows, left_rows)),
     ):
         expected = expected.reshape(-1, dim).astype(np.int64)
         expected = expected[expected.any(axis=1)]
         assert all(all(v for v in row.values()) for row in rows)
-        assert np.array_equal(_rows_array(rows, expected.shape), expected)
+        assert dense_rows(rows, dim) == expected.tolist()
         assert len(rows) == len(expected)
 
 
