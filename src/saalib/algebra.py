@@ -14,7 +14,7 @@ carries the minus.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, wraps
 from itertools import combinations
 
@@ -288,8 +288,9 @@ class Algebra:
     array is built.  Its form, gram, is made from field and n on each read,
     so it is always the form the products use.  The row table of the
     nonzero basis products, the lower central series, the centre Z_1, the
-    upper central series, the series report and the coordinate view of a
-    monomial algebra (_coordinate_targets) are each computed at most once
+    upper central series, the series report, the coordinate view of a
+    monomial algebra (_coordinate_targets) and the eliminated lower series
+    and centre (_exact_lower, _exact_center) are each computed at most once
     per instance, on first use, and held in _series.  Instances are
     immutable after construction and safe to share across threads: every
     held value is deterministic and immutable, so a race can at worst
@@ -500,15 +501,42 @@ class SeriesReport:
         return self.upper[min(max(i, 0), len(self.upper) - 1)]
 
 
+def _unit_span(alg: Algebra, coords) -> Subspace:
+    """The span of the basis vectors e_c, c in coords: their unit rows, in
+    increasing order, are its RREF."""
+    return Subspace._from_rows(alg.field, alg.dim, ({c: 1} for c in sorted(coords)))
+
+
 @_held
 def lower_central_series(alg: Algebra) -> SeriesReport:
     """L^1 = L, L^{i+1} = L^i L, computed until stabilization.
+
+    A monomial algebra (_coordinate_targets), as every construction and
+    catalog entry is, has each term read off a set of coordinates
+    (_coordinate_lower; see monomial_series for the argument) and built
+    as its unit rows (_unit_span), with no elimination; any other takes
+    the elimination loop (_exact_lower).  RREF is unique, so both give the
+    same terms.
+    """
+    targets = _coordinate_targets(alg)
+    if targets is None:
+        return _exact_lower(alg)
+    lower = _coordinate_lower(targets)
+    cls = None if lower[-1] else len(lower) - 1
+    return SeriesReport(lower=tuple(_unit_span(alg, s) for s in lower), nilpotency_class=cls)
+
+
+@_held
+def _exact_lower(alg: Algebra) -> SeriesReport:
+    """lower_central_series on any algebra, by elimination.
 
     Each step is product_space(L^i, L): the nonzero products of L^i's RREF
     rows with the basis vectors (for L^1 = L, the products e_i . e_j with
     i < j alone, see _products), reduced by one _rref_rows elimination to
     the canonical basis on every column.  L^{i+1} lies in L^i, so the
-    series has stabilized when the dimension repeats, and ends at 0.
+    series has stabilized when the dimension repeats, and ends at 0.  Held
+    so that lower_central_series and _exact_fingerprint, which reads it on
+    every algebra, share it.
     """
     terms = [full_space(alg)]
     while terms[-1].dim:
@@ -546,10 +574,24 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
 
 @_held
 def _center(alg: Algebra) -> Subspace:
-    """Z_1 = {v : v L = 0}, the centralizer above 0, held so that it is
-    eliminated once whether rank, the upper series or the general chain
-    (_general_chain, which only a non-monomial algebra takes) asks first.
+    """Z_1 = {v : v L = 0}, which rank cross-checks, held.
+
+    A monomial algebra has it spanned by the coordinates with no product
+    target (see monomial_series), with no elimination; any other takes
+    the centralizer above 0 (_exact_center), which the upper series
+    starts from, so it is eliminated once whichever asks first.
     """
+    targets = _coordinate_targets(alg)
+    if targets is None:
+        return _exact_center(alg)
+    return _unit_span(alg, (c for c, reach in enumerate(targets) if not reach))
+
+
+@_held
+def _exact_center(alg: Algebra) -> Subspace:
+    """Z_1 on any algebra: the centralizer above 0, one elimination.  Held
+    so that _center, _exact_upper and the general chain (_general_chain),
+    which reads it on every algebra, eliminate it once."""
     return _centralizer_above(alg, zero_space(alg))
 
 
@@ -557,12 +599,25 @@ def _center(alg: Algebra) -> Subspace:
 def upper_central_series(alg: Algebra) -> SeriesReport:
     """Z_0 = 0, Z_{i+1} = {v : v L <= Z_i}, computed until stabilization.
 
-    Each term after the centre is the centralizer above the one before it
-    (_centralizer_above), one elimination.  The series reads nothing from
-    the lower series, so check_duality compares two independent
-    computations.
+    A monomial algebra has each term read off a set of coordinates, those
+    whose product targets lie in the term before (_coordinate_upper; see
+    monomial_series), with no elimination; any other takes the
+    centralizer loop (_exact_upper).  Neither reads the lower series, so
+    check_duality compares two separate computations: on a monomial
+    algebra, the targets of L^i's coordinates with the coordinates whose
+    targets lie in Z_i.
     """
-    terms = [zero_space(alg), _center(alg)]
+    targets = _coordinate_targets(alg)
+    if targets is None:
+        return _exact_upper(alg)
+    return SeriesReport(upper=tuple(_unit_span(alg, s) for s in _coordinate_upper(targets)))
+
+
+def _exact_upper(alg: Algebra) -> SeriesReport:
+    """upper_central_series on any algebra: each term after the centre is
+    the centralizer above the one before it (_centralizer_above), one
+    elimination."""
+    terms = [zero_space(alg), _exact_center(alg)]
     while terms[-1] != terms[-2]:
         terms.append(_centralizer_above(alg, terms[-1]))
     return SeriesReport(upper=tuple(terms[:-1]))
@@ -589,16 +644,13 @@ def series_report(alg: Algebra) -> SeriesReport:
     """Both central series plus class and rank in one report.
 
     The report and every series are held on alg, so repeated reports
-    recompute nothing.
+    recompute nothing.  A monomial algebra has every term, the centre that
+    rank cross-checks included, read off sets of coordinates with no
+    elimination (see monomial_series).
     """
     low = lower_central_series(alg)
-    up = upper_central_series(alg)
-    rk = None
-    if low.nilpotency_class is not None:
-        rk = rank(alg)
-    return SeriesReport(
-        lower=low.lower, upper=up.upper, nilpotency_class=low.nilpotency_class, rank=rk
-    )
+    rk = None if low.nilpotency_class is None else rank(alg)
+    return replace(low, upper=upper_central_series(alg).upper, rank=rk)
 
 
 def is_ideal(alg: Algebra, s: Subspace) -> bool:
@@ -711,7 +763,7 @@ def _coordinate_targets(alg: Algebra) -> tuple[frozenset[int], ...] | None:
     j.  Distinct j entries in every row are therefore exactly "no two
     triples share two basis vectors", and each e_c . e_j is then 0 or a
     multiple of one e_k.  Held on first use, which the chain, the
-    fingerprint and monomial_series each make, so it is read off the row
+    fingerprint and each held series make, so it is read off the row
     table once however many of them ask.
     """
     targets = []
@@ -798,34 +850,22 @@ def monomial_series(pres: Presentation) -> SeriesReport:
     induction every lower term L^{i+1} = L^i L is spanned by the targets
     of L^i's coordinates (_coordinate_lower), and every upper term
     Z_{i+1} = {v : v L <= Z_i} by the coordinates whose targets lie in Z_i
-    (_coordinate_upper).  Each term is returned as its unit rows, which
-    are its RREF.  The class is read off the lower series and the rank is
-    dim L - dim L^2, cross-checked against dim Z_1 as rank() does.
+    (_coordinate_upper), the centre Z_1 by those with none.  The held
+    series (lower_central_series, _center, upper_central_series) take
+    these sets on every monomial algebra, each term as its unit rows,
+    which are its RREF, so this is series_report on the presentation's
+    algebra, its rank dim L - dim L^2 cross-checked against dim Z_1.
     Which products are nonzero depends only on which triples the
     presentation holds, not on their values, so the same sets, and the
     same dimensions, class and rank, come out over every prime field and
     for every choice of nonzero values.
     """
     alg = build_algebra(pres)
-    targets = _coordinate_targets(alg)
-    if targets is None:
+    if _coordinate_targets(alg) is None:
         raise NotApplicable(
             "monomial_series requires a presentation whose triples share no two basis vectors"
         )
-    lower, upper = _coordinate_lower(targets), _coordinate_upper(targets)
-    cls = None if lower[-1] else len(lower) - 1
-    rk = None
-    if cls is not None:
-        rk, z1 = alg.dim - len(lower[1]), len(upper[1])
-        if z1 != rk:
-            raise RuntimeError(f"rank cross-check failed: dim L - dim L^2 = {rk}, dim Z_1 = {z1}")
-
-    def span(coords: frozenset[int]) -> Subspace:
-        return Subspace._from_rows(alg.field, alg.dim, ({c: 1} for c in sorted(coords)))
-
-    return SeriesReport(
-        lower=tuple(map(span, lower)), upper=tuple(map(span, upper)), nilpotency_class=cls, rank=rk
-    )
+    return series_report(alg)
 
 
 def _no_candidate(alg: Algebra, k: int) -> ChainError:
@@ -860,7 +900,8 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
     So no step goes back to the row table or relabels a product; each step
     k >= 2 hands the kernel copies of the keyed products, which it
     consumes, and the picks relabelled.  The steps k < 2 hand it the rows
-    spanning perp(Z) instead, as C is the centre there, so the centre is
+    spanning perp(Z) instead, as C is the centre there, read off the
+    exact centre (_exact_center) on every algebra, so the centre is
     eliminated once, whoever asks first.
 
     Which basis of perp(I_k) the cuts leave does not matter: the kernel
@@ -884,7 +925,7 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
     perm = _priority_permutation(n)
     rank, key = {c: t for t, c in enumerate(perm)}, _reversed_ranks(perm)
     picks, ordered = [], {}
-    centre = _perp_rows(_center(alg))
+    centre = _perp_rows(_exact_center(alg))
     held, holders = _perp_products(alg, key)
     for k in range(n):
         if k < 2:
@@ -940,18 +981,14 @@ def _check_chain(alg: Algebra, picks: list[dict[int, int]]) -> list[Subspace]:
 def _perp_products(alg: Algebra, key: dict[int, int]) -> tuple[dict, dict[int, set[int]]]:
     """(held, holders) for _hyperplane on perp(I_0) = L: held maps each
     coordinate c to the unit row {c: 1} paired with its nonzero products
-    {j: (e_c . e_j) G}, read straight off the row table (_row_table) and
-    relabelled by the form with key, by one _times_form call, and holders
-    maps each column c to {c}, the one row with a nonzero there.  The
-    relabelling is a signed permutation of the columns, so it commutes with
-    the linear combinations _hyperplane makes, and the products stay
-    relabelled as they are cut."""
-    prods = []
-    for entries in _row_table(alg):
-        by_j: dict[int, dict[int, int]] = {}
-        for j, k, v in entries:
-            by_j.setdefault(j, {})[k] = v
-        prods.append(by_j)
+    {j: (e_c . e_j) G}, read off the row table (_by_basis) and relabelled
+    by the form with key, by one _times_form call, and holders maps each
+    column c to {c}, the one row with a nonzero there.  The relabelling is
+    a signed permutation of the columns, so it commutes with the linear
+    combinations _hyperplane makes, and the products stay relabelled as
+    they are cut."""
+    table = _row_table(alg)
+    prods = [_by_basis(table, {c: 1}) for c in range(alg.dim)]
     keyed = iter(_times_form([row for by_j in prods for row in by_j.values()], alg.field.p, key))
     held = {c: ({c: 1}, {j: next(keyed) for j in by_j}) for c, by_j in enumerate(prods)}
     return held, {c: {c} for c in held}

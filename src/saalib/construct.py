@@ -33,11 +33,11 @@ from .algebra import (
     StructureTensor,
     _coordinate_lower,
     _coordinate_targets,
+    _exact_lower,
     _nilpotent_shape,
     _row_table,
     build_algebra,
     is_isotropic,
-    lower_central_series,
     nilpotency_class,
     product_space,
     rank,
@@ -270,7 +270,9 @@ def _verified(tset: TripleSet, field: PrimeField, predicted: int) -> Algebra | N
 
     Only the lower series and the centre are computed, and the returned
     algebra holds both, so asking it for its class and rank again
-    recomputes nothing.
+    recomputes nothing.  A triple set that passes no_common_pair, as
+    minimal_algebra checks first, is monomial, so both are read off sets
+    of coordinates (see monomial_series), with no elimination.
     """
     alg = build_algebra(tset.presentation(field))
     if nilpotency_class(alg) != predicted or rank(alg) != 2:
@@ -585,7 +587,7 @@ def fingerprint(alg: Algebra) -> tuple:
     L^2 L^2, whether each lower term is isotropic, the class and the rank
     (None unless nilpotent).  A monomial algebra, whose coordinate view
     _coordinate_targets holds, has it read off sets of coordinates
-    (_coordinate_fingerprint); any other off the exact lower series
+    (_coordinate_fingerprint); any other off the lower series eliminated
     (_exact_fingerprint).
     """
     targets = _coordinate_targets(alg)
@@ -622,7 +624,8 @@ def _coordinate_fingerprint(alg: Algebra, targets: tuple[frozenset[int], ...]) -
 
 
 def _exact_fingerprint(alg: Algebra) -> tuple:
-    """fingerprint on any algebra, off its exact lower series.
+    """fingerprint on any algebra, off its lower series eliminated
+    (_exact_lower), which a monomial algebra's held series does not read.
 
     Upper dims come off the lower series: by invariance Z_i = perp(L^{i+1}),
     nilpotent or not, with as many terms (see checks.check_duality).  So
@@ -637,7 +640,7 @@ def _exact_fingerprint(alg: Algebra) -> tuple:
     is isotropic, so once a term is not isotropic no larger term is: those
     flags are False without a test, and the tuple is that of testing every
     term."""
-    low = lower_central_series(alg)
+    low = _exact_lower(alg)
     lsq = low.lower_term(2)
     sq_product = product_space(alg, lsq, lsq)
     first = len(low.lower)  # low.lower[first:] are the isotropic terms

@@ -5,8 +5,12 @@ from itertools import chain, combinations, compress, permutations
 from saalib.algebra import (
     BasisVector,
     ChainError,
+    SeriesReport,
     _center,
     _centralizer_above,
+    _exact_center,
+    _exact_lower,
+    _exact_upper,
     _priority_permutation,
     zero_space,
 )
@@ -77,7 +81,9 @@ def reference_chain(alg):
     """The greedy isotropic ideal chain, each step solved for C apart.
 
     C_k is the centre for k < 2 and the centralizer above I_k after that
-    (_center, _centralizer_above), each a subspace of its own.  The
+    (_exact_center, _centralizer_above), each a subspace of its own and
+    eliminated, so the coordinate chain of a monomial algebra is checked
+    against no coordinate set.  The
     candidates are the kernel of the pairings of I_k's basis with C_k's,
     mapped back through C_k's basis, then reduced to RREF in the priority
     order x_n, ..., x_1, y_n, ..., y_1: three eliminations per step.  The
@@ -91,7 +97,7 @@ def reference_chain(alg):
     chain = [zero_space(alg)]
     for k in range(n):
         current = chain[k]
-        above = _center(alg) if k < 2 else _centralizer_above(alg, current)
+        above = _exact_center(alg) if k < 2 else _centralizer_above(alg, current)
         pairings = _rref_rows(_pairing_rows(current.rows, above.rows, p), p)
         w = [
             _reduced(_combine([(c, above.rows[t]) for t, c in row.items()]), p)
@@ -108,6 +114,21 @@ def reference_chain(alg):
         basis = _rref_rows([*map(dict, current.rows), row], p)
         chain.append(Subspace._from_rows(alg.field, dim, basis.values()))
     return chain
+
+
+def exact_series_report(alg):
+    """The series report of alg off the elimination loops alone
+    (_exact_lower, _exact_upper), which the held series of a monomial
+    algebra do not read: its rank is dim L - dim L^2 where the lower series
+    reaches 0, checked against the exact centre (_exact_center), which the
+    held centre (_center) must equal."""
+    low, up = _exact_lower(alg), _exact_upper(alg)
+    assert _center(alg) == _exact_center(alg)
+    rank = None
+    if low.nilpotency_class is not None:
+        rank = alg.dim - low.lower_term(2).dim
+        assert _exact_center(alg).dim == rank
+    return SeriesReport(low.lower, up.upper, low.nilpotency_class, rank)
 
 
 def outer_injection_inputs(n):

@@ -40,7 +40,7 @@ from saalib.algebra import (
     validate_nilpotent_presentation,
     zero_space,
 )
-from saalib.checks import random_nilpotent_presentation
+from saalib.checks import ScanConfig, random_nilpotent_presentation, sample_presentation
 from saalib.cli import verify_report
 from saalib.construct import (
     ConstructionError,
@@ -53,7 +53,7 @@ from saalib.construct import (
 from saalib.linalg import PrimeField, Subspace, _dense, perp
 from saalib.presfile import emit_presentation, parse_presentation_file
 
-from references import EXACT_PRIMES, reference_chain, reference_table
+from references import EXACT_PRIMES, exact_series_report, reference_chain, reference_table
 
 F3 = PrimeField(3)
 
@@ -319,11 +319,13 @@ def test_build_algebra_holds_no_dense_form():
 
 
 def test_each_series_computed_once_per_algebra(monkeypatch):
-    # the upper series takes one centralizer per term, each with exactly one
-    # elimination, on Z_1, ..., Z_cls = L, and one more that returns the
-    # repeated L above L with none; the lower series takes one elimination
-    # per step, and during verify_report no other elimination runs in
-    # algebra, directly or through linalg
+    # on an algebra that is not monomial the upper series takes one
+    # centralizer per term, each with exactly one elimination, on Z_1, ...,
+    # Z_cls = L, and one more that returns the repeated L above L with none;
+    # the lower series takes one elimination per step, and during
+    # verify_report no other elimination runs in algebra, directly or
+    # through linalg.  The inputs are the dense random n = 8 samples of the
+    # verify-random-n8-p3 golden files, both of class 13
     steps, lower_steps, inside = [], [], []
     above, eliminate = algebra_module._centralizer_above, linalg_module._rref_rows
 
@@ -343,17 +345,16 @@ def test_each_series_computed_once_per_algebra(monkeypatch):
     monkeypatch.setattr(algebra_module, "_centralizer_above", counted_above)
     monkeypatch.setattr(algebra_module, "_rref_rows", counted_eliminate)
     monkeypatch.setattr(linalg_module, "_rref_rows", counted_eliminate)
-    for name, upper_dims in (
-        ("P8-2-1", [2, 3, 5, 6, 8]),
-        ("P16-2-1", [2, 3, 5, 11, 13, 14, 16]),
-    ):
-        pres = catalog_entry(name).presentation(F3)
+    upper_dims = [2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 16]
+    for index in (0, 1):
+        pres = sample_presentation(ScanConfig(n=8, p=3, samples=1, seed=2023), index)
+        assert algebra_module._coordinate_targets(build_algebra(pres)) is None
         steps.clear()
         lower_steps.clear()
         _, ok = verify_report(parse_presentation_file(emit_presentation(pres)))
         assert ok
-        assert steps == [(d, 1) for d in upper_dims] + [(upper_dims[-1], 0)], name
-        assert len(lower_steps) == catalog_entry(name).expected_class, name
+        assert steps == [(d, 1) for d in upper_dims] + [(upper_dims[-1], 0)], index
+        assert len(lower_steps) == 13, index
 
         rank_first = build_algebra(pres)
         r = rank(rank_first)
@@ -363,10 +364,13 @@ def test_each_series_computed_once_per_algebra(monkeypatch):
 
 
 def test_centre_is_held_and_each_upper_term_is_the_centralizer_above_the_last():
-    # the centre is the centralizer above 0, computed once and held; the
-    # upper series starts from that same object, and each later term is the
-    # centralizer above the term before it, up to L, above which L repeats
-    alg = build_algebra(catalog_entry("P12-2-1").presentation(F3))
+    # on an algebra that is not monomial, here P12-2-1 scrambled, the centre
+    # is the centralizer above 0, computed once and held; the upper series
+    # starts from that same object, and each later term is the centralizer
+    # above the term before it, up to L, above which L repeats
+    pres = catalog_entry("P12-2-1").presentation(F3)
+    alg = scrambled(build_algebra(pres), np.random.default_rng(12))
+    assert algebra_module._coordinate_targets(alg) is None
     center = algebra_module._center(alg)
     assert isinstance(center, Subspace)
     assert algebra_module._center(alg) is center
@@ -581,7 +585,7 @@ def test_chain_check_refuses_a_chain_outside_the_centralizers(monkeypatch, above
     # called through its own entry
     monkeypatch.setattr(algebra_module, "_perp_products", lambda alg, key: ({}, {}))
     if not above_zero:
-        monkeypatch.setattr(algebra_module, "_center", full_space)
+        monkeypatch.setattr(algebra_module, "_exact_center", full_space)
     for entry in catalog():
         alg = build_algebra(relabelled(entry.presentation(F3, r=1)))
         with pytest.raises(RuntimeError, match=failing) as info:
@@ -624,10 +628,12 @@ def test_chain_reads_the_row_table_once_before_the_loop(monkeypatch):
     # from k = 0 on the rows spanning perp(I_k) carry their products, read
     # off the row table before the first kernel, so no step reads it again;
     # every product is read through _row_table, once per call, so the reads
-    # made before each step's kernel count them (the construction already
-    # holds the centre); the construction is monomial, so the general loop
-    # is called through its own entry
+    # made before each step's kernel count them (the exact centre, which the
+    # construction's coordinate centre does not compute, is held first); the
+    # construction is monomial, so the general loop is called through its
+    # own entry
     alg = minimal_algebra(16, F3)[1]
+    algebra_module._exact_center(alg)
     reads, per_step = [], []
     row_table, kernel = algebra_module._row_table, algebra_module._keyed_orthogonal
 
@@ -743,7 +749,7 @@ def test_chain_refuses_a_pick_inside_the_chain(monkeypatch):
         return [{c: 2 * v % p for c, v in row.items()} for row in kernel(rows, order, p)]
 
     alg = build_algebra(catalog_entry("P8-2-1").presentation(F3, r=1))
-    algebra_module._center(alg)
+    algebra_module._exact_center(alg)
     monkeypatch.setattr(algebra_module, "_keyed_orthogonal", doubled)
     with pytest.raises(RuntimeError, match=r"k=1 gives I_2 of dimension 1, not 2, for n=4") as info:
         algebra_module._general_chain(alg)
@@ -832,6 +838,20 @@ def test_general_chain_reduces_nothing(monkeypatch):
     assert sizes == []
 
 
+def general_chain(alg):
+    """_general_chain on alg with the coordinate view and the held centre
+    refused, so that on a monomial algebra it reads the exact centre
+    (_exact_center) and nothing of the coordinate path."""
+
+    def refused(*args):
+        raise AssertionError("the general loop read the coordinate path")
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_coordinate_targets", "_center"):
+            m.setattr(algebra_module, name, refused)
+        return algebra_module._general_chain(alg)
+
+
 def chains_of_both_loops_agree(sizes, p):
     """Assert that the chain equals the general loop's on minimal_algebra(n)
     over GF(p) for each n in sizes, and return the n that raise
@@ -844,7 +864,7 @@ def chains_of_both_loops_agree(sizes, p):
             gaps.append(n)
             continue
         assert algebra_module._coordinate_targets(alg) is not None
-        assert isotropic_ideal_chain(alg) == algebra_module._general_chain(alg), (n, p)
+        assert isotropic_ideal_chain(alg) == general_chain(alg), (n, p)
     return gaps
 
 
@@ -866,15 +886,17 @@ def test_chain_of_the_catalog_matches_the_general_loop(p):
         for r in range(1, p) if entry.parameterized else (1,):
             alg = build_algebra(entry.presentation(PrimeField(p), r=r))
             assert algebra_module._coordinate_targets(alg) is not None
-            assert isotropic_ideal_chain(alg) == algebra_module._general_chain(alg), (entry, r)
+            assert isotropic_ideal_chain(alg) == general_chain(alg), (entry, r)
 
 
 def assert_coordinate_series_match_the_exact_path(pres):
-    """monomial_series gives the exact series report of pres, and the
-    fingerprint, which takes the coordinate path, the exact one."""
+    """monomial_series, the held series of a monomial presentation, gives
+    the series report of the elimination loops (exact_series_report), and
+    the fingerprint, which takes the coordinate path, the one read off the
+    eliminated lower series."""
     alg = build_algebra(pres)
     assert algebra_module._coordinate_targets(alg) is not None
-    assert monomial_series(pres) == series_report(alg)
+    assert monomial_series(pres) == exact_series_report(alg)
     assert fingerprint(alg) == construct_module._exact_fingerprint(alg)
 
 
@@ -917,7 +939,7 @@ def test_monomial_series_refuses_a_shared_pair():
     with pytest.raises(NotApplicable, match="share no two basis vectors"):
         monomial_series(pres)
     dropped = Presentation.build(4, F3, [("x1", "y2", "y3", 1), ("y1", "y2", "y4", 1)])
-    assert monomial_series(dropped) == series_report(build_algebra(dropped))
+    assert monomial_series(dropped) == exact_series_report(build_algebra(dropped))
 
 
 def test_chain_of_a_construction_eliminates_nothing(monkeypatch):

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from saalib import algebra, cli, construct
+from saalib import algebra, checks, cli, construct, linalg
 from saalib.algebra import (
     NotApplicable,
     build_algebra,
     is_maximal_class_criterion,
     maximal_class_structure_check,
     nilpotency_class,
+    series_report,
 )
 from saalib.checks import (
     CheckResult,
@@ -23,7 +24,7 @@ from saalib.checks import (
     check_series_step_bounds,
 )
 from saalib.cli import main
-from saalib.construct import catalog
+from saalib.construct import catalog, minimal_algebra
 from saalib.linalg import PrimeField
 from saalib.presfile import emit_presentation, parse_presentation_file
 
@@ -295,6 +296,36 @@ def test_construct_computes_no_upper_series(tmp_path, monkeypatch, capsys):
     _, alg = construct.minimal_algebra(16, PrimeField(3))
     assert nilpotency_class(alg) == 9
     assert calls == []
+
+
+def test_monomial_algebras_are_analysed_with_no_elimination(tmp_path, monkeypatch, capsys):
+    # every construction and catalog entry is monomial, so construct's
+    # self-check, verify's report and a large series report read every
+    # series term and the centre off sets of coordinates: with every
+    # elimination and kernel refused they still succeed, and their output is
+    # the recorded one
+    golden = Path(__file__).resolve().parent / "golden"
+
+    def refused(*args):
+        raise AssertionError("a monomial algebra was eliminated")
+
+    for module in (algebra, linalg, checks):
+        monkeypatch.setattr(module, "_rref_rows", refused)
+    for module in (algebra, linalg):
+        monkeypatch.setattr(module, "_orthogonal", refused)
+        monkeypatch.setattr(module, "_keyed_orthogonal", refused)
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "construct", "--n", "16", "--p", "3", "--out", "construct-n16.saa")
+    assert code == 0
+    assert out == (golden / "construct-n16.txt").read_text(encoding="utf-8")
+    assert run(capsys, "catalog", "P16-2-1", "--p", "3", "--out", "in.saa")[0] == 0
+    code, out = run(capsys, "verify", "in.saa")
+    assert code == 0
+    assert out == (golden / "verify-P16-2-1.txt").read_text(encoding="utf-8")
+    code, out = run(capsys, "verify", str(golden / "construct-n16.saa"))
+    assert code == 0 and "checks: pass\n" in out
+    report = series_report(minimal_algebra(1000, PrimeField(3))[1])
+    assert (report.nilpotency_class, report.rank) == (11, 2)
 
 
 def test_construct_rejects_small_n(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from saalib.algebra import (
     Presentation,
     PresentationTriple,
     StructureTensor,
+    _center,
     _centralizer_above,
     _coordinate_targets,
     _independent,
@@ -65,6 +67,7 @@ from saalib.presfile import emit_presentation, parse_presentation
 
 from references import (
     EXACT_PRIMES,
+    exact_series_report,
     outer_injection_inputs,
     reference_chain,
     reference_injection,
@@ -325,6 +328,36 @@ MAKERS = {
 shapes = st.sampled_from(sorted(MAKERS))
 
 
+def monomial_presentation(n, field, rng, nilpotent):
+    """Random nonzero values on random triples, no two sharing two basis
+    vectors: of nilpotent shape (x_i y_j, y_k) or (y_i y_j, y_k), i < j < k,
+    or on any three coordinates.  A drawn triple that shares a pair with an
+    earlier one is skipped."""
+    items, pairs = [], set()
+    for _ in range(int(rng.integers(0, 3 * n)) if n >= 3 else 0):
+        if nilpotent:
+            i, j, k = sorted(int(c) for c in rng.choice(n, size=3, replace=False) + 1)
+            tokens = (f"{rng.choice(['x', 'y'])}{i}", f"y{j}", f"y{k}")
+        else:
+            coords = rng.choice(2 * n, size=3, replace=False)
+            tokens = tuple(("y" if c % 2 else "x") + str(c // 2 + 1) for c in coords)
+        sides = {frozenset(side) for side in itertools.combinations(tokens, 2)}
+        if sides & pairs:
+            continue
+        pairs |= sides
+        items.append((*tokens, int(rng.integers(1, field.p))))
+    return Presentation.build(n, field, items)
+
+
+# the Python-int oracles also draw monomial presentations, nilpotent or not,
+# whose held series are read off sets of coordinates
+ORACLE_MAKERS = {
+    **MAKERS,
+    "monomial": partial(monomial_presentation, nilpotent=False),
+    "monomial-nilpotent": partial(monomial_presentation, nilpotent=True),
+}
+
+
 def reference_lower_series(alg):
     """L^{i+1} = product_space(L^i, L) until a term repeats."""
     terms = [full_space(alg)]
@@ -368,13 +401,65 @@ def python_int_lower_series(alg):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("shape", sorted(MAKERS))
+@pytest.mark.parametrize("shape", sorted(ORACLE_MAKERS))
 @settings(max_examples=20)
 @given(n=st.integers(2, 6), seed=seeds)
 def test_lower_series_matches_python_int_reference(shape, p, n, seed):
-    alg = build_algebra(MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
+    alg = build_algebra(ORACLE_MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
+    if shape.startswith("monomial"):
+        assert _coordinate_targets(alg) is not None
     low = lower_central_series(alg)
     assert [list(map(list, term.basis)) for term in low.lower] == python_int_lower_series(alg)
+
+
+def python_int_centralizer(table, basis, p):
+    """{v : v . e_j in span(basis) for every j}, as its RREF rows of Python
+    ints, for basis an RREF given as lists: v . e_j = sum v_i table[i][j]
+    must leave no residual against basis, one linear condition on v per
+    (j, coordinate), and the kernel of those conditions (reference_kernel)
+    is reduced by reference_rref."""
+    dim = len(table)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+
+    def residual(x):
+        out = list(x)
+        for row, c in zip(basis, pivots):
+            out = [(o - x[c] * b) % p for o, b in zip(out, row)]
+        return out
+
+    conditions = [[0] * dim for _ in range(dim * dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k, value in enumerate(residual(table[i][j])):
+                conditions[j * dim + k][i] = value
+    rows, pivots = reference_rref(reference_kernel(conditions, dim, p), dim, p)
+    return rows[: len(pivots)]
+
+
+def python_int_upper_series(alg):
+    """The upper series' RREF bases as lists of Python ints: Z_0 = 0 and
+    Z_{i+1} = {v : v . e_j in Z_i for every j} (python_int_centralizer) on
+    reference_table, until a term repeats.  Nothing of the library's
+    products, elimination or subspaces is used."""
+    p, table = alg.field.p, reference_table(alg)
+    terms = [[]]
+    while (above := python_int_centralizer(table, terms[-1], p)) != terms[-1]:
+        terms.append(above)
+    return terms
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shape", sorted(ORACLE_MAKERS))
+@settings(max_examples=20)
+@given(n=st.integers(2, 6), seed=seeds)
+def test_upper_series_and_centre_match_python_int_reference(shape, p, n, seed):
+    # the held centre and upper series, read off sets of coordinates on a
+    # monomial algebra and by centralizers on any other
+    alg = build_algebra(ORACLE_MAKERS[shape](n, PrimeField(p), np.random.default_rng(seed)))
+    terms = python_int_upper_series(alg)
+    assert list(map(list, _center(alg).basis)) == terms[min(1, len(terms) - 1)]
+    up = upper_central_series(alg)
+    assert [list(map(list, term.basis)) for term in up.upper] == terms
 
 
 def reference_kernel(rows, ncols, p):
@@ -607,29 +692,10 @@ def test_wedge_decides_independence(p, dim, seed, draw):
 
 
 def reference_centralizer(alg, z):
-    """{v : v . e_k in z for all k}, solved for all dim coordinates of v.
-
-    Every v . e_k must leave no residual against z's RREF basis, which gives
-    one condition per (k, coordinate); the Python-int kernel of those
-    conditions is reduced once more to the canonical basis.
-    """
-    p, dim = alg.field.p, alg.dim
-    table = reference_table(alg)
-    basis = z.basis
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-
-    def residual(x):
-        out = list(x)
-        for row, c in zip(basis, pivots):
-            out = [(o - x[c] * b) % p for o, b in zip(out, row)]
-        return out
-
-    conditions = [[0] * dim for _ in range(dim * dim)]
-    for i in range(dim):
-        for k in range(dim):
-            for j, value in enumerate(residual(table[i][k])):
-                conditions[k * dim + j][i] = value
-    return reference_span(alg.field, dim, reference_kernel(conditions, dim, p))
+    """{v : v . e_k in z for all k}, solved for all dim coordinates of v
+    on Python ints (python_int_centralizer) against z's RREF basis."""
+    rows = python_int_centralizer(reference_table(alg), z.basis, alg.field.p)
+    return Subspace(alg.field, alg.dim, rows)
 
 
 def assert_centralizers_match_reference(alg, ideals):
@@ -721,27 +787,6 @@ def test_fingerprint_and_chain_match_references(p, n, seed, shape):
     assert isotropic_ideal_chain(alg) == expected
 
 
-def monomial_presentation(n, field, rng, nilpotent):
-    """Random nonzero values on random triples, no two sharing two basis
-    vectors: of nilpotent shape (x_i y_j, y_k) or (y_i y_j, y_k), i < j < k,
-    or on any three coordinates.  A drawn triple that shares a pair with an
-    earlier one is skipped."""
-    items, pairs = [], set()
-    for _ in range(int(rng.integers(0, 3 * n)) if n >= 3 else 0):
-        if nilpotent:
-            i, j, k = sorted(int(c) for c in rng.choice(n, size=3, replace=False) + 1)
-            tokens = (f"{rng.choice(['x', 'y'])}{i}", f"y{j}", f"y{k}")
-        else:
-            coords = rng.choice(2 * n, size=3, replace=False)
-            tokens = tuple(("y" if c % 2 else "x") + str(c // 2 + 1) for c in coords)
-        sides = {frozenset(side) for side in itertools.combinations(tokens, 2)}
-        if sides & pairs:
-            continue
-        pairs |= sides
-        items.append((*tokens, int(rng.integers(1, field.p))))
-    return Presentation.build(n, field, items)
-
-
 @pytest.mark.parametrize("p", EXACT_PRIMES)
 @settings(max_examples=40)
 @given(n=st.integers(1, 8), seed=seeds, nilpotent=st.booleans())
@@ -772,7 +817,7 @@ def test_series_of_monomial_presentations_match_the_exact_path(p, n, seed, nilpo
     pres = monomial_presentation(n, PrimeField(p), np.random.default_rng(seed), nilpotent)
     alg = build_algebra(pres)
     assert _coordinate_targets(alg) is not None
-    assert monomial_series(pres) == series_report(alg)
+    assert monomial_series(pres) == exact_series_report(alg)
     assert fingerprint(alg) == construct_module._exact_fingerprint(alg)
 
 
