@@ -4,7 +4,9 @@ Each check returns a CheckResult carrying a pass flag and, on failure, a
 reproducible witness.  The scanner draws nilpotent presentations with
 independent uniform values on every admissible triple; each sample's
 stream is derived from (seed, sample index) alone, so any sample a report
-names can be drawn again from its index.
+names can be drawn again from its index.  The stream is numpy's PCG64
+under SeedSequence, redone on Python ints (_Stream), so numpy is not
+needed to scan.
 """
 
 from __future__ import annotations
@@ -223,7 +225,8 @@ def _triple_universe(n: int) -> tuple[tuple[BasisVector, BasisVector, BasisVecto
 
 def random_nilpotent_presentation(n: int, field: PrimeField, rng) -> Presentation:
     """Independent uniform values over the full nilpotent triple shape,
-    drawn from rng, a numpy Generator."""
+    drawn from rng by rng.integers(0, p, size=k): the scan's pinned
+    stream or a numpy Generator, which draw the same values."""
     universe = _triple_universe(n)
     values = rng.integers(0, field.p, size=len(universe))
     triples = tuple(
@@ -238,10 +241,10 @@ def random_nilpotent_presentation(n: int, field: PrimeField, rng) -> Presentatio
 class ScanConfig:
     """Scan parameters.
 
-    Sample index i draws from numpy's PCG64 seeded with
-    SeedSequence(entropy=seed, spawn_key=(i,)), so per-sample streams
-    depend only on (seed, i), not on the number of samples or on which
-    samples were drawn before.
+    Sample index i draws from the pinned stream _Stream(seed, i), numpy's
+    PCG64 seeded with SeedSequence(entropy=seed, spawn_key=(i,)) redone on
+    Python ints, so per-sample streams depend only on (seed, i), not on
+    the number of samples or on which samples were drawn before.
     """
 
     n: int
@@ -259,16 +262,128 @@ class ScanConfig:
         object.__setattr__(self, "field", PrimeField(self.p))
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        # numpy's SeedSequence refuses a negative entropy, mid-scan
+        # the stream would refuse a negative seed only mid-scan
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
 def sample_presentation(cfg: ScanConfig, index: int) -> Presentation:
-    import numpy as np  # the pinned PCG64 streams: the package's one use of numpy
+    return random_nilpotent_presentation(cfg.n, cfg.field, _Stream(cfg.seed, index))
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,)))
-    return random_nilpotent_presentation(cfg.n, cfg.field, rng)
+
+# The pinned stream: numpy's default_rng(SeedSequence(entropy=seed,
+# spawn_key=(index,))).integers(low, high, size) on int64, redone on Python
+# ints, so a scan needs no numpy and no numpy release can move its samples.
+# Each step follows numpy's definition; tests/test_checks.py compares the two.
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence's mixing hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # and its output hash
+
+
+def _words32(n: int) -> list[int]:
+    """n as SeedSequence reads an int: little-endian 32-bit words, [0] for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple[int, int]:
+    """SeedSequence's hashmix: the hashed word and the next hash constant."""
+    value ^= h
+    h = h * mult & _M32
+    value = value * h & _M32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """SeedSequence's pool and hash constant after its first two passes,
+    and the seed's words past the pool.
+
+    With a spawn key the entropy is the seed's words, padded with zeros to
+    the pool's four, then the key's words.  The first two passes read only
+    the first four words, so every index of one seed shares them.
+    """
+    words = _words32(seed)
+    words += [0] * (4 - len(words))
+    pool, h = [], _INIT_A
+    for w in words[:4]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    return tuple(pool), h, tuple(words[4:])
+
+
+class _Stream:
+    """numpy's Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(index,)))),
+    as far as integers(low, high, size) with high - low < 2**32."""
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, seed: int, index: int):
+        # the rest of SeedSequence's mixing, then generate_state(4, uint64)
+        pool, h, rest = _seed_pool(seed)
+        pool = list(pool)
+        for w in rest + tuple(_words32(index)):
+            for dst in range(4):
+                v, h = _hashmix(w, h)
+                pool[dst] = _mix(pool[dst], v)
+        h, halves = _INIT_B, []
+        for i in range(8):
+            v, h = _hashmix(pool[i % 4], h, _MULT_B)
+            halves.append(v)
+        w0, w1, w2, w3 = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
+        # PCG64's set-seq-128 seeding: step from 0, add the seed, step again
+        self._inc = inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        self._state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+        self._half = None  # the high half of the last 64-bit output, not yet drawn
+
+    def integers(self, low: int, high: int, size: int) -> list[int]:
+        """size uniform draws from [low, high) by Lemire's bounded method on
+        32-bit words (arXiv 1805.10941); each 64-bit XSL-RR output is two
+        words, low half first."""
+        bound = high - low
+        if bound < 1:
+            raise ValueError("high must exceed low")
+        if bound > _M32:
+            raise ValueError("ranges of 2**32 or more take numpy paths the stream lacks")
+        if bound == 1:
+            return [low] * size
+        threshold = (1 << 32) % bound
+        state, inc, half = self._state, self._inc, self._half
+        out = []
+        for _ in range(size):
+            while True:
+                if half is None:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    x = (state >> 64 ^ state) & _M64
+                    rot = state >> 122
+                    x = (x >> rot | x << (64 - rot)) & _M64
+                    word, half = x & _M32, x >> 32
+                else:
+                    word, half = half, None
+                m = word * bound
+                if m & _M32 >= threshold:
+                    break
+            out.append(low + (m >> 32))
+        self._state, self._half = state, half
+        return out
 
 
 @dataclass(frozen=True)

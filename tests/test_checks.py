@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saalib import linalg
 from saalib.algebra import (
@@ -18,6 +20,7 @@ from saalib.algebra import (
 )
 from saalib.checks import (
     ScanConfig,
+    _Stream,
     check_axioms,
     check_duality,
     check_rank_two_structure,
@@ -196,6 +199,63 @@ def test_sampling_depends_only_on_seed_and_index():
     cfg_a = ScanConfig(n=4, p=3, samples=100, seed=5)
     cfg_b = ScanConfig(n=4, p=3, samples=7, seed=5)
     assert sample_presentation(cfg_a, 3) == sample_presentation(cfg_b, 3)
+
+
+def numpy_stream(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+STREAM_PRIMES = [2, 3, 5, 7, 65537, 2147483647, 3037000493]
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**130),
+    index=st.integers(0, 2**40),
+    p=st.sampled_from(STREAM_PRIMES),
+    k=st.integers(1, 240),
+)
+@example(seed=0, index=0, p=2, k=1)
+@example(seed=2**128 - 1, index=2**32 - 1, p=3, k=40)
+@example(seed=2**128, index=2**32, p=3037000493, k=240)
+def test_stream_matches_numpy(seed, index, p, k):
+    # seeds past 2**128 mix words after the pool; indices past 2**32 are two words
+    got = _Stream(seed, index).integers(0, p, k)
+    assert got == numpy_stream(seed, index).integers(0, p, size=k).tolist()
+
+
+def test_stream_carries_the_unused_half_word_across_calls():
+    ours, theirs = _Stream(7, 3), numpy_stream(7, 3)
+    for low, high, k in ((0, 3, 3), (0, 65537, 1), (5, 12, 4), (0, 2**32 - 1, 5)):
+        assert ours.integers(low, high, k) == theirs.integers(low, high, size=k).tolist()
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_random_presentation_is_the_same_from_both_streams(n):
+    for p, seed, index in ((2, 5, 0), (3, 42, 17), (2147483647, 2**70, 2**33)):
+        field = PrimeField(p)
+        ours = random_nilpotent_presentation(n, field, _Stream(seed, index))
+        assert ours == random_nilpotent_presentation(n, field, numpy_stream(seed, index))
+
+
+def test_stream_refuses_what_it_does_not_reproduce():
+    for seed, index in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            numpy_stream(seed, index)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            _Stream(seed, index)
+    # numpy takes other branches from high - low - 1 = 2**32 - 1 on
+    stream = _Stream(1, 0)
+    for low, high in ((0, 2**32), (-1, 2**32 - 1), (0, 2**63)):
+        with pytest.raises(ValueError, match="numpy paths the stream lacks"):
+            stream.integers(low, high, 1)
+    with pytest.raises(ValueError, match="high must exceed low"):
+        stream.integers(3, 3, 1)
+    # a single value draws nothing, as in numpy
+    ours, theirs = _Stream(1, 0), numpy_stream(1, 0)
+    assert ours.integers(4, 5, 3) == [4, 4, 4]
+    assert theirs.integers(4, 5, size=3).tolist() == [4, 4, 4]
+    assert ours.integers(0, 7, 9) == theirs.integers(0, 7, size=9).tolist()
 
 
 def test_scan_config_validation():

@@ -452,28 +452,34 @@ def test_import_builds_no_parser():
     assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
+SCAN_N4_P2 = ["scan", "--n", "4", "--p", "2", "--samples", "60", "--seed", "5"]
+
+
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "argv",
     [
-        (["verify", str(SRC.parent / "tests" / "golden" / "construct-n8.saa")], False),
-        (["construct", "--n", "8", "--p", "3", "--out", "OUT"], False),
-        (["catalog"], False),
-        (["catalog", "P8-2-1", "--out", "OUT"], False),
-        (["predict", "--n", "8"], False),
-        (["scan", "--n", "4", "--p", "3", "--samples", "2", "--seed", "1"], True),
+        ["verify", str(SRC.parent / "tests" / "golden" / "construct-n8.saa")],
+        ["construct", "--n", "8", "--p", "3", "--out", "OUT"],
+        ["catalog"],
+        ["catalog", "P8-2-1", "--out", "OUT"],
+        ["predict", "--n", "8"],
+        SCAN_N4_P2,
     ],
     ids=["verify", "construct", "catalog", "catalog-emit", "predict", "scan"],
 )
-def test_only_scan_loads_numpy(tmp_path, argv, loads_numpy):
-    # the package computes on Python ints; numpy draws scan's random streams
-    # alone, so every other command runs to the end without loading it
+def test_no_command_needs_numpy(tmp_path, argv):
+    # the package computes on Python ints and draws scan's streams itself, so
+    # every command runs to the end with numpy's import blocked
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = [str(tmp_path / "out.saa") if a == "OUT" else a for a in argv]
     code = (
-        "import sys; from saalib.cli import main; "
-        "print(main(sys.argv[1:]), 'numpy' in sys.modules)"
+        "import sys; sys.modules['numpy'] = None; from saalib.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
     )
-    argv = [sys.executable, "-c", code, *argv]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    if argv == SCAN_N4_P2:
+        golden = SRC.parent / "tests" / "golden" / "scan-n4-p2-samples60-seed5.txt"
+        assert proc.stdout == golden.read_text(encoding="utf-8")
