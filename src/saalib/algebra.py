@@ -14,6 +14,7 @@ carries the minus.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, wraps
 from itertools import combinations
@@ -33,6 +34,7 @@ from .linalg import (
     _residue,
     _reversed_ranks,
     _rref_rows,
+    _spanned,
     _times_form,
     orthogonal,
 )
@@ -503,8 +505,9 @@ class SeriesReport:
 
 def _unit_span(alg: Algebra, coords) -> Subspace:
     """The span of the basis vectors e_c, c in coords: their unit rows, in
-    increasing order, are its RREF."""
-    return Subspace._from_rows(alg.field, alg.dim, ({c: 1} for c in sorted(coords)))
+    increasing order, are its RREF, checked by the coordinates alone
+    (Subspace._from_units)."""
+    return Subspace._from_units(alg.field, alg.dim, sorted(coords))
 
 
 @_held
@@ -514,9 +517,9 @@ def lower_central_series(alg: Algebra) -> SeriesReport:
     A monomial algebra (_coordinate_targets), as every construction and
     catalog entry is, has each term read off a set of coordinates
     (_coordinate_lower; see monomial_series for the argument) and built
-    as its unit rows (_unit_span), with no elimination; any other takes
-    the elimination loop (_exact_lower).  RREF is unique, so both give the
-    same terms.
+    as its unit rows, checked by their coordinates (_unit_span), with no
+    elimination and no row-by-row check; any other takes the elimination
+    loop (_exact_lower).  RREF is unique, so both give the same terms.
     """
     targets = _coordinate_targets(alg)
     if targets is None:
@@ -601,7 +604,8 @@ def upper_central_series(alg: Algebra) -> SeriesReport:
 
     A monomial algebra has each term read off a set of coordinates, those
     whose product targets lie in the term before (_coordinate_upper; see
-    monomial_series), with no elimination; any other takes the
+    monomial_series), and built as its unit rows, checked by their
+    coordinates (_unit_span), with no elimination; any other takes the
     centralizer loop (_exact_upper).  Neither reads the lower series, so
     check_duality compares two separate computations: on a monomial
     algebra, the targets of L^i's coordinates with the coordinates whose
@@ -739,8 +743,9 @@ def isotropic_ideal_chain(alg: Algebra) -> list[Subspace]:
     k.  (i) is read off the products of x_0 and x_1, which span I_m, and
     (iii) off the pairings of I_n with itself.  (ii) is checked on each new
     vector alone: for 2 <= k < n, x_k L <= I_k, with x_k's products read
-    off the row table, not the general loop's carried ones, so the check
-    rests on neither loop's state.  This proves (ii): I_{k+1} L = I_k L +
+    off the row table, not the general loop's carried ones, and tested
+    against the check's own running RREF of I_k, so the check rests on
+    neither loop's state.  This proves (ii): I_{k+1} L = I_k L +
     x_k L.  At k = 2, I_2 L = 0 by (i), so I_3 L <= I_2.  For k > 2,
     I_k L <= I_{k-1} <= I_k by (ii) at k - 1, so I_{k+1} L <= I_k.  This
     multiplies one vector per step where I_{k+1}'s whole basis would take
@@ -853,8 +858,9 @@ def monomial_series(pres: Presentation) -> SeriesReport:
     (_coordinate_upper), the centre Z_1 by those with none.  The held
     series (lower_central_series, _center, upper_central_series) take
     these sets on every monomial algebra, each term as its unit rows,
-    which are its RREF, so this is series_report on the presentation's
-    algebra, its rank dim L - dim L^2 cross-checked against dim Z_1.
+    which are its RREF and are checked by their coordinates (_unit_span),
+    so this is series_report on the presentation's algebra, its rank
+    dim L - dim L^2 cross-checked against dim Z_1.
     Which products are nonzero depends only on which triples the
     presentation holds, not on their values, so the same sets, and the
     same dimensions, class and rank, come out over every prime field and
@@ -939,7 +945,7 @@ def _general_chain(alg: Algebra) -> list[Subspace]:
         if row is None:
             raise _no_candidate(alg, k)
         picks.append(dict(row))
-        if not _extend_rref(ordered, row, rank, p):
+        if _extend_rref(ordered, row, rank, p) is None:
             raise RuntimeError(
                 f"isotropic ideal chain step k={k} gives I_{k + 1} of dimension "
                 f"{k}, not {k + 1}, for n={n}"
@@ -952,27 +958,46 @@ def _check_chain(alg: Algebra, picks: list[dict[int, int]]) -> list[Subspace]:
     """The terms I_0..I_n, I_{k+1} = I_k + <x_k>, built from the picks
     x_0..x_{n-1} alone and checked as isotropic_ideal_chain argues; a
     failure raises RuntimeError naming the condition and k.  Each x_k is
-    multiplied alone, on every column of the row table (_by_basis), and
-    joins one RREF (_extend_rref), which a pick inside I_k leaves
-    unchanged; each term copies its rows, which later picks change in
-    place.
+    multiplied alone, on every column of the row table (_by_basis), its
+    products tested against I_k's RREF {pivot: row} (_spanned), and joins
+    that RREF (_extend_rref), which a pick inside I_k leaves unchanged.
+
+    The RREF is held once, with its pivots and rows in increasing order
+    beside it, and no term builds a {pivot: row} map of its own.
+    _extend_rref changes only the rows with an entry at the new pivot, so
+    never a unit row {c: 1}, c being an older pivot.  So each term shares
+    the unit rows with the running RREF and copies only its other rows
+    ("wide"), which later picks may change in place.  A term whose rows are
+    all unit rows, as every term is on a monomial algebra, is a span of
+    basis vectors and checked by its coordinates (Subspace._from_units);
+    any other is checked row by row (_check_rref).
     """
     n, p, dim = alg.n, alg.field.p, alg.dim
     table, chain, basis = _row_table(alg), [zero_space(alg)], {}
+    pivots, rows, wide = [], [], set()
     for k, x in enumerate(picks):
         prods = [r for row in _by_basis(table, x).values() if (r := _reduced(row, p))]
         if k < 2 and prods:
             raise RuntimeError(f"isotropic ideal chain fails (i) I_{min(n, 2)} L = 0 for n={n}")
-        if k >= 2 and not chain[k]._spans(prods):
+        if k >= 2 and not _spanned(prods, basis, p):
             raise RuntimeError(
                 f"isotropic ideal chain fails (ii) I_{k + 1} L <= I_{k} at k={k} for n={n}"
             )
-        if not _extend_rref(basis, dict(x), range(dim), p):
+        q = _extend_rref(basis, dict(x), range(dim), p)
+        if q is None:
             raise RuntimeError(
                 f"isotropic ideal chain fails (ii) x_{k} in I_{k + 1} and not in I_{k} "
                 f"at k={k} for n={n}"
             )
-        chain.append(Subspace._from_rows(alg.field, dim, (dict(basis[q]) for q in sorted(basis))))
+        i = bisect_left(pivots, q)
+        pivots.insert(i, q)
+        rows.insert(i, basis[q])
+        wide = {c for c in (*wide, q) if len(basis[c]) > 1}
+        if wide:
+            term = Subspace._from_rows(alg.field, dim, (dict(r) if len(r) > 1 else r for r in rows))
+        else:
+            term = Subspace._from_units(alg.field, dim, pivots, rows)
+        chain.append(term)
     if not orthogonal(chain[n], chain[n], alg.gram):
         raise RuntimeError(f"isotropic ideal chain fails (iii) I_{n} isotropic for n={n}")
     return chain
@@ -1042,10 +1067,11 @@ def _hyperplane(held: dict, holders: dict[int, set[int]], x: dict[int, int], p: 
         }
 
 
-def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p: int) -> bool:
+def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p: int) -> int | None:
     """Add a dict row to basis, an RREF {pivot: row} with the columns
-    ranked by rank, in place, and return True; the row is consumed.  A row
-    in basis's span clears to zero: False, and nothing is added.
+    ranked by rank, in place, and return its new pivot; the row is
+    consumed.  A row in basis's span clears to zero: None, and nothing is
+    added.
 
     As in _rref_rows: the row is cleared on the pivot columns it meets,
     scaled to 1 at its first column by rank, its new pivot q, and cleared
@@ -1054,7 +1080,7 @@ def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p:
     for c in [c for c in row if c in basis]:
         _clear(row, c, basis[c], p)
     if not row:
-        return False
+        return None
     q = min(row, key=rank.__getitem__)
     inv = pow(row[q], -1, p)
     for j, v in row.items():
@@ -1063,7 +1089,7 @@ def _extend_rref(basis: dict[int, dict[int, int]], row: dict[int, int], rank, p:
         if q in other:
             _clear(other, q, row, p)
     basis[q] = row
-    return True
+    return q
 
 
 def _nilpotent_triple(t: PresentationTriple) -> bool:

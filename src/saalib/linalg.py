@@ -253,11 +253,14 @@ class Subspace:
     rows holds the RREF as a tuple of {column: residue} dicts of nonzero
     Python-int residues, one per dimension, in increasing pivot order, and
     pivots holds each row's pivot column.  Every constructor checks that the
-    rows are the RREF (_check_rref), and one that is not is refused; a basis
-    passed directly must already be the RREF, and from_vectors computes
-    it.  RREF is unique, so two subspaces are equal iff their rows agree,
-    which makes them usable as dict keys and in chain comparisons.  The
-    rows are shared by every reader and must not be changed.
+    rows are the RREF, and one that is not is refused.  A span of basis
+    vectors (_from_units, which zero and full use) is checked by its
+    coordinates alone; every other subspace, a basis passed directly, which
+    must already be the RREF, or one from_vectors computes, is checked row
+    by row (_check_rref).  RREF is unique, so two subspaces are equal iff
+    their rows agree, which makes them usable as dict keys and in chain
+    comparisons.  The rows are shared by every reader and must not be
+    changed.
 
     basis, the same RREF as a tuple of rows of Python ints, and _by_pivot,
     the rows as a {pivot: row} dict, are each built on first read and held,
@@ -281,6 +284,31 @@ class Subspace:
         space._set(field, ambient_dim, tuple(rows))
         return space
 
+    @classmethod
+    def _from_units(cls, field: PrimeField, ambient_dim: int, coords, rows=None) -> "Subspace":
+        """The span of the basis vectors e_c, c in coords, which must be
+        strictly increasing ints in [0, ambient_dim); anything else raises
+        ValueError.
+
+        Their unit rows {c: 1} are its RREF, with coords as pivots, so they
+        are checked by their coordinates, with no _check_rref: 1 is a
+        residue for every p, so these are exactly the unit rows it accepts.
+        rows, when given, must be those unit rows held already, as the
+        chain's running RREF holds them (see algebra._check_chain): they are
+        shared instead of built, and the caller vouches for them.
+        """
+        pivots = tuple(coords)
+        if not set(map(type, pivots)) <= {int}:
+            raise ValueError("basis vector coordinates must be ints")
+        if not all(map(operator.lt, pivots, pivots[1:])):
+            raise ValueError("basis must be in reduced row echelon form, without zero rows")
+        if pivots and (pivots[0] < 0 or pivots[-1] >= ambient_dim):
+            raise ValueError(f"basis columns must lie in [0, {ambient_dim})")
+        rows = tuple({c: 1} for c in pivots) if rows is None else tuple(rows)
+        space = cls.__new__(cls)
+        vars(space).update(field=field, ambient_dim=ambient_dim, rows=rows, pivots=pivots)
+        return space
+
     def _set(self, field, ambient_dim, rows) -> None:
         pivots = _check_rref(rows, ambient_dim, field.p)
         vars(self).update(field=field, ambient_dim=ambient_dim, rows=rows, pivots=pivots)
@@ -296,11 +324,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls._from_rows(field, ambient_dim, ())
+        return cls._from_units(field, ambient_dim, ())
 
     @classmethod
     def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls._from_rows(field, ambient_dim, ({c: 1} for c in range(ambient_dim)))
+        return cls._from_units(field, ambient_dim, range(ambient_dim))
 
     @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
@@ -321,27 +349,15 @@ class Subspace:
         return not self.rows
 
     def _residuals(self, rows):
-        """The residual row - row[pivots] @ rows of each dict row, reduced,
-        one at a time.
-
-        A row lies in the span of the RREF basis iff it equals its pivot
-        entries times the basis, so iff its residual is empty.
-        """
+        """The residual of each dict row against the basis (_residual),
+        one at a time."""
         p, by_pivot = self.field.p, self._by_pivot
         for row in rows:
-            terms = [(-f, by_pivot[c]) for c, f in row.items() if c in by_pivot]
-            yield _reduced(_combine([(1, row), *terms]), p)
+            yield _residual(row, by_pivot, p)
 
     def _spans(self, rows) -> bool:
-        """True iff every nonzero dict row lies in the subspace (see
-        _residuals).
-
-        A row equal to the basis row at its first column lies in the
-        subspace with no residual to compute, so only the other rows are
-        reduced.
-        """
-        by_pivot = self._by_pivot
-        return not any(self._residuals(row for row in rows if by_pivot.get(min(row)) != row))
+        """True iff every nonzero dict row lies in the subspace (_spanned)."""
+        return _spanned(rows, self._by_pivot, self.field.p)
 
     def contains(self, vector) -> bool:
         return self._spans(_dict_rows([self.field.vector(vector, self.ambient_dim)]))
@@ -393,6 +409,27 @@ def _check_rref(rows, ambient_dim: int, p: int) -> tuple[int, ...]:
     if min(min(row.values()) for row in rows) < 1 or max(max(row.values()) for row in rows) >= p:
         raise ValueError(f"basis entries must be residues mod {p}")
     return pivots
+
+
+def _residual(row: dict[int, int], by_pivot: dict[int, dict[int, int]], p: int) -> dict[int, int]:
+    """The residual row - row[pivots] @ basis of a dict row against an RREF
+    {pivot: row} in the natural column order, reduced.
+
+    A row lies in the span of the RREF basis iff it equals its pivot
+    entries times the basis, so iff its residual is empty.
+    """
+    terms = [(-f, by_pivot[c]) for c, f in row.items() if c in by_pivot]
+    return _reduced(_combine([(1, row), *terms]), p)
+
+
+def _spanned(rows, by_pivot: dict[int, dict[int, int]], p: int) -> bool:
+    """True iff every nonzero dict row lies in the span of the RREF
+    {pivot: row} (see _residual).
+
+    A row equal to the basis row at its first column lies in the span with
+    no residual to compute, so only the other rows are reduced.
+    """
+    return not any(_residual(row, by_pivot, p) for row in rows if by_pivot.get(min(row)) != row)
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:

@@ -1019,6 +1019,96 @@ def test_chain_memory_stays_small():
     assert peak < 8 * 2**20
 
 
+def test_coordinate_chain_memory_stays_small():
+    # the terms of a construction's chain share their unit rows, so they
+    # hold n(n+1)/2 row and pivot entries but only n rows: about 9 MiB at
+    # n = 1000, where a copy of every row per term took 135 MiB
+    alg = minimal_algebra(1000, F3)[1]
+    algebra_module._coordinate_targets(alg)
+    tracemalloc.start()
+    try:
+        chain = isotropic_ideal_chain(alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [s.dim for s in chain] == list(range(1001))
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("n", [8, 16, 40])
+def test_series_and_chain_of_a_construction_check_no_rows(monkeypatch, n):
+    # every series term, the centre and every chain term of a construction
+    # is a span of basis vectors, checked by its coordinates alone; the
+    # rows so held pass the row-by-row check, and the terms are the
+    # elimination loops' and the reference chain's
+    pres = construct_minimal(n, F3)[1]
+
+    def refused(*args):
+        raise AssertionError("a span of basis vectors was checked row by row")
+
+    monkeypatch.setattr(linalg_module, "_check_rref", refused)
+    alg = build_algebra(pres)
+    report, chain = series_report(alg), isotropic_ideal_chain(alg)
+    centre = algebra_module._center(alg)
+    monkeypatch.undo()
+    for s in (*report.lower, *report.upper, centre, *chain):
+        assert Subspace._from_rows(F3, alg.dim, [dict(row) for row in s.rows]) == s
+    exact = exact_series_report(alg)
+    assert (report.lower, report.upper) == (exact.lower, exact.upper)
+    assert chain == reference_chain(alg)
+
+
+def test_other_subspaces_still_check_rows(monkeypatch):
+    # product_space, the centralizer, perp, from_vectors and the terms of a
+    # dense chain are not built as spans of basis vectors, and each still
+    # reaches the row-by-row check; on the scrambled construction every
+    # term after I_0 does (its centre is held before the patch)
+    alg = minimal_algebra(8, F3)[1]
+    dense = scrambled(alg, np.random.default_rng(3))
+    algebra_module._exact_center(dense)
+    calls, check = [], linalg_module._check_rref
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(linalg_module, "_check_rref", counted)
+    space, zero = full_space(alg), zero_space(alg)
+    for build in (
+        lambda: product_space(alg, space, space),
+        lambda: algebra_module._centralizer_above(alg, zero),
+        lambda: perp(zero, alg.gram),
+        lambda: Subspace.from_vectors(F3, alg.dim, [[1] * alg.dim]),
+    ):
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    calls.clear()
+    chain = isotropic_ideal_chain(dense)
+    assert len(calls) == dense.n
+    monkeypatch.undo()
+    assert chain == reference_chain(dense)
+
+
+def test_chain_terms_share_unit_rows_that_no_reader_changes():
+    # each term holds the unit rows of the term before it, the same dicts,
+    # and is_ideal, is_isotropic, contains_subspace and product_space, run
+    # on every term, leave every term's rows as they were
+    alg = minimal_algebra(16, F3)[1]
+    chain = isotropic_ideal_chain(alg)
+    for below, above in zip(chain, chain[1:]):
+        held = dict(zip(above.pivots, above.rows))
+        assert all(held[c] is row for c, row in zip(below.pivots, below.rows))
+    before = [[dict(row) for row in s.rows] for s in chain]
+    space = full_space(alg)
+    for s in chain:
+        assert is_ideal(alg, s) and is_isotropic(alg, s)
+        assert all(t.contains_subspace(s) for t in chain[s.dim :])
+        product_space(alg, s, space)
+        product_space(alg, s, s)
+    assert [list(s.rows) for s in chain] == before
+
+
 @pytest.mark.slow
 def test_chain_completes_at_n_1000():
     # the general loop, called through its own entry (the construction is

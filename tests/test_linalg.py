@@ -1,6 +1,7 @@
 """Exact linear algebra: the field, RREF, subspaces, the form."""
 
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -325,6 +326,37 @@ def test_subspace_from_rows_refuses_entries_out_of_range():
     ):
         with pytest.raises(ValueError, match=match):
             Subspace._from_rows(field, 3, rows)
+
+
+def test_subspace_from_units_checks_coordinates_not_rows(monkeypatch):
+    # a span of basis vectors is checked by its coordinates alone, so the
+    # zero and full spaces never reach the row-by-row check; a coordinate
+    # that is not an int is refused, as are unsorted or out-of-range ones
+    field = PrimeField(5)
+
+    def refused(*args):
+        raise AssertionError("a span of basis vectors was checked row by row")
+
+    monkeypatch.setattr(linalg, "_check_rref", refused)
+    s = Subspace._from_units(field, 5, [0, 2, 4])
+    assert s.rows == ({0: 1}, {2: 1}, {4: 1}) and s.pivots == (0, 2, 4)
+    assert Subspace.full(field, 3).rows == ({0: 1}, {1: 1}, {2: 1})
+    assert Subspace.zero(field, 3).rows == () == Subspace.zero(field, 3).pivots
+    shared = ({1: 1}, {3: 1})
+    assert all(map(operator.is_, Subspace._from_units(field, 5, [1, 3], shared).rows, shared))
+    for coords, match in (
+        ([1.0], "must be ints"),
+        ([True], "must be ints"),
+        ([np.int64(1)], "must be ints"),
+        ([2, 1], "reduced row echelon form"),
+        ([1, 1], "reduced row echelon form"),
+        ([-1, 2], r"columns must lie in \[0, 5\)"),
+        ([0, 5], r"columns must lie in \[0, 5\)"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Subspace._from_units(field, 5, coords)
+    monkeypatch.undo()
+    assert s == Subspace.from_vectors(field, 5, [[0, 0, 3, 0, 0], [2, 0, 0, 0, 0], [0, 0, 0, 0, 4]])
 
 
 def test_subspace_basis_validation():

@@ -622,6 +622,51 @@ def test_subspace_from_rows_refuses_each_broken_rref_condition(p, ambient, seed,
     assert Subspace._from_rows(field, ambient, [dict(row) for row in s.rows]) == s
 
 
+@given(
+    p=primes,
+    ambient=st.integers(0, 16),
+    seed=seeds,
+    fault=st.sampled_from(["none", "unsorted", "repeated", "negative", "out of range"]),
+)
+@example(p=2, ambient=0, seed=0, fault="none")
+@example(p=3, ambient=4, seed=0, fault="repeated")
+def test_subspace_from_units_matches_subspace_from_rows(p, ambient, seed, fault):
+    # a span of basis vectors checked by its coordinates against the same
+    # unit rows checked row by row: a random increasing set of coordinates,
+    # or one broken by a swap, a repeat, a negative or an out-of-range
+    # coordinate; each is refused by both or by neither, and an accepted
+    # one gives the same rows, pivots, equality, hash and basis
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, ambient + 1))
+    coords = sorted(rng.choice(ambient, size=size, replace=False).tolist())
+    if fault == "unsorted":
+        assume(len(coords) >= 2)
+        i = int(rng.integers(0, len(coords) - 1))
+        coords[i], coords[i + 1] = coords[i + 1], coords[i]
+    elif fault == "repeated":
+        assume(coords)
+        i = int(rng.integers(0, len(coords)))
+        coords.insert(i, coords[i])
+    elif fault == "negative":
+        coords.insert(0, -int(rng.integers(1, 4)))
+    elif fault == "out of range":
+        coords.append(ambient + int(rng.integers(0, 3)))
+    rows = [{c: 1} for c in coords]
+    if fault != "none":
+        with pytest.raises(ValueError):
+            Subspace._from_rows(field, ambient, rows)
+        with pytest.raises(ValueError):
+            Subspace._from_units(field, ambient, coords)
+        return
+    from_rows = Subspace._from_rows(field, ambient, rows)
+    from_units = Subspace._from_units(field, ambient, coords)
+    assert from_units.rows == from_rows.rows and from_units.pivots == from_rows.pivots
+    assert from_units == from_rows and hash(from_units) == hash(from_rows)
+    assert from_units.basis == from_rows.basis
+    assert from_units.pivots == tuple(coords) and from_units.dim == len(coords)
+
+
 def pairing_matrix(a, b, g):
     """The pairings (u, v) for u over a's basis rows and v over b's, as one
     matmul A G B^T mod p of the bases and the form, on Python ints (object
