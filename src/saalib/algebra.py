@@ -388,12 +388,22 @@ def _products(alg: Algebra, left, right=None) -> list[dict[int, int]]:
 
     u runs over the dict rows left and v over the dict rows right, or over
     every basis vector e_j when right is None; left None stands for the
-    basis vectors, which are only multiplied by themselves.  A factor
-    multiplied by itself, right is left (both None for the basis vectors),
-    gives only the products u_s . u_t of its rows with s < t: the tensor is
-    alternating, so _row_table gives u . u = 0 and v . u = -u . v
-    (check_axioms tests it), and the pairs span the same space with half
-    the rows.  Each u . e_j is summed from the row table T (_by_basis),
+    basis vectors' unit rows {c: 1}, multiplied by every basis vector.  The
+    tensor is alternating, so _row_table gives u . u = 0 and v . u = -u . v
+    (check_axioms tests it), and two rules use it to drop products whose
+    span the others already give:
+    - A factor multiplied by itself, right is left, gives only the products
+      u_s . u_t of its rows with s < t, half the rows.
+    - With right None, a unit row u = {c: s} of left, one nonzero entry,
+      skips e_j when left holds a unit row at j < c too: e_j . e_c =
+      -e_c . e_j, so s (e_c . e_j) is a multiple of that row's product by
+      e_c, which is kept.  Each pair of unit coordinates is multiplied
+      once; for left None, e_i . e_j with i < j alone.  This forms no new
+      product: it drops some of the products u . e_j.
+    A unit row's products are read straight off T[c] = _row_table(alg)[c],
+    grouped by j, each entry (j, k, value) giving s * value at k: each is
+    one triple's nonzero residue, so nothing is summed and no product is
+    zero.  Each other u . e_j is summed from the row table (_by_basis),
     entry (j, k, value) of T[i] adding u_i * value at k, and a right factor
     w then combines them, sum w_j (u . e_j).  The sums run on Python ints
     and are reduced once, exact for any p, and no dense array is built.
@@ -402,16 +412,18 @@ def _products(alg: Algebra, left, right=None) -> list[dict[int, int]]:
     p = alg.field.p
     table = _row_table(alg)
     if left is None:
-        out = []
-        for i, entries in enumerate(table):
-            by_j: dict[int, dict[int, int]] = {}
-            for j, k, v in entries:
-                if j > i:
-                    by_j.setdefault(j, {})[k] = v
-            out += by_j.values()
-        return out
+        left, right = [{c: 1} for c in range(alg.dim)], None
+    units = {c for u in left if len(u) == 1 for c in u} if right is None else set()
     out = []
     for s, u in enumerate(left):
+        if right is None and len(u) == 1:
+            [(c, uc)] = u.items()
+            by_j: dict[int, dict[int, int]] = {}
+            for j, k, v in table[c]:
+                if j > c or j not in units:
+                    by_j.setdefault(j, {})[k] = uc * v % p
+            out += by_j.values()
+            continue
         by_j = _by_basis(table, u)
         if right is None:
             prods = (by_j[j] for j in sorted(by_j))
@@ -439,8 +451,11 @@ def _product_rows(alg: Algebra, a: Subspace, b: Subspace) -> list[dict[int, int]
 
     The bases are read as their dict rows.  The full space's canonical
     basis is the identity, so for b = L the products u . e_j are taken as
-    they are (see _products).  For b = a each pair of basis rows is
-    multiplied once, u_s . u_t with s < t, by alternation (see _products).
+    they are, but that a unit row of a at c, one nonzero entry, skips e_j
+    when a has a unit row at j < c: that row's product by e_c is kept, and
+    spans the same line by alternation (see _products).  For b = a each
+    pair of basis rows is multiplied once, u_s . u_t with s < t, by
+    alternation (see _products).
     """
     if a.ambient_dim != alg.dim or b.ambient_dim != alg.dim:
         raise ValueError("ambient mismatch")
@@ -534,12 +549,15 @@ def _exact_lower(alg: Algebra) -> SeriesReport:
     """lower_central_series on any algebra, by elimination.
 
     Each step is product_space(L^i, L): the nonzero products of L^i's RREF
-    rows with the basis vectors (for L^1 = L, the products e_i . e_j with
-    i < j alone, see _products), reduced by one _rref_rows elimination to
-    the canonical basis on every column.  L^{i+1} lies in L^i, so the
-    series has stabilized when the dimension repeats, and ends at 0.  Held
-    so that lower_central_series and _exact_fingerprint, which reads it on
-    every algebra, share it.
+    rows with the basis vectors, reduced by one _rref_rows elimination to
+    the canonical basis on every column.  A unit row e_c of L^i, as every
+    row of a term spanned by basis vectors is, is multiplied by e_j only
+    when j > c or L^i has no unit row at j (see _products); otherwise
+    e_j . e_c = -e_c . e_j is among e_j's products.  So for L^1 = L these
+    are the products e_i . e_j with i < j alone.  L^{i+1} lies in L^i, so
+    the series has stabilized when the dimension repeats, and ends at 0.
+    Held so that lower_central_series and _exact_fingerprint, which reads
+    it on every algebra, share it.
     """
     terms = [full_space(alg)]
     while terms[-1].dim:
@@ -560,9 +578,13 @@ def _centralizer_above(alg: Algebra, z: Subspace) -> Subspace:
     span S, and their nonzero dict rows (_products), times the form, are
     the conditions on v, so the centralizer is perp(S), eliminated once in
     the natural order (_orthogonal).  The rows spanning perp(z) are read off
-    z's basis (_perp_rows); for z = 0 they are the basis vectors, so S is
-    spanned by the products e_i . e_j with i < j alone (see _products).
-    The identity holds for every subspace z, and for an ideal z (z L <= z),
+    z's basis (_perp_rows); for z = 0 they are the basis vectors, and for a
+    span of basis vectors they are multiples of basis vectors, unit rows.
+    A unit row at c is multiplied by e_j only when j > c or no row is a
+    unit row at j (see _products); otherwise e_j . e_c = -e_c . e_j is
+    among that row's products, so the rows still span S, and for z = 0
+    they are the products e_i . e_j with i < j alone.  The identity holds
+    for every subspace z, and for an ideal z (z L <= z),
     as every upper-series and chain term is, z lies in the centralizer.
     For z = L no rows span perp(L) = 0, and L is returned without an
     elimination.

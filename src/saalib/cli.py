@@ -49,7 +49,13 @@ from .construct import (
     predict_min_class,
 )
 from .linalg import PrimeField
-from .presfile import ParseError, PresentationFile, emit_presentation, parse_presentation_file
+from .presfile import (
+    MAX_N,
+    ParseError,
+    PresentationFile,
+    emit_presentation,
+    parse_presentation_file,
+)
 
 __all__ = ["main", "verify_report"]
 
@@ -142,6 +148,10 @@ def _cmd_predict(args) -> int:
 def _cmd_construct(args) -> int:
     if args.n < 4:
         print("error: construct requires --n at least 4", file=sys.stderr)
+        return 2
+    if args.n > MAX_N:
+        # every file construct writes parses back
+        print(f"error: construct requires --n at most {MAX_N}", file=sys.stderr)
         return 2
     try:
         field = PrimeField(args.p)

@@ -4,15 +4,18 @@ Line-oriented UTF-8 format; '#' starts a comment line and blank lines are
 ignored:
 
     saa-presentation v1
-    n <integer >= 1>
+    n <integer in [1, MAX_N]>
     p <prime>
     kind <general|nilpotent>
     triple <b> <b> <b> <value>     # <b> is x<i> or y<i>, value in [1, p)
 
-Numbers are ASCII digits only.  A triple is refused exactly when
-Presentation refuses it, with the same message after the line number;
-`kind nilpotent` also refuses one that validate_nilpotent_presentation
-refuses, so the order a triple is written in never matters.
+Numbers are ASCII digits only.  n is at most MAX_N, so that a short file
+cannot ask `saa verify` for an algebra out of all proportion to its size:
+the memory a file with no triples takes grows with n.  A triple is
+refused exactly when Presentation refuses it, with the same message after
+the line number; `kind nilpotent` also refuses one that
+validate_nilpotent_presentation refuses, so the order a triple is written
+in never matters.
 
 Emission is canonical: triple entries in coordinate order with the sign
 folded into the value, records sorted by (kind, indices), values reduced.
@@ -42,6 +45,8 @@ __all__ = ["ParseError", "PresentationFile", "parse_presentation_file",
 
 MAGIC = "saa-presentation v1"
 KINDS = ("general", "nilpotent")
+# the largest n a file may hold, and `saa construct --n` may ask for
+MAX_N = 100_000
 
 
 class ParseError(ValueError):
@@ -94,6 +99,8 @@ def parse_presentation_file(text: str) -> PresentationFile:
     if len(parts) != 2 or not _is_decimal(parts[1]) or int(parts[1]) < 1:
         raise ParseError(number, "n must be an integer >= 1")
     n = int(parts[1])
+    if n > MAX_N:
+        raise ParseError(number, f"n must be at most {MAX_N}")
 
     number, parts = expect("p")
     if len(parts) != 2 or not _is_decimal(parts[1]):

@@ -26,7 +26,7 @@ from saalib.checks import (
 from saalib.cli import main
 from saalib.construct import catalog, minimal_algebra
 from saalib.linalg import PrimeField
-from saalib.presfile import emit_presentation, parse_presentation_file
+from saalib.presfile import MAX_N, emit_presentation, parse_presentation_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -331,6 +331,30 @@ def test_monomial_algebras_are_analysed_with_no_elimination(tmp_path, monkeypatc
 def test_construct_rejects_small_n(capsys):
     assert main(["construct", "--n", "3", "--p", "3", "--out", "/dev/null"]) == 2
     capsys.readouterr()
+
+
+def test_n_past_the_file_bound_exits_2(tmp_path, monkeypatch, capsys):
+    # verify and construct take n up to the bound a file may hold, and
+    # refuse the next n with exit 2 and one error line.  At the bound
+    # neither runs: the report and the construction are stubbed
+    text = "saa-presentation v1\nn {}\np 3\nkind general\n"
+    monkeypatch.setattr(cli, "verify_report", lambda pfile, *expect: ("", True))
+
+    def no_construction(n, field):
+        raise construct.ConstructionError(f"stub at n={n}")
+
+    monkeypatch.setattr(cli, "minimal_algebra", no_construction)
+    path, out = tmp_path / "n.saa", tmp_path / "c.saa"
+    path.write_text(text.format(MAX_N), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert main(["construct", "--n", str(MAX_N), "--p", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: stub at n={MAX_N}\n"
+    path.write_text(text.format(MAX_N + 1), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 2: n must be at most {MAX_N}\n"
+    assert main(["construct", "--n", str(MAX_N + 1), "--p", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: construct requires --n at most {MAX_N}\n"
+    assert not out.exists()
 
 
 def test_construct_without_candidates_exits_1(tmp_path):

@@ -16,6 +16,7 @@ from saalib.checks import random_nilpotent_presentation
 from saalib.construct import catalog
 from saalib.linalg import PrimeField
 from saalib.presfile import (
+    MAX_N,
     ParseError,
     emit_presentation,
     parse_presentation,
@@ -99,6 +100,18 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert fragment in str(err.value)
+
+
+def test_n_is_bounded():
+    # a file with no triples at the bound parses; one past it is refused on
+    # its n line, before the rest of the file is read
+    assert MAX_N == 100_000
+    text = "saa-presentation v1\nn {}\np 3\nkind general\n"
+    assert parse_presentation(text.format(MAX_N)).n == MAX_N
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text.format(MAX_N + 1))
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: n must be at most {MAX_N}"
 
 
 @pytest.mark.parametrize(

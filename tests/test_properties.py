@@ -930,44 +930,114 @@ def test_fingerprint_of_catalog_tests_isotropy_up_to_the_first_failure(entry, p)
     assert_isotropy_tested_up_to_first_failure(alg)
 
 
+def unit_coordinates(rows):
+    """The coordinate c of each unit row of rows, one nonzero entry at c."""
+    supports = ([j for j, v in enumerate(row) if v] for row in rows)
+    return {s[0] for s in supports if len(s) == 1}
+
+
+def skips_unit_pair(u, j, units):
+    """True iff _products(alg, left) leaves out u . e_j: u is a unit row at
+    c, and left holds a unit row at j < c too."""
+    support = [i for i, v in enumerate(u) if v]
+    return len(support) == 1 and j in units and j < support[0]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=25)
-@given(n=st.integers(2, 6), seed=seeds, sparse=st.booleans(), nrows=st.integers(0, 6))
-def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows):
-    # left holds a row of p - 1 and random residues.  The dict rows read off
-    # the row table, on sparse and dense tables alike, are the nonzero rows
-    # of the reference table's contraction on Python ints, in the same
-    # (u, j) order
+@given(
+    n=st.integers(2, 6),
+    seed=seeds,
+    sparse=st.booleans(),
+    nrows=st.integers(0, 6),
+    nunits=st.integers(0, 8),
+)
+def test_sparse_and_dense_products_agree(p, n, seed, sparse, nrows, nunits):
+    # left holds a row of p - 1, unit rows at distinct coordinates, each
+    # 1 or p - 1 as the rows spanning a perp are, and random residues, in
+    # a random order.  The dict rows read off the row table, on sparse and
+    # dense tables alike, are the nonzero rows of the reference table's
+    # contraction on Python ints, in the same (u, j) order, with each pair
+    # of unit coordinates multiplied once (skips_unit_pair)
     field = PrimeField(p)
     rng = np.random.default_rng(seed)
     make = sparse_nilpotent_presentation if sparse else random_nilpotent_presentation
     alg = build_algebra(make(n, field, rng))
     dim = alg.dim
-    left = np.vstack([np.full(dim, p - 1), rng.integers(0, p, size=(nrows, dim))])
+    units = np.zeros((min(nunits, dim), dim), dtype=np.int64)
+    for row, c in zip(units, rng.permutation(dim)):
+        row[c] = rng.choice([1, p - 1])
+    rows = np.vstack([np.full(dim, p - 1), units, rng.integers(0, p, size=(nrows, dim))])
+    left = rows[rng.permutation(len(rows))].tolist()
     right = rng.integers(0, p, size=(int(rng.integers(1, 4)), dim))
     table = np.array(reference_table(alg), dtype=object)
-    dense = np.tensordot(left.astype(object), table, axes=(1, 0)) % p
-    assert dense.shape == (nrows + 1, dim, dim)
+    dense = np.tensordot(np.array(left, dtype=object), table, axes=(1, 0)) % p
+    assert dense.shape == (len(left), dim, dim)
+    coordinates = unit_coordinates(left)
+    by_basis = [
+        block[j] for u, block in zip(left, dense) for j in range(dim)
+        if not skips_unit_pair(u, j, coordinates)
+    ]
     pairs = table[np.triu_indices(dim, 1)]
     contracted = np.stack([right.astype(object) @ block % p for block in dense])
     # left times itself, right is left: u_s . u_t for s < t alone, over the
     # nonzero rows of left, which _dict_rows keeps
-    nonzero = left.any(axis=1)
-    kept, kept_dense = left[nonzero].astype(object), dense[nonzero]
-    pairs_st = zip(*np.triu_indices(len(kept), 1))
-    own = np.array([kept[t] @ kept_dense[s] % p for s, t in pairs_st], dtype=object)
-    left_rows = _dict_rows(left.tolist())
+    kept = [(u, block) for u, block in zip(left, dense) if any(u)]
+    pairs_st = itertools.combinations(kept, 2)
+    own = [np.array(v, dtype=object) @ block % p for (_, block), (v, _) in pairs_st]
+    left_rows = _dict_rows(left)
     for expected, rows in (
-        (dense, _products(alg, _dict_rows(left.tolist()))),
+        (by_basis, _products(alg, _dict_rows(left))),
         (pairs, _products(alg, None)),
-        (contracted, _products(alg, _dict_rows(left.tolist()), _dict_rows(right.tolist()))),
+        (contracted, _products(alg, _dict_rows(left), _dict_rows(right.tolist()))),
         (own, _products(alg, left_rows, left_rows)),
     ):
-        expected = expected.reshape(-1, dim).astype(np.int64)
-        expected = expected[expected.any(axis=1)]
+        expected = [row for row in np.array(expected, dtype=object).reshape(-1, dim).tolist() if any(row)]
+        assert all(type(v) is int for row in expected for v in row)
         assert all(all(v for v in row.values()) for row in rows)
-        assert dense_rows(rows, dim) == expected.tolist()
-        assert len(rows) == len(expected)
+        assert dense_rows(rows, dim) == expected
+
+
+@pytest.mark.parametrize("p", EXACT_PRIMES)
+@settings(max_examples=10)
+@given(
+    n=st.integers(1, 5),
+    seed=seeds,
+    shape=shapes,
+    nunits=st.integers(0, 10),
+    ndense=st.integers(0, 3),
+)
+def test_unit_rows_multiply_each_pair_of_units_once(p, n, seed, shape, nunits, ndense):
+    # left mixes unit rows, each 1, p - 1 or a random residue, with random
+    # rows.  Its products by the basis vectors span what every product
+    # u . e_j of the reference does, and there is one nonzero row for each
+    # nonzero reference product but the skipped pairs (skips_unit_pair)
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    alg = build_algebra(MAKERS[shape](n, field, rng))
+    dim = alg.dim
+    left = []
+    for c in rng.permutation(dim)[:nunits]:
+        left.append([0] * dim)
+        left[-1][c] = int(rng.choice([1, p - 1, int(rng.integers(1, p))]))
+    left += rng.integers(0, p, size=(ndense, dim)).tolist()
+    left = [left[i] for i in rng.permutation(len(left))]
+    basis = [[int(j == c) for j in range(dim)] for c in range(dim)]
+    products = reference_products(alg, left + basis)
+    width = len(left) + dim
+    by_pair = {
+        (s, j): products[s * width + len(left) + j] for s in range(len(left)) for j in range(dim)
+    }
+    units = unit_coordinates(left)
+    count = sum(
+        any(by_pair[s, j]) for s, u in enumerate(left) for j in range(dim)
+        if not skips_unit_pair(u, j, units)
+    )
+    got = dense_rows(_products(alg, _dict_rows(left)), dim)
+    assert len(got) == count
+    span, pivots = reference_rref(got, dim, p)
+    expected, expected_pivots = reference_rref(list(by_pair.values()), dim, p)
+    assert (span[: len(pivots)], pivots) == (expected[: len(expected_pivots)], expected_pivots)
 
 
 def reference_row_table(alg):
